@@ -135,9 +135,6 @@ def invert_map(mesh_map: MeshMap) -> InverseMap:
                       offsets=offsets, values=values)
 
 
-DIRECT = None  # placeholder map for direct accesses
-
-
 @dataclass(frozen=True, eq=False)
 class Descriptor:
     """One access performed by a loop: through ``map`` (or directly) in ``mode``."""

@@ -1,6 +1,8 @@
 """Command-line driver: run, verify, inspect-only, export-vtk, sweep.
 
-Exit codes: 0 ok, 2 config error, 3 verification failure, 4 depth violation.
+Exit codes: 0 ok, 1 other error (I/O, failed inspection), 2 config error
+(including a binding or kernel the executor rejects), 3 verification failure,
+4 depth violation.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ import numpy as np
 
 from .chain import LoopChain
 from .config import ConfigError, RunConfig, SubChain, _parse_fusion, parse_config
-from .errors import DepthExceededError, VerificationError
+from .errors import (DepthExceededError, ExecutionError, InspectionError,
+                     VerificationError)
 from .executor import (KernelRegistry, execute_schedule, execute_untiled,
                        integer_valued)
 from .inspector import ExecMode, Schedule, inspect_chain
@@ -316,10 +319,10 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 3
-    except ConfigError as exc:
+    except (ConfigError, ExecutionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, InspectionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -109,23 +109,6 @@ def halo_exchange(endpoints: list[HaloEndpoint]) -> None:
         e.end()
 
 
-class _PreStaged:
-    """Adapter for execute_schedule when staging already happened chain-wide."""
-
-    def __init__(self, endpoint: HaloEndpoint):
-        self.endpoint = endpoint
-
-    def begin(self) -> None:
-        pass
-
-    def end(self) -> None:
-        self.endpoint.end()
-
-    @property
-    def bytes_exchanged(self) -> int:
-        return self.endpoint.bytes_exchanged
-
-
 @dataclass
 class VirtualRank:
     rank: int
@@ -192,7 +175,6 @@ def gather(mesh: Mesh, problem: Problem, ranks: list[VirtualRank]) -> dict[str, 
 
 def run_distributed(mesh: Mesh, problem: Problem, nranks: int, ts: int,
                     depth: int, registry: KernelRegistry,
-                    use_local_maps: bool = False,
                     poison_halo: bool = False,
                     initial: dict[str, np.ndarray] | None = None) -> DistributedResult:
     """Partition, inspect and execute on N virtual ranks, then gather.
@@ -236,8 +218,7 @@ def run_distributed(mesh: Mesh, problem: Problem, nranks: int, ts: int,
     for vr in ranks:
         vr.report = execute_schedule(vr.schedule, vr.chain, vr.bindings,
                                      vr.datasets, registry,
-                                     exchange=_PreStaged(vr.endpoint),
-                                     use_local_maps=use_local_maps)
+                                     exchange=vr.endpoint)
         reports.append(vr.report)
 
     gathered = gather(mesh, problem, ranks)

@@ -3,14 +3,13 @@
 Kernels are user-registered callables receiving one view per descriptor:
 direct accesses get the element's own values, mapped accesses a list of the
 target elements' values.  Read views are frozen; write and increment views
-are ordinary mutable numpy slices.
+are ordinary mutable numpy slices.  Tiles run color by color on the calling
+thread, and a tile reads its mapped accesses through its own local maps.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +18,7 @@ from .chain import AccessMode, IterationSpace, Loop, LoopChain, Region
 from .errors import ExecutionError, StaleScheduleError
 from .inspector import Schedule, Tile
 
+# read by bench/run.py only; nothing in the package consults it
 THREADS_ENV = "LOOPTILE_THREADS"
 
 
@@ -77,16 +77,7 @@ class ExecutionReport:
     tiles_per_color: dict[int, int] = field(default_factory=dict)
     bytes_exchanged: int = 0
 
-    PHASES = ("exchange_start", "core", "exchange_wait", "boundary")
-
-    def to_text(self) -> str:
-        lines = ["execution report"]
-        for phase in self.PHASES:
-            lines.append(f"  {phase}: {self.phase_seconds.get(phase, 0.0) * 1e3:.3f} ms")
-        for color in sorted(self.tiles_per_color):
-            lines.append(f"  color {color}: {self.tiles_per_color[color]} tiles")
-        lines.append(f"  bytes exchanged: {self.bytes_exchanged}")
-        return "\n".join(lines)
+    PHASES = ("core", "exchange_wait", "boundary")
 
     def to_kv(self) -> str:
         items = [f"phase.{p}={self.phase_seconds.get(p, 0.0):.9f}" for p in self.PHASES]
@@ -95,10 +86,17 @@ class ExecutionReport:
         return "\n".join(items)
 
 
-def check_bindings(chain: LoopChain, bindings, datasets: dict[str, Dataset]) -> None:
+def check_bindings(chain: LoopChain, bindings, datasets: dict[str, Dataset],
+                   registry: KernelRegistry) -> list:
+    """Validate bindings against the chain; return each loop's kernel body.
+
+    Runs before anything executes, so a bad binding or an unregistered
+    kernel leaves every dataset untouched.
+    """
     if len(bindings) != len(chain.loops):
         raise ExecutionError(
             f"{len(bindings)} bindings for {len(chain.loops)} loops")
+    bodies = []
     for loop, binding in zip(chain.loops, bindings):
         if binding.kernel != loop.kernel:
             raise ExecutionError(
@@ -117,6 +115,13 @@ def check_bindings(chain: LoopChain, bindings, datasets: dict[str, Dataset]) -> 
                 raise ExecutionError(
                     f"loop {loop.index}: dataset {name!r} lives on "
                     f"{ds.space.name!r}, descriptor needs {wanted.name!r}")
+        body, nargs = registry.get(loop.kernel)
+        if nargs != len(loop.descriptors):
+            raise ExecutionError(
+                f"kernel {loop.kernel!r} takes {nargs} args, loop {loop.index} "
+                f"has {len(loop.descriptors)} descriptors")
+        bodies.append(body)
+    return bodies
 
 
 def _frozen(view: np.ndarray) -> np.ndarray:
@@ -125,20 +130,17 @@ def _frozen(view: np.ndarray) -> np.ndarray:
     return out
 
 
-def _run_loop(loop: Loop, binding: KernelBinding, datasets: dict[str, Dataset],
-              registry: KernelRegistry, elements, local_maps=None) -> None:
-    """Run one loop's kernel over ``elements``; local_maps indexes by position."""
-    body, nargs = registry.get(loop.kernel)
-    if nargs != len(loop.descriptors):
-        raise ExecutionError(
-            f"kernel {loop.kernel!r} takes {nargs} args, loop {loop.index} "
-            f"has {len(loop.descriptors)} descriptors")
+def _run_loop(loop: Loop, binding: KernelBinding, body, datasets: dict[str, Dataset],
+              elements, rows_of: dict[str, np.ndarray]) -> None:
+    """Run ``body`` over ``elements``.
+
+    A mapped access finds its target ids in ``rows_of[map name]`` at the
+    element's position in ``elements``.
+    """
     plan = []
     for d, name in zip(loop.descriptors, binding.args):
         ds = datasets[name]
-        rows = None
-        if not d.is_direct:
-            rows = local_maps[d.map.name] if local_maps is not None else d.map.values
+        rows = None if d.is_direct else rows_of[d.map.name]
         plan.append((d, ds.values, ds.values_per_element, rows))
 
     for pos, e in enumerate(elements):
@@ -149,7 +151,7 @@ def _run_loop(loop: Loop, binding: KernelBinding, datasets: dict[str, Dataset],
                 args.append(_frozen(view) if d.mode is AccessMode.READ else view)
             else:
                 a = d.map.arity
-                base = (pos if local_maps is not None else e) * a
+                base = pos * a
                 if d.mode is AccessMode.READ:
                     views = [_frozen(values[t * k:(t + 1) * k])
                              for t in rows[base:base + a]]
@@ -163,84 +165,78 @@ def _run_loop(loop: Loop, binding: KernelBinding, datasets: dict[str, Dataset],
 def execute_untiled(chain: LoopChain, bindings, datasets: dict[str, Dataset],
                     registry: KernelRegistry) -> None:
     """The semantic reference: loops in chain order, ascending element order."""
-    check_bindings(chain, bindings, datasets)
-    for loop, binding in zip(chain.loops, bindings):
-        _run_loop(loop, binding, datasets, registry,
-                  range(loop.space.executable_size))
+    bodies = check_bindings(chain, bindings, datasets, registry)
+    for loop, binding, body in zip(chain.loops, bindings, bodies):
+        rows_of = {d.map.name: d.map.values
+                   for d in loop.descriptors if not d.is_direct}
+        _run_loop(loop, binding, body, datasets,
+                  range(loop.space.executable_size), rows_of)
 
 
-def _execute_tile(tile: Tile, chain: LoopChain, bindings, datasets, registry,
-                  use_local_maps: bool) -> None:
-    for j, (loop, binding) in enumerate(zip(chain.loops, bindings)):
+def _tile_work(tile: Tile, chain: LoopChain) -> list[tuple]:
+    """(loop index, elements, local maps by name) for each non-empty list."""
+    work = []
+    for j, loop in enumerate(chain.loops):
         elements = tile.iteration_lists.get(j)
         if elements is None or not len(elements):
             continue
-        local = None
-        if use_local_maps:
-            local = {name: tile.local_maps[(j, name)]
-                     for (jj, name) in tile.local_maps if jj == j}
-        _run_loop(loop, binding, datasets, registry, elements, local_maps=local)
+        rows_of = {}
+        for d in loop.descriptors:
+            if d.is_direct:
+                continue
+            rows = tile.local_maps.get((j, d.map.name))
+            wanted = len(elements) * d.map.arity
+            if rows is None or len(rows) != wanted:
+                raise StaleScheduleError(
+                    f"tile {tile.id} loop {j}: local map {d.map.name!r} has "
+                    f"{0 if rows is None else len(rows)} entries, its list "
+                    f"needs {wanted}")
+            rows_of[d.map.name] = rows
+        work.append((j, elements, rows_of))
+    return work
 
 
 def execute_schedule(schedule: Schedule, chain: LoopChain, bindings,
                      datasets: dict[str, Dataset], registry: KernelRegistry,
-                     exchange=None, use_local_maps: bool = False,
-                     max_workers: int | None = None) -> ExecutionReport:
+                     exchange=None) -> ExecutionReport:
     """Run the tiled schedule: core tiles by color, halo wait, boundary tiles.
 
-    ``exchange`` is an optional endpoint with begin()/end() hooks and a
-    bytes_exchanged attribute; the non-exec tile is never executed.  Within a
-    color, tiles touch disjoint data and may run on ``max_workers`` threads
-    (defaults to the LOOPTILE_THREADS environment variable, else 1).
+    ``exchange`` is an optional endpoint whose exchange the caller has
+    already begun; it must offer end() and a bytes_exchanged attribute, and
+    end() runs between the core and boundary phases.  Same-colored tiles run
+    in schedule order; the non-exec tile is never executed.
     """
     if schedule.fingerprint != chain.fingerprint:
         raise StaleScheduleError("schedule was inspected for a different chain")
     if schedule.n_loops != len(chain.loops):
         raise StaleScheduleError("schedule loop count differs from chain")
-    check_bindings(chain, bindings, datasets)
-    if max_workers is None:
-        max_workers = int(os.environ.get(THREADS_ENV, "1"))
+    bodies = check_bindings(chain, bindings, datasets, registry)
+    phases = {Region.CORE: [], Region.BOUNDARY: []}
+    for t in schedule.tiles:
+        if t.region in phases:
+            phases[t.region].append((t.color, _tile_work(t, chain)))
 
     report = ExecutionReport()
-    core = [t for t in schedule.tiles if t.region is Region.CORE]
-    boundary = [t for t in schedule.tiles if t.region is Region.BOUNDARY]
 
-    def run_phase(tiles_group):
-        by_color: dict[int, list[Tile]] = {}
-        for t in tiles_group:
-            by_color.setdefault(t.color, []).append(t)
-        for color in sorted(by_color):
-            batch = by_color[color]
-            report.tiles_per_color[color] = (
-                report.tiles_per_color.get(color, 0) + len(batch))
-            if max_workers > 1 and len(batch) > 1:
-                with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                    list(pool.map(
-                        lambda t: _execute_tile(t, chain, bindings, datasets,
-                                                registry, use_local_maps),
-                        batch))
-            else:
-                for t in batch:
-                    _execute_tile(t, chain, bindings, datasets, registry,
-                                  use_local_maps)
+    def run_phase(tiles):
+        for color, work in sorted(tiles, key=lambda entry: entry[0]):
+            report.tiles_per_color[color] = report.tiles_per_color.get(color, 0) + 1
+            for j, elements, rows_of in work:
+                _run_loop(chain.loops[j], bindings[j], bodies[j], datasets,
+                          elements, rows_of)
 
     t0 = time.perf_counter()
-    if exchange is not None:
-        exchange.begin()
-    report.phase_seconds["exchange_start"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    run_phase(core)
+    run_phase(phases[Region.CORE])
     report.phase_seconds["core"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     if exchange is not None:
         exchange.end()
-        report.bytes_exchanged = getattr(exchange, "bytes_exchanged", 0)
+        report.bytes_exchanged = exchange.bytes_exchanged
     report.phase_seconds["exchange_wait"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    run_phase(boundary)
+    run_phase(phases[Region.BOUNDARY])
     report.phase_seconds["boundary"] = time.perf_counter() - t0
     return report
 
@@ -249,25 +245,3 @@ def execute_schedule(schedule: Schedule, chain: LoopChain, bindings,
 
 def integer_valued(values: np.ndarray) -> bool:
     return bool(np.all(values == np.rint(values)))
-
-
-def diff_datasets(reference: dict[str, Dataset], candidate: dict[str, Dataset],
-                  rtol: float = 1e-12, limit: int = 10) -> list[tuple]:
-    """First ``limit`` (dataset, element, ref, got) mismatches.
-
-    Integer-valued reference data is compared exactly; anything else within
-    ``rtol`` relative tolerance.
-    """
-    diffs = []
-    for name in sorted(reference):
-        ref, got = reference[name].values, candidate[name].values
-        if integer_valued(ref):
-            bad = np.flatnonzero(ref != got)
-        else:
-            bad = np.flatnonzero(~np.isclose(got, ref, rtol=rtol, atol=0.0))
-        k = reference[name].values_per_element
-        for flat in bad[:limit - len(diffs)]:
-            diffs.append((name, int(flat // k), float(ref[flat]), float(got[flat])))
-        if len(diffs) >= limit:
-            break
-    return diffs

@@ -32,25 +32,34 @@ class Mesh:
         return self.edges_to_vertices[2 * e : 2 * e + 2]
 
     def validate(self) -> None:
+        """Raise ValueError naming the first connectivity invariant that fails."""
         c2v = self.cells_to_vertices
         e2v = self.edges_to_vertices
-        assert len(c2v) == 3 * self.num_cells
-        assert len(e2v) == 2 * self.num_edges
+        _require(len(c2v) == 3 * self.num_cells,
+                 "len(cells_to_vertices) == 3 * num_cells")
+        _require(len(e2v) == 2 * self.num_edges,
+                 "len(edges_to_vertices) == 2 * num_edges")
         if self.num_cells:
-            assert 0 <= c2v.min() and c2v.max() < self.num_vertices
-        assert 0 <= e2v.min() and e2v.max() < self.num_vertices
+            _require(0 <= c2v.min() and c2v.max() < self.num_vertices,
+                     "cell vertex ids in [0, num_vertices)")
+        _require(0 <= e2v.min() and e2v.max() < self.num_vertices,
+                 "edge vertex ids in [0, num_vertices)")
         # distinct vertices per entity
         tri = c2v.reshape(-1, 3)
-        assert np.all(tri[:, 0] != tri[:, 1])
-        assert np.all(tri[:, 1] != tri[:, 2])
-        assert np.all(tri[:, 0] != tri[:, 2])
+        _require(np.all(tri[:, 0] != tri[:, 1]) and np.all(tri[:, 1] != tri[:, 2])
+                 and np.all(tri[:, 0] != tri[:, 2]),
+                 "three distinct vertices per cell")
         pairs = e2v.reshape(-1, 2)
-        assert np.all(pairs[:, 0] != pairs[:, 1])
+        _require(np.all(pairs[:, 0] != pairs[:, 1]), "two distinct vertices per edge")
         # the edge set is exactly the set of undirected cell sides, once each
-        sides = _cell_sides(tri)
         stored = {tuple(sorted(p)) for p in pairs.tolist()}
-        assert sides == stored, "edge set does not match cell sides"
-        assert len(stored) == self.num_edges
+        _require(_cell_sides(tri) == stored, "edge set equals the cell sides")
+        _require(len(stored) == self.num_edges, "no edge stored twice")
+
+
+def _require(holds, condition: str) -> None:
+    if not holds:
+        raise ValueError(f"invalid mesh: expected {condition}")
 
 
 def _cell_sides(tri: np.ndarray) -> set[tuple[int, int]]:

@@ -106,25 +106,32 @@ def test_criterion_4_distributed_equivalence(registry):
                "one halo exchange per rank per chain execution")
 
 
-def test_criterion_5_local_map_equivalence(registry):
+def test_criterion_5_local_map_equivalence():
+    # tiled execution reads mapped accesses through local maps only, so
+    # criteria 1 and 4 check them against the oracle; here each local map
+    # must be its global map restricted to the tile's list, in list order
+    checked = 0
     for dims in MESHES:
         mesh = rcm_renumber(generate_rect_mesh(*dims))
+        chain, _, _ = global_setup(mesh, FIG2, depth=3)
         for ts in TILE_SIZES:
             for mode in MODES:
-                results = []
-                for flag in (False, True):
-                    chain, datasets, bindings = global_setup(mesh, FIG2, depth=3)
-                    schedule = inspect_chain(chain, ts, mode)
-                    execute_schedule(schedule, chain, bindings, datasets,
-                                     registry, use_local_maps=flag)
-                    results.append({n: d.values.copy()
-                                    for n, d in datasets.items()})
-                for name in results[0]:
-                    np.testing.assert_array_equal(
-                        results[0][name], results[1][name],
-                        err_msg=f"{dims} ts={ts} {mode.value} {name}")
-    _passed(5, "local-map and global-map execution bitwise identical on the "
-               "full criterion-1 matrix")
+                schedule = inspect_chain(chain, ts, mode)
+                for t in schedule.tiles:
+                    for j, loop in enumerate(chain.loops):
+                        for d in loop.descriptors:
+                            if d.is_direct:
+                                continue
+                            m = d.map
+                            rows = m.values.reshape(-1, m.arity)
+                            np.testing.assert_array_equal(
+                                t.local_maps[(j, m.name)],
+                                rows[t.iteration_lists[j]].ravel(),
+                                err_msg=f"{dims} ts={ts} {mode.value} "
+                                        f"tile {t.id} loop {j} {m.name}")
+                            checked += 1
+    _passed(5, f"{checked} local maps equal their global rows at the tile's "
+               f"iteration list on the full criterion-1 matrix")
 
 
 def test_criterion_6_structural_invariants(registry):

@@ -8,7 +8,7 @@ from looptile.cli import (ScheduleCache, compare_values, main, reference_values,
 from looptile.config import ConfigError, parse_config
 from looptile.errors import DepthExceededError, VerificationError
 from looptile.executor import execute_schedule
-from looptile.inspector import ExecMode, inspect_chain
+from looptile.inspector import ExecMode, compute_local_maps, inspect_chain
 from looptile.mesh import generate_rect_mesh
 from looptile.problems import (FIG2, AccessSpec, DatasetSpec, LoopSpec,
                                Problem, global_setup)
@@ -205,6 +205,7 @@ def test_corrupted_schedule_fails_verification(registry, mesh_8x4):
     moved = hi.iteration_lists[2][:1]
     hi.iteration_lists[2] = hi.iteration_lists[2][1:]
     lo.iteration_lists[2] = np.sort(np.concatenate([lo.iteration_lists[2], moved]))
+    compute_local_maps(schedule.tiles, chain)  # else the executor refuses it
     execute_schedule(schedule, chain, bindings, datasets, registry)
 
     chain2, datasets2, bindings2 = global_setup(mesh_8x4, FIG2, depth=3)
@@ -294,6 +295,45 @@ def test_main_exit_codes(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr("looptile.cli.run_config", fail)
     assert main(["verify", good]) == 3
+
+
+EXPLICIT_INI = """
+[mesh]
+nx = 3
+ny = 2
+renumber = none
+
+[chain]
+depth = 2
+
+[loops]
+{loops}
+
+[datasets]
+edge_w = edges 1 ramp
+cell_w = cells 1 ramp
+vertex_acc = verts 1 zeros
+
+[run]
+mode = sequential
+tile_size = 4
+"""
+
+
+@pytest.mark.parametrize("loops,code,prefix", [
+    # unregistered kernel: the executor rejects the binding
+    ("0 = edges nosuch r@-:edge_w, i@e2v:vertex_acc", 2, "config error: "),
+    # the second loop shares no space with the first: inspection fails
+    ("0 = edges edge_inc i@-:edge_w\n1 = cells cell_inc i@-:cell_w", 1, "error: "),
+])
+def test_main_reports_execution_and_inspection_errors(tmp_path, capsys, loops,
+                                                      code, prefix):
+    path = write_config(tmp_path, EXPLICIT_INI.format(loops=loops))
+    assert main(["verify", path]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix)
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
 
 
 def test_verify_dumps_both_runs_for_external_diffing(tmp_path):

@@ -75,15 +75,6 @@ def test_reports_carry_exchange_bytes(registry):
         assert set(report.phase_seconds) == set(report.PHASES)
 
 
-def test_local_maps_agree_in_distributed_mode(registry):
-    mesh = rcm_renumber(generate_rect_mesh(6, 3))
-    a = run_distributed(mesh, FIG2, 3, 4, depth=3, registry=registry)
-    b = run_distributed(mesh, FIG2, 3, 4, depth=3, registry=registry,
-                        use_local_maps=True)
-    for name in a.datasets:
-        np.testing.assert_array_equal(a.datasets[name], b.datasets[name])
-
-
 def test_depth_shorter_than_chain_rejected(registry):
     mesh = generate_rect_mesh(4, 2)
     with pytest.raises(DepthExceededError):
@@ -197,7 +188,8 @@ def test_executed_iterations_stay_within_local_executable(registry):
 
 
 def test_exchange_through_executor_phases(registry):
-    # execute_schedule drives begin/end around the core phase
+    # the caller begins the exchange; execute_schedule only ends it, between
+    # the core and boundary phases
     mesh = rcm_renumber(generate_rect_mesh(4, 2))
     endpoints, setups = build_endpoints(mesh, 2, 3, registry)
     check_exchange_symmetry(endpoints)
@@ -213,10 +205,15 @@ def test_exchange_through_executor_phases(registry):
             order.append("end")
             endpoints[0].end()
 
-        bytes_exchanged = 0
+        @property
+        def bytes_exchanged(self):
+            return endpoints[0].bytes_exchanged
 
+    spy = Spy()
+    spy.begin()
     schedule = inspect_chain(chain, 4, ExecMode.DISTRIBUTED)
-    execute_schedule(schedule, chain, bindings, datasets, registry,
-                     exchange=Spy())
+    report = execute_schedule(schedule, chain, bindings, datasets, registry,
+                              exchange=spy)
     assert order == ["begin", "end"]
     assert endpoints[0].exchange_count == 1
+    assert report.bytes_exchanged == endpoints[0].bytes_exchanged > 0

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from looptile.mesh import (adjacency_bandwidth, apply_renumbering,
+from looptile.mesh import (Mesh, adjacency_bandwidth, apply_renumbering,
                            generate_rect_mesh, rcm_ordering, rcm_permutations,
                            rcm_renumber, vertex_adjacency)
 
@@ -19,6 +19,17 @@ def test_two_quad_strip_counts():
     mesh = generate_rect_mesh(2, 1)
     assert (mesh.num_cells, mesh.num_vertices, mesh.num_edges) == (4, 6, 9)
     mesh.validate()
+
+
+def test_cell_with_one_vertex_three_times_rejected():
+    # a checked invariant, not an assert that python -O strips
+    mesh = generate_rect_mesh(1, 1)
+    c2v = mesh.cells_to_vertices.copy()
+    c2v[:3] = c2v[0]
+    bad = Mesh(mesh.num_vertices, mesh.num_cells, mesh.num_edges, c2v,
+               mesh.edges_to_vertices, mesh.vertex_coords)
+    with pytest.raises(ValueError, match="three distinct vertices per cell"):
+        bad.validate()
 
 
 @given(nx=st.integers(1, 8), ny=st.integers(1, 8))
