@@ -9,7 +9,7 @@ of more tile expansion.  Timings are reported, not gated.
 import argparse
 
 from looptile.cli import sweep_config
-from looptile.config import RunConfig, _parse_fusion
+from looptile.config import RunConfig, parse_fusion
 from looptile.inspector import ExecMode
 from looptile.problems import EIGHT_LOOP
 
@@ -33,7 +33,7 @@ def main():
     cfg = RunConfig(
         nx=args.nx, ny=args.ny, renumber=True, problem=EIGHT_LOOP, depth=8,
         mode=ExecMode.SHARED, tile_size=16, nranks=2,
-        fusion=_parse_fusion("0-7", 8, 16, 8, ExecMode.SHARED))
+        fusion=parse_fusion("0-7", 8, 16, 8, ExecMode.SHARED))
     tile_sizes = [int(t) for t in args.tile_sizes.split(",")]
     modes = [ExecMode.parse(m) for m in args.modes.split(",")]
     sweep_config(cfg, tile_sizes, modes, SCHEMES)

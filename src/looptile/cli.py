@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain import LoopChain
-from .config import ConfigError, RunConfig, SubChain, _parse_fusion, parse_config
+from .config import ConfigError, RunConfig, SubChain, parse_config, parse_fusion
 from .errors import (DepthExceededError, ExecutionError, InspectionError,
                      VerificationError)
 from .executor import (KernelRegistry, execute_schedule, execute_untiled,
@@ -81,22 +81,27 @@ def run_config(cfg: RunConfig, cache: ScheduleCache | None = None,
     result = RunResult(mesh=mesh, problem=cfg.problem, values={})
 
     if cfg.mode is ExecMode.DISTRIBUTED:
-        _, datasets, _ = global_setup(mesh, cfg.problem, cfg.depth)
+        chain, datasets, bindings = global_setup(mesh, cfg.problem, cfg.depth)
         state = {name: ds.values.copy() for name, ds in datasets.items()}
         for sc in cfg.fusion:
-            t0 = time.perf_counter()
             dist = run_distributed(mesh, _sub_problem(cfg.problem, sc),
                                    cfg.nranks, sc.tile_size, cfg.depth,
                                    registry, initial=state)
-            elapsed = time.perf_counter() - t0
-            inspected = sum(vr.schedule.stats.total_s for vr in dist.ranks)
-            result.inspect_seconds += inspected
-            result.execute_seconds += max(elapsed - inspected, 0.0)
+            # partitioning, local set-up and gather count as neither
+            result.inspect_seconds += sum(vr.schedule.stats.total_s for vr in dist.ranks)
+            result.execute_seconds += sum(sum(r.phase_seconds.values())
+                                          for r in dist.reports)
             result.schedules.extend(vr.schedule for vr in dist.ranks)
             result.reports.extend(dist.reports)
             state = dist.datasets
         if cfg.fused_stop < n_loops:
-            state = _run_untiled_tail(cfg, mesh, state, cfg.fused_stop, registry)
+            for name, ds in datasets.items():
+                ds.values[:] = state[name]
+            t0 = time.perf_counter()
+            execute_untiled(chain.subchain(cfg.fused_stop, n_loops),
+                            bindings[cfg.fused_stop:], datasets, registry)
+            result.execute_seconds += time.perf_counter() - t0
+            state = {name: ds.values.copy() for name, ds in datasets.items()}
         result.values = state
         return result
 
@@ -119,15 +124,6 @@ def run_config(cfg: RunConfig, cache: ScheduleCache | None = None,
         result.execute_seconds += time.perf_counter() - t0
     result.values = {name: ds.values.copy() for name, ds in datasets.items()}
     return result
-
-
-def _run_untiled_tail(cfg, mesh, state, start, registry):
-    chain, datasets, bindings = global_setup(mesh, cfg.problem, cfg.depth)
-    for name, ds in datasets.items():
-        ds.values[:] = state[name]
-    tail = chain.subchain(start, len(cfg.problem.loops))
-    execute_untiled(tail, bindings[start:], datasets, registry)
-    return {name: ds.values.copy() for name, ds in datasets.items()}
 
 
 def reference_values(cfg: RunConfig, mesh: Mesh | None = None,
@@ -227,7 +223,7 @@ def sweep_config(cfg: RunConfig, tile_sizes, modes, schemes=None, out=None) -> l
                 variant = dataclasses.replace(cfg, tile_size=ts, mode=mode)
                 fusion_text = scheme or ",".join(
                     f"{sc.start}-{sc.stop - 1}" for sc in cfg.fusion)
-                variant.fusion = _parse_fusion(fusion_text, len(cfg.problem.loops),
+                variant.fusion = parse_fusion(fusion_text, len(cfg.problem.loops),
                                                ts, cfg.depth, mode)
                 try:
                     result = verify_config(variant)

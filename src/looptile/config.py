@@ -71,7 +71,7 @@ class RunConfig:
         return self.fusion[-1].stop if self.fusion else 0
 
 
-def _parse_fusion(text: str, n_loops: int, tile_size: int, depth: int,
+def parse_fusion(text: str, n_loops: int, tile_size: int, depth: int,
                   mode: ExecMode) -> tuple[SubChain, ...]:
     """Parse "a-b:ts,c-d:ts" (inclusive ranges); must cover a prefix of the loops."""
     subchains = []
@@ -166,7 +166,7 @@ def parse_config(path: str) -> RunConfig:
         nranks = parser.getint("run", "nranks", fallback=2)
         fusion_text = parser.get(
             "run", "fusion", fallback=f"0-{len(problem.loops) - 1}:{tile_size}")
-        fusion = _parse_fusion(fusion_text, len(problem.loops), tile_size,
+        fusion = parse_fusion(fusion_text, len(problem.loops), tile_size,
                                depth, mode)
     except (configparser.Error, ValueError) as exc:
         if isinstance(exc, (ConfigError, DepthExceededError)):

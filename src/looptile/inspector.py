@@ -20,6 +20,7 @@ from .chain import (InverseMap, IterationSpace, Loop, LoopChain, MeshMap,
 from .errors import ColoringLimitError, InspectionError
 
 NO_TILE = -1
+_EMPTY = np.empty(0, dtype=np.int64)
 
 
 class ExecMode(enum.Enum):
@@ -72,9 +73,11 @@ class ConflictMatrix:
 
     pairs: set[tuple[int, int]] = field(default_factory=set)
 
-    def add(self, a: int, b: int) -> None:
-        if a != b:
-            self.pairs.add((min(a, b), max(a, b)))
+    def add_pairs(self, a: np.ndarray, b: np.ndarray) -> None:
+        """Record every pair (a[i], b[i]); a tile is never paired with itself."""
+        distinct = a != b
+        a, b = a[distinct], b[distinct]
+        self.pairs.update(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
 
     def has_conflicts(self) -> bool:
         return bool(self.pairs)
@@ -210,18 +213,28 @@ def _seed_adjacency(tiles: list[Tile], seed_map: MeshMap | None) -> dict[int, se
     adjacency: dict[int, set[int]] = {t.id: set() for t in tiles}
     if seed_map is None:
         return adjacency
-    by_target: dict[int, list[int]] = {}
-    for t in tiles:
-        seed_list = t.iteration_lists.get(0)
-        if seed_list is None or not len(seed_list):
-            continue
-        for g in np.unique(seed_map.values.reshape(-1, seed_map.arity)[seed_list]).tolist():
-            by_target.setdefault(g, []).append(t.id)
-    for ids in by_target.values():
-        for a in ids:
-            for b in ids:
-                if a != b:
-                    adjacency[a].add(b)
+    lists = [t.iteration_lists.get(0, _EMPTY) for t in tiles]
+    owner = np.repeat(np.array([t.id for t in tiles], dtype=np.int64),
+                      [len(lst) * seed_map.arity for lst in lists])
+    targets = seed_map.values.reshape(-1, seed_map.arity)[np.concatenate(lists)].ravel()
+    # distinct (target, tile) touches, sorted by target then tile
+    span = max(t.id for t in tiles) + 1
+    touches = np.unique(targets * span + owner)
+    target, tile = touches // span, touches % span
+    first, second = [], []
+    step = 1
+    while step < len(touches):
+        same = target[step:] == target[:-step]
+        if not same.any():
+            break
+        first.append(tile[:-step][same])
+        second.append(tile[step:][same])
+        step += 1
+    if first:
+        pairs = np.unique(np.concatenate(first) * span + np.concatenate(second))
+        for a, b in zip((pairs // span).tolist(), (pairs % span).tolist()):
+            adjacency[a].add(b)
+            adjacency[b].add(a)
     return adjacency
 
 
@@ -263,57 +276,108 @@ def color_tiles(tiles: list[Tile], seed_map: MeshMap | None,
             t.color = t.id
 
 
+def _tile_colors(tiles: list[Tile]) -> tuple[np.ndarray, bool]:
+    """Every tile's color, and whether any two tiles share one.
+
+    Only tiles of one color can conflict, so the conflict scans are skipped
+    when colors are unique (always so in sequential and distributed modes).
+    """
+    colors = np.array([t.color for t in tiles], dtype=np.int64)
+    ordered = np.sort(colors)
+    return colors, bool(np.any(ordered[1:] == ordered[:-1]))
+
+
+def _project_mapped(inv: InverseMap, sa: np.ndarray, held: np.ndarray,
+                    colors: np.ndarray, conflicts: ConflictMatrix | None) -> np.ndarray:
+    """New projection of a mapped access's target space; see ``project``.
+
+    Each target element's segment of the CSR inverse lists its sources in
+    ascending order.  The held tile survives unless some source's tile has a
+    strictly higher color; otherwise the first source with the segment's
+    maximum color wins.
+    """
+    n, size = len(held), len(inv.values)
+    touch = sa[inv.values]
+    new = np.full(n, NO_TILE, dtype=np.int64)
+    best_color = np.full(n, -1, dtype=np.int64)
+    filled = np.flatnonzero(np.diff(inv.offsets))
+    if len(filled):
+        # one segment maximum over keys ordered by color, then by earliest
+        # position: key = color * size + (size - 1 - position)
+        key = colors[touch] * size
+        key += np.arange(size - 1, -1, -1)
+        best = np.maximum.reduceat(key, inv.offsets[filled])
+        best_color[filled] = best // size
+        new[filled] = touch[size - 1 - best % size]
+    keep = (held >= 0) & (colors[held] >= best_color)
+    new[keep] = held[keep]
+
+    if conflicts is not None:
+        # Per (element, color), the first tile seen (held tile, then sources
+        # in segment order) meets every later distinct tile of that color.
+        has = np.flatnonzero(held >= 0)
+        element = np.repeat(np.arange(n, dtype=np.int64), np.diff(inv.offsets))
+        entry_element = np.concatenate((has, element))
+        entry_tile = np.concatenate((held[has], touch))
+        low, high = int(colors.min()), int(colors.max())
+        key = entry_element * (high - low + 1) + (colors[entry_tile] - low)
+        order = np.argsort(key, kind="stable")
+        key, entry_tile = key[order], entry_tile[order]
+        starts = np.flatnonzero(np.diff(key, prepend=-1))  # keys are >= 0
+        first = np.repeat(entry_tile[starts], np.diff(np.append(starts, len(key))))
+        conflicts.add_pairs(first, entry_tile)
+    return new
+
+
 def project(loop: Loop, sigma: TilingFunction, phi: dict[str, Projection],
             conflicts: ConflictMatrix, tiles: list[Tile],
             inverse_maps: dict[str, InverseMap]) -> None:
     """Fold loop's tile assignment into the per-space projections (updates phi, C).
 
-    Direct descriptors copy sigma wholesale; mapped descriptors scan each
-    target element's inverse segment for the maximum-color toucher.  Any two
-    distinct equal-colored tiles touching the same element are recorded as a
-    conflict.
+    Direct descriptors copy sigma wholesale; mapped descriptors take, per
+    target element, the maximum-color tile among the held one and the
+    element's sources in the inverse map.  Per element and color, the first
+    tile to touch the element (the held tile, then sources in inverse-map
+    order) is recorded as conflicting with every later distinct tile of that
+    color.
     """
-    colors = np.array([t.color for t in tiles], dtype=np.int64)
+    colors, shared = _tile_colors(tiles)
     for d in loop.descriptors:
         if d.is_direct:
             space = loop.space
             old = phi.get(space.name)
             new = sigma.assignment.copy()
-            if old is not None:
-                both = (old.assignment >= 0) & (new >= 0) & (old.assignment != new)
+            if shared and old is not None:
+                both = (old.assignment >= 0) & (new >= 0)
                 clash = both & (colors[old.assignment] == colors[new])
-                for e in np.flatnonzero(clash):
-                    conflicts.add(int(old.assignment[e]), int(new[e]))
+                conflicts.add_pairs(old.assignment[clash], new[clash])
             phi[space.name] = Projection(space, new)
         else:
             if d.map.name not in inverse_maps:
                 inverse_maps[d.map.name] = invert_map(d.map)
-            inv = inverse_maps[d.map.name]
             space = d.map.target
             old = phi.get(space.name)
-            old_assign = old.assignment if old is not None else None
-            offsets, sources = inv.offsets, inv.values
-            sa = sigma.assignment
-            new = np.full(space.total, NO_TILE, dtype=np.int64)
-            for e in range(space.total):
-                if old_assign is not None and old_assign[e] >= 0:
-                    best = int(old_assign[e])
-                    best_color = int(colors[best])
-                    seen = {best_color: best}
-                else:
-                    best, best_color, seen = NO_TILE, -1, {}
-                for f in sources[offsets[e]:offsets[e + 1]]:
-                    t = int(sa[f])
-                    c = int(colors[t])
-                    prior = seen.get(c)
-                    if prior is None:
-                        seen[c] = t
-                    elif prior != t:
-                        conflicts.add(prior, t)
-                    if c > best_color:
-                        best, best_color = t, c
-                new[e] = best
+            held = (old.assignment if old is not None
+                    else np.full(space.total, NO_TILE, dtype=np.int64))
+            new = _project_mapped(inverse_maps[d.map.name], sigma.assignment,
+                                  held, colors, conflicts if shared else None)
             phi[space.name] = Projection(space, new)
+
+
+def _candidate_columns(loop: Loop, phi: dict[str, Projection], n: int):
+    """Candidate tiles of the loop's first n elements, one array per
+    (descriptor, map column), in descriptor order."""
+    for d in loop.descriptors:
+        if d.is_direct:
+            proj = phi.get(loop.space.name)
+            if proj is not None:
+                yield proj.assignment[:n]
+        else:
+            proj = phi.get(d.map.target.name)
+            if proj is not None:
+                rows = d.map.values.reshape(-1, d.map.arity)[:n]
+                for k in range(d.map.arity):
+                    yield proj.assignment[rows[:, k]]
 
 
 def tile_loop(loop: Loop, phi: dict[str, Projection], tiles: list[Tile],
@@ -329,35 +393,18 @@ def tile_loop(loop: Loop, phi: dict[str, Projection], tiles: list[Tile],
     tile will touch data some same-colored tile already touched, which the
     projections alone cannot see for the last loop in the chain.
     """
-    colors = np.array([t.color for t in tiles], dtype=np.int64)
+    colors, shared = _tile_colors(tiles)
     space = loop.space
     assignment = np.full(space.total, NO_TILE, dtype=np.int64)
     held_color = np.full(space.total, -1, dtype=np.int64)
 
-    def candidate_arrays():
-        for d in loop.descriptors:
-            if d.is_direct:
-                proj = phi.get(space.name)
-                if proj is not None:
-                    yield proj.assignment, None, 1
-            else:
-                proj = phi.get(d.map.target.name)
-                if proj is not None:
-                    yield proj.assignment, d.map.values, d.map.arity
-
     applied = False
-    for pa, vals, a in candidate_arrays():
+    for candidate in _candidate_columns(loop, phi, space.total):
         applied = True
-        for e in range(space.total):
-            base = e * a
-            for k in range(a):
-                candidate = int(pa[e] if vals is None else pa[vals[base + k]])
-                if candidate < 0:
-                    continue
-                c = int(colors[candidate])
-                if c > held_color[e]:
-                    assignment[e] = candidate
-                    held_color[e] = c
+        color = np.where(candidate >= 0, colors[candidate], -1)
+        better = color > held_color
+        assignment[better] = candidate[better]
+        held_color[better] = color[better]
 
     if not applied:
         raise InspectionError(
@@ -369,16 +416,12 @@ def tile_loop(loop: Loop, phi: dict[str, Projection], tiles: list[Tile],
             f"loop {loop.index}: element {missing} of {space.name!r} is not "
             f"reachable through any projection")
 
-    if conflicts is not None:
-        for pa, vals, a in candidate_arrays():
-            for e in range(space.executable_size):
-                held = int(assignment[e])
-                base = e * a
-                for k in range(a):
-                    candidate = int(pa[e] if vals is None else pa[vals[base + k]])
-                    if (candidate >= 0 and candidate != held
-                            and colors[candidate] == colors[held]):
-                        conflicts.add(held, candidate)
+    if conflicts is not None and shared:
+        held = assignment[:space.executable_size]
+        held_color = held_color[:space.executable_size]
+        for candidate in _candidate_columns(loop, phi, space.executable_size):
+            clash = (candidate >= 0) & (colors[candidate] == held_color)
+            conflicts.add_pairs(held[clash], candidate[clash])
     return TilingFunction(loop_index=loop.index, assignment=assignment)
 
 
@@ -390,8 +433,6 @@ def assign(sigma: TilingFunction, tiles: list[Tile]) -> None:
     for t in tiles:
         t.iteration_lists[sigma.loop_index] = order[bounds[t.id]:bounds[t.id + 1]].copy()
 
-
-_EMPTY = np.empty(0, dtype=np.int64)
 
 
 def compute_local_maps(tiles: list[Tile], chain: LoopChain) -> None:

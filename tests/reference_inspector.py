@@ -1,0 +1,122 @@
+"""Per-element reference versions of ``inspector.project`` and ``tile_loop``.
+
+These walk every element in Python, one map entry at a time, exactly as the
+inspector once did.  They are slow but easy to read, and serve as the oracle
+that the vectorized passes in ``looptile.inspector`` are checked against:
+same projections, same tiling functions and the same conflict pairs.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from looptile.chain import InverseMap, Loop, invert_map
+from looptile.errors import InspectionError
+from looptile.inspector import (NO_TILE, ConflictMatrix, Projection, Tile,
+                                TilingFunction)
+
+
+def _add(conflicts: ConflictMatrix, a: int, b: int) -> None:
+    if a != b:
+        conflicts.pairs.add((min(a, b), max(a, b)))
+
+
+def project_reference(loop: Loop, sigma: TilingFunction, phi: dict[str, Projection],
+                      conflicts: ConflictMatrix, tiles: list[Tile],
+                      inverse_maps: dict[str, InverseMap]) -> None:
+    colors = np.array([t.color for t in tiles], dtype=np.int64)
+    for d in loop.descriptors:
+        if d.is_direct:
+            space = loop.space
+            old = phi.get(space.name)
+            new = sigma.assignment.copy()
+            if old is not None:
+                both = (old.assignment >= 0) & (new >= 0) & (old.assignment != new)
+                clash = both & (colors[old.assignment] == colors[new])
+                for e in np.flatnonzero(clash):
+                    _add(conflicts, int(old.assignment[e]), int(new[e]))
+            phi[space.name] = Projection(space, new)
+        else:
+            if d.map.name not in inverse_maps:
+                inverse_maps[d.map.name] = invert_map(d.map)
+            inv = inverse_maps[d.map.name]
+            space = d.map.target
+            old = phi.get(space.name)
+            old_assign = old.assignment if old is not None else None
+            offsets, sources = inv.offsets, inv.values
+            sa = sigma.assignment
+            new = np.full(space.total, NO_TILE, dtype=np.int64)
+            for e in range(space.total):
+                if old_assign is not None and old_assign[e] >= 0:
+                    best = int(old_assign[e])
+                    best_color = int(colors[best])
+                    seen = {best_color: best}
+                else:
+                    best, best_color, seen = NO_TILE, -1, {}
+                for f in sources[offsets[e]:offsets[e + 1]]:
+                    t = int(sa[f])
+                    c = int(colors[t])
+                    prior = seen.get(c)
+                    if prior is None:
+                        seen[c] = t
+                    elif prior != t:
+                        _add(conflicts, prior, t)
+                    if c > best_color:
+                        best, best_color = t, c
+                new[e] = best
+            phi[space.name] = Projection(space, new)
+
+
+def tile_loop_reference(loop: Loop, phi: dict[str, Projection], tiles: list[Tile],
+                        conflicts: ConflictMatrix | None = None) -> TilingFunction:
+    colors = np.array([t.color for t in tiles], dtype=np.int64)
+    space = loop.space
+    assignment = np.full(space.total, NO_TILE, dtype=np.int64)
+    held_color = np.full(space.total, -1, dtype=np.int64)
+
+    def candidate_arrays():
+        for d in loop.descriptors:
+            if d.is_direct:
+                proj = phi.get(space.name)
+                if proj is not None:
+                    yield proj.assignment, None, 1
+            else:
+                proj = phi.get(d.map.target.name)
+                if proj is not None:
+                    yield proj.assignment, d.map.values, d.map.arity
+
+    applied = False
+    for pa, vals, a in candidate_arrays():
+        applied = True
+        for e in range(space.total):
+            base = e * a
+            for k in range(a):
+                candidate = int(pa[e] if vals is None else pa[vals[base + k]])
+                if candidate < 0:
+                    continue
+                c = int(colors[candidate])
+                if c > held_color[e]:
+                    assignment[e] = candidate
+                    held_color[e] = c
+
+    if not applied:
+        raise InspectionError(
+            f"loop {loop.index} over {space.name!r}: no projection covers any "
+            f"accessed space")
+    if np.any(assignment[:space.executable_size] < 0):
+        missing = int(np.flatnonzero(assignment[:space.executable_size] < 0)[0])
+        raise InspectionError(
+            f"loop {loop.index}: element {missing} of {space.name!r} is not "
+            f"reachable through any projection")
+
+    if conflicts is not None:
+        for pa, vals, a in candidate_arrays():
+            for e in range(space.executable_size):
+                held = int(assignment[e])
+                base = e * a
+                for k in range(a):
+                    candidate = int(pa[e] if vals is None else pa[vals[base + k]])
+                    if (candidate >= 0 and candidate != held
+                            and colors[candidate] == colors[held]):
+                        _add(conflicts, held, candidate)
+    return TilingFunction(loop_index=loop.index, assignment=assignment)

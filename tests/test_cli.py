@@ -119,6 +119,24 @@ def test_two_subchains_hit_the_cache_on_second_run(tmp_path):
         np.testing.assert_array_equal(first.values[name], second.values[name])
 
 
+def test_distributed_execute_time_is_the_executor_phases(tmp_path):
+    # partitioning, local set-up and gather are not execution
+    cfg = parse_config(write_config(tmp_path, FIG2_INI.format(
+        mode="distributed", ts=8, extra="fusion = 0-1:8,2-2:8\nnranks = 2")))
+    result = run_config(cfg)
+    assert len(result.reports) == 2 * 2
+    phases = sum(sum(r.phase_seconds.values()) for r in result.reports)
+    assert result.execute_seconds == pytest.approx(phases, rel=1e-12)
+
+    # an unfused tail loop runs untiled, and that counts as execution too
+    cfg = parse_config(write_config(tmp_path, FIG2_INI.format(
+        mode="distributed", ts=8, extra="fusion = 0-1:8\nnranks = 2")))
+    result = run_config(cfg)
+    phases = sum(sum(r.phase_seconds.values()) for r in result.reports)
+    assert result.execute_seconds > phases
+    assert compare_values(reference_values(cfg, result.mesh), result.values) == []
+
+
 def test_unfused_tail_loops_run_untiled(tmp_path):
     cfg = parse_config(write_config(tmp_path, FIG2_INI.format(
         mode="shared", ts=16, extra="fusion = 0-1:8")))

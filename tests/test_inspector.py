@@ -1,3 +1,6 @@
+import hashlib
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,9 +14,12 @@ from looptile.inspector import (NO_TILE, ConflictMatrix, ExecMode, Projection,
                                 compute_local_maps, inspect_chain,
                                 partition_seed, project, tile_loop)
 from looptile.mesh import generate_rect_mesh, rcm_renumber
-from looptile.problems import FIG2, global_setup
+from looptile.partition import partition_for_ranks
+from looptile.problems import (EIGHT_LOOP, FIG2, Problem, global_setup,
+                               local_setup)
 
 from legality import check_legality, footprint_conflicts
+from reference_inspector import project_reference, tile_loop_reference
 
 
 # -- seeding ------------------------------------------------------------------
@@ -346,3 +352,164 @@ def test_inspection_legality_property(ts, shared):
     schedule = inspect_chain(chain, ts, mode)
     assert check_legality(chain, schedule) == []
     assert footprint_conflicts(chain, schedule) == []
+
+
+# -- vectorized passes against the per-element reference ---------------------
+
+@st.composite
+def projection_inputs(draw):
+    """A loop over ``src`` with mixed descriptors, colored tiles, a sigma and
+    held projections.  Colors repeat, maps have arity 1-3, descriptors may be
+    direct, mapped (to ``dst`` or back to ``src``) or repeated."""
+    def space(name):
+        sizes = draw(st.tuples(st.integers(0, 8), st.integers(0, 3), st.integers(0, 3)))
+        return IterationSpace(name, *sizes)
+
+    src, dst = space("src"), space("dst")
+    if dst.total == 0:
+        dst = IterationSpace("dst", 1)
+    n_tiles = draw(st.integers(1, 6))
+    colors = draw(st.lists(st.integers(0, 3), min_size=n_tiles, max_size=n_tiles))
+    tiles = [Tile(i, Region.CORE, color=c) for i, c in enumerate(colors)]
+
+    def mesh_map(name, target):
+        arity = draw(st.integers(1, 3))
+        values = draw(st.lists(st.integers(0, target.total - 1),
+                               min_size=src.total * arity, max_size=src.total * arity))
+        return MeshMap(name, src, target, arity, np.array(values, dtype=np.int64))
+
+    maps = [mesh_map("m0", dst), mesh_map("m1", dst)]
+    if src.total:
+        maps.append(mesh_map("m2", src))
+    choices = [None, *maps]
+    picked = draw(st.lists(st.integers(0, len(choices) - 1), min_size=1, max_size=4))
+    loop = Loop(0, src, tuple(Descriptor(choices[i], AccessMode.INC) for i in picked), "k")
+
+    def tile_ids(n, low):
+        return np.array(draw(st.lists(st.integers(low, n_tiles - 1),
+                                      min_size=n, max_size=n)), dtype=np.int64)
+
+    sigma = TilingFunction(0, tile_ids(src.total, 0))
+    phi = {sp.name: Projection(sp, tile_ids(sp.total, NO_TILE))
+           for sp in (src, dst) if draw(st.booleans())}
+    return loop, sigma, phi, tiles
+
+
+@given(projection_inputs())
+@settings(max_examples=300, deadline=None)
+def test_vectorized_passes_match_per_element_reference(inputs):
+    loop, sigma, phi, tiles = inputs
+
+    got_phi, want_phi = dict(phi), dict(phi)
+    got_c, want_c = ConflictMatrix(), ConflictMatrix()
+    project(loop, sigma, got_phi, got_c, tiles, {})
+    project_reference(loop, sigma, want_phi, want_c, tiles, {})
+    assert got_phi.keys() == want_phi.keys()
+    for name in want_phi:
+        assert np.array_equal(got_phi[name].assignment, want_phi[name].assignment)
+    assert got_c.pairs == want_c.pairs
+
+    got_c, want_c = ConflictMatrix(), ConflictMatrix()
+    try:
+        want = tile_loop_reference(loop, phi, tiles, want_c)
+    except InspectionError as exc:
+        with pytest.raises(InspectionError, match=f"^{re.escape(str(exc))}$"):
+            tile_loop(loop, phi, tiles, got_c)
+        return
+    got = tile_loop(loop, phi, tiles, got_c)
+    assert np.array_equal(got.assignment, want.assignment)
+    assert got_c.pairs == want_c.pairs
+
+
+# -- byte identity of whole schedules -----------------------------------------
+
+def golden_ladder():
+    """(chain, ts, mode) for the fixed ladder of 60 schedules whose
+    serializations GOLDEN_DIGESTS records, in that order."""
+    for nx, ny in ((4, 2), (16, 8)):
+        for rcm in (False, True):
+            mesh = generate_rect_mesh(nx, ny)
+            if rcm:
+                mesh = rcm_renumber(mesh)
+            for problem in (FIG2, EIGHT_LOOP):
+                chain, _, _ = global_setup(mesh, problem, len(problem.loops))
+                for mode in (ExecMode.SEQUENTIAL, ExecMode.SHARED):
+                    for ts in (1, 16, 64):
+                        yield chain, ts, mode
+    # the sub-chains of configs/eight_loop.ini on each of 4 ranks
+    mesh = rcm_renumber(generate_rect_mesh(16, 8))
+    for start, stop, ts in ((0, 4, 16), (4, 6, 8), (6, 8, 16)):
+        sub = Problem("sub", EIGHT_LOOP.loops[start:stop], EIGHT_LOOP.datasets)
+        for lm in partition_for_ranks(mesh, 4, 4):
+            chain, _, _ = local_setup(lm, sub, 4)
+            yield chain, ts, ExecMode.DISTRIBUTED
+
+
+GOLDEN_DIGESTS = (
+    "f0ea7fcae9a109e509947ffb4209adb79084e316299adcdc7578dd618748aa14",
+    "6f5784ec96c4e54f44632583931e9d5a4025b0d6426d3080ab46b7a3eef7648d",
+    "7521840f6c4b32ada9ca4cde4d3e51dc13df26b50b39d226bc4cba1b91d2a8a1",
+    "59ada2a64f812d7b9611c4061f6c6e82ee0215ab6645d7cac70014d1d7597492",
+    "8db667f1ff3e3a8ac02bdec30a8f7f925d9a2458d1cb659543219ecee4e34d7c",
+    "1d5ea01178919cb717e0c940fed27a769e09e74e24363e5c75ccb044550f3bfa",
+    "135ddb6ffcbd8debfaa7c7b808bfd8eab3f2ffb5745eae23f2ac6614d9a39190",
+    "a6f3b27019bfef3ac9fec20e718e0f5f728ad6b2c1a4dc4c9b1694f0ba331b21",
+    "3b90680bcb0908c2c3204528e2c6104ef45b2bc3651d651e8442177d2a0927ec",
+    "b2742af506be5aeaf1c23db4bb54af38e62fad6a234d500f948950e48adea188",
+    "958633cd89f2288e4dd866afdaf16b92ba915d0761273bd5ace583e04b69728d",
+    "8d6cdd897e512819efd539b398d8e7db78af84e2c55265cd4275ca7ffe3c16b8",
+    "020b8562cada5d67f5f6c3798f095419b55790d252401cdab94ef9065f7a5389",
+    "42e6bc9bcdcf66032262478f502761a04e63e44c7f67e23af2d6116f5599f12d",
+    "025033b790bb3798924fe7d5fa61eb4ef690880f21882ff1af2308bde33e49ac",
+    "3d36695e226213ee52775aa8fcb664c14e95a386519cc2c8661a6d465105ae32",
+    "0c9766727db5d89332143f6d3b954f8c875cf659ee132856fccf0c689fbb42a8",
+    "dee7034ed27aac5ceea21e159eace95a2f30626be85c420162d445c70819a1dc",
+    "5ef24c73a54034d27ed6b86b028e373ece9038d01e3c509f354e01f52caaee51",
+    "299ff8923eefe7d5a373678c76cea12eef3d33fcdfbbcce5e6ce54feecc5caee",
+    "19ad843ae210fc120ba5e5788ec25ec2fa73fbefa75f859e412d6ebf59f77f7f",
+    "b7ac9fac428a2e75e0d0a31fae7bb92c50ec2acf12f829e832e04d3baa25b621",
+    "a5b75c7fedd49c2779a3eed5358f71ca8084793b4826107be7bbfe91c25cfc7d",
+    "6db5aefbf6070a2222d264bf3fe0763210285bd087faab4f1666b838ca9c5ad0",
+    "697b6404b53a68a38764b4720501823c5fff0b59d1a92e286118eb76c8e9ab8d",
+    "80fb4e3e3023ea4394de60268dec686a807408a9b106b0929e77994fee86d57e",
+    "d6d2ee7e02a87a7c0e18f7908d959f88e49bc7fc19bcc00dab85aa1f3bd24bd5",
+    "ef3a38207a093eff1971ac73c1ed14f2c83eaaea52f1ef76a0cbde53bf17c2ad",
+    "db41916cc643cd84c2a7e6d41aed87e918cdc272af090d6c07d7fdd7e4ff3337",
+    "23908ceb7d55594b64f89164b4f5bb6ba703fb539788357ec0fa8af8e71baca5",
+    "9b4e520ad966dc4ed6f59fb08bb28ed7174d249cb511e745f80b84270870b42f",
+    "986f3dbc8186656ab5fcd712586d96de91b60ea22d38c052d1a12f91f3ba7bb2",
+    "e9f275d20f354c593ed7bcd7b3dd7aa6e001dcf086f84fc0e96b35d3ed40872d",
+    "5c3e2e30ec9e3bbda723b1c3a2790df0ad11e8c97149ea14674fb55beb620dbe",
+    "bbb70bca4a904481ba625e6bc9f05dd67838636904a5432082901a30e42c235c",
+    "e5b157ce1224b20b2b8e1d8656b64aa0c4f01d01ad9c0a973e2398dca6294db9",
+    "c89559afa7bf42f981a77c6a068ae6d530c18dece937f88532cfa3b485a71223",
+    "331726227ffa4470bcc3036cd0d183e7febc8f78281b0128ca09e3a0522c1d1d",
+    "f31fad35cc70c15091fb99d91b86b0971f2d1a034b0b15b7d81bf9f5c11b2675",
+    "0c554a7b69a117f8640b42750715791a9491d9a5e8252aa37772a117d0e28713",
+    "2cc0f9f58ece3bf98b32da25a6930d0bd2177c8e602b589888122efd15618d56",
+    "fad795c13965592912cdabe6b4b61a6c5135de8110675fd2169215bd127742be",
+    "f06df01688ce8de04514fac3a59829974f52d0280cc0b4d46a8798bebc4ce3f4",
+    "05f336f2316a1c84ef7066d28e32bec8d0174f868a480aa9f87193e96d701946",
+    "0c1b578ae01695f7c031e3b82e4b289d480e0be45fb751160397a743182c0675",
+    "89229325ca7d24d669e416fcf6c0f33c79c3b2adb6878be72da199c8f1efcbc0",
+    "0fd955b4f73d6f88289f1ddb571e625e476ae5a3be8c3cccc42ca37b9ed55c6d",
+    "babcf01508d31aaf198c61e90846dd7dd8905fd9683e83dc79a35709e90ca8d1",
+    "6d889464a7c22f02718f4d7b934320dc1e0ce0552d38e970d6f70d34b70acb4c",
+    "5c71e36b41ba4746048478e7b584cb00f88c2831109f9bc8a7f8b97a3a81ade2",
+    "5136de7e9bc1d3773b35b9368d00fc72343e6f2d4a820f082fac0ef867bd1a24",
+    "c3bc6d79ca6651ecdba8a9d90ea35523e3df6c768613f5e82a6564948c5beb08",
+    "13bd602f68f9330b0104441773281dcdebfdc6168620feb53d2d11c0af0eb5a8",
+    "09616ebb6750f2f2d21c9b97710322a355c5323c63de2c00cfc4bd5f0d2b8386",
+    "e4578964bd0a643e5a60b7d7cec2d03b00a07cbb4ab91bf744f441eca7e5af0f",
+    "bd64bc6e26f2fd08cbc82e484643c46cf1b0bea0305bd4da3bcfc6f21b24802d",
+    "1646f60a24435796a3eb7139b35c1839eb4a1cdb25e2d194b831720111f68e72",
+    "0623d3f9b7f794c484f0c4525707637e2fb01940d6aa052768e45f4101eedadb",
+    "d519a8d55e6734d85610a8bd04af14a546465d30a3f57513cb6e51cfaf9e9c54",
+    "c32d6443d0b72046e8bb6960a1e05f399460db87b4486d2cfb08b45d3c3a748f",
+)
+
+
+def test_schedules_match_golden_digests():
+    digests = tuple(hashlib.sha256(inspect_chain(chain, ts, mode).serialize()).hexdigest()
+                    for chain, ts, mode in golden_ladder())
+    assert digests == GOLDEN_DIGESTS
