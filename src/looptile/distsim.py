@@ -37,20 +37,23 @@ class HaloEndpoint:
         self.rank = local_mesh.rank
         self.datasets = datasets
         self.exchanged = exchanged
-        self.peers: dict[int, "HaloEndpoint"] = {}
+        self.peer_datasets: dict[int, dict[str, Dataset]] = {}
         self.exchange_count = 0
         self.bytes_exchanged = 0
         self._staged: list[tuple[str, np.ndarray, np.ndarray]] | None = None
 
     def link(self, endpoints: list["HaloEndpoint"]) -> None:
-        self.peers = {e.rank: e for e in endpoints if e.rank != self.rank}
+        # the peers' datasets, not the peers: endpoints holding each other
+        # form cycles that keep every rank's arrays alive until a gc pass
+        self.peer_datasets = {e.rank: e.datasets for e in endpoints
+                              if e.rank != self.rank}
 
     def begin(self) -> None:
         if self._staged is not None:
             raise PartitionBugError("begin() called twice without end()")
         staged = []
         for (space, nbr), table in sorted(self.local_mesh.exchange_table.items()):
-            peer = self.peers[nbr]
+            peer = self.peer_datasets[nbr]
             owned_here = self.local_mesh.sizes[space].owned_total
             incoming = table[table[:, 0] >= owned_here]  # rows the neighbor owns
             if not len(incoming):
@@ -60,7 +63,7 @@ class HaloEndpoint:
                 if ds.space.name != space:
                     continue
                 k = ds.values_per_element
-                src = peer.datasets[name].values.reshape(-1, k)[incoming[:, 1]]
+                src = peer[name].values.reshape(-1, k)[incoming[:, 1]]
                 staged.append((name, self._flat_slots(incoming[:, 0], k),
                                src.ravel().copy()))
         self._staged = staged

@@ -52,8 +52,9 @@ class Mesh:
         pairs = e2v.reshape(-1, 2)
         _require(np.all(pairs[:, 0] != pairs[:, 1]), "two distinct vertices per edge")
         # the edge set is exactly the set of undirected cell sides, once each
-        stored = {tuple(sorted(p)) for p in pairs.tolist()}
-        _require(_cell_sides(tri) == stored, "edge set equals the cell sides")
+        stored = sorted_distinct(pair_keys(pairs, self.num_vertices))
+        sides = sorted_distinct(pair_keys(cell_sides(tri), self.num_vertices))
+        _require(np.array_equal(sides, stored), "edge set equals the cell sides")
         _require(len(stored) == self.num_edges, "no edge stored twice")
 
 
@@ -62,13 +63,31 @@ def _require(holds, condition: str) -> None:
         raise ValueError(f"invalid mesh: expected {condition}")
 
 
-def _cell_sides(tri: np.ndarray) -> set[tuple[int, int]]:
-    sides = set()
-    for a, b, c in tri.tolist():
-        sides.add((min(a, b), max(a, b)))
-        sides.add((min(b, c), max(b, c)))
-        sides.add((min(a, c), max(a, c)))
-    return sides
+def cell_sides(tri: np.ndarray) -> np.ndarray:
+    """The sides of every cell as vertex pairs: rows (a, b), (b, c), (a, c) per cell."""
+    return tri[:, [0, 1, 1, 2, 0, 2]].reshape(-1, 2)
+
+
+def pair_keys(pairs: np.ndarray, num_vertices: int) -> np.ndarray:
+    """One key per undirected vertex pair, low * num_vertices + high.
+
+    Keys order pairs as sorted (low, high) tuples would.
+    """
+    lo = np.minimum(pairs[:, 0], pairs[:, 1])
+    hi = np.maximum(pairs[:, 0], pairs[:, 1])
+    return lo * num_vertices + hi
+
+
+def sorted_distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of ``keys``, ascending.
+
+    A sort and an adjacent-difference mask; ``np.unique`` would import
+    ``numpy.ma`` on first use.
+    """
+    keys = np.sort(keys)
+    if keys.size:
+        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    return keys
 
 
 def generate_rect_mesh(nx: int, ny: int) -> Mesh:
@@ -85,24 +104,22 @@ def generate_rect_mesh(nx: int, ny: int) -> Mesh:
     ii, jj = np.meshgrid(np.arange(nvx), np.arange(nvy))
     coords = np.column_stack([ii.ravel().astype(float), jj.ravel().astype(float)])
 
-    cells = []
-    for j in range(ny):
-        for i in range(nx):
-            v00 = j * nvx + i
-            v10 = v00 + 1
-            v01 = v00 + nvx
-            v11 = v01 + 1
-            cells.append((v00, v10, v11))  # lower triangle
-            cells.append((v00, v11, v01))  # upper triangle
-    tri = np.array(cells, dtype=np.int64)
+    j, i = np.divmod(np.arange(nx * ny, dtype=np.int64), nx)
+    v00 = j * nvx + i
+    v10 = v00 + 1
+    v01 = v00 + nvx
+    v11 = v01 + 1
+    lower = np.column_stack([v00, v10, v11])
+    upper = np.column_stack([v00, v11, v01])
+    tri = np.stack([lower, upper], axis=1).reshape(-1, 3)  # lower, then upper, per quad
 
-    edges = sorted(_cell_sides(tri))
-    e2v = np.array(edges, dtype=np.int64).ravel()
+    edge_keys = sorted_distinct(pair_keys(cell_sides(tri), num_vertices))
+    e2v = np.column_stack(np.divmod(edge_keys, num_vertices)).ravel()
 
     mesh = Mesh(
         num_vertices=num_vertices,
-        num_cells=len(cells),
-        num_edges=len(edges),
+        num_cells=len(tri),
+        num_edges=len(edge_keys),
         cells_to_vertices=tri.ravel(),
         edges_to_vertices=e2v,
         vertex_coords=coords,
@@ -112,12 +129,15 @@ def generate_rect_mesh(nx: int, ny: int) -> Mesh:
 
 def vertex_adjacency(mesh: Mesh) -> list[list[int]]:
     """Neighbor lists over the edge graph, each sorted ascending."""
-    adj: list[set[int]] = [set() for _ in range(mesh.num_vertices)]
+    nv = mesh.num_vertices
     pairs = mesh.edges_to_vertices.reshape(-1, 2)
-    for a, b in pairs.tolist():
-        adj[a].add(b)
-        adj[b].add(a)
-    return [sorted(s) for s in adj]
+    src = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    # CSR of (src, dst) keys, sorted and without repeats
+    src, dst = np.divmod(sorted_distinct(src * nv + dst), nv)
+    offsets = np.searchsorted(src, np.arange(nv + 1)).tolist()
+    flat = dst.tolist()
+    return [flat[offsets[v]:offsets[v + 1]] for v in range(nv)]
 
 
 def adjacency_bandwidth(adjacency: list[list[int]]) -> int:
@@ -174,20 +194,23 @@ def rcm_permutations(mesh: Mesh) -> MeshRenumbering:
     vertex_perm = np.empty(mesh.num_vertices, dtype=np.int64)  # old -> new
     vertex_perm[order] = np.arange(mesh.num_vertices)
 
-    tri = vertex_perm[mesh.cells_to_vertices.reshape(-1, 3)]
-    cell_keys = [tuple(sorted(row)) for row in tri.tolist()]
-    cell_order = sorted(range(mesh.num_cells), key=lambda c: cell_keys[c])
-    cell_perm = np.empty(mesh.num_cells, dtype=np.int64)
-    cell_perm[cell_order] = np.arange(mesh.num_cells)
-
-    pairs = vertex_perm[mesh.edges_to_vertices.reshape(-1, 2)]
-    edge_keys = [tuple(sorted(row)) for row in pairs.tolist()]
-    edge_order = sorted(range(mesh.num_edges), key=lambda e: edge_keys[e])
-    edge_perm = np.empty(mesh.num_edges, dtype=np.int64)
-    edge_perm[edge_order] = np.arange(mesh.num_edges)
+    cell_perm = _sorted_rows_rank(vertex_perm[mesh.cells_to_vertices.reshape(-1, 3)])
+    edge_perm = _sorted_rows_rank(vertex_perm[mesh.edges_to_vertices.reshape(-1, 2)])
 
     return MeshRenumbering(vertex_perm=vertex_perm, cell_perm=cell_perm,
                            edge_perm=edge_perm)
+
+
+def _sorted_rows_rank(rows: np.ndarray) -> np.ndarray:
+    """Position of each row once rows are ordered by their sorted vertex tuples.
+
+    ``np.lexsort`` is stable, so equal tuples keep their original order.
+    """
+    keys = np.sort(rows, axis=1)
+    order = np.lexsort(keys.T[::-1])
+    rank = np.empty(len(rows), dtype=np.int64)
+    rank[order] = np.arange(len(rows))
+    return rank
 
 
 def apply_renumbering(mesh: Mesh, renum: MeshRenumbering) -> Mesh:

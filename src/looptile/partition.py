@@ -6,6 +6,25 @@ off-process cells grown through shared vertices: strips 1..depth-1 are
 executable (exec), the outermost strip is data-only (non-exec).  Vertex and
 edge regions derive from the cells they touch, which keeps every local
 connectivity row resolvable locally.
+
+Every step is a whole-array numpy pass:
+
+- the cells around each vertex are a CSR from one stable argsort of the cell
+  connectivity; the cells around each edge are the runs of equal pair keys
+  among all cell sides, matched to edges by one ``searchsorted``.  Segment
+  minima (``np.minimum.reduceat``) of cell values over these give the owners
+  of vertices and edges, and later their strips;
+- an owned entity is core when each of its vertices has a segment minimum
+  of cell owners equal to its segment maximum, so no foreign cell touches it;
+- the halo strips are a boolean breadth-first search of ``depth`` steps per
+  rank, and a vertex or edge takes the lowest strip of its local cells;
+- each space is ordered by (region, global id) with one stable sort, and its
+  local numbering is a full-size inverse array holding -1 for absent ids;
+- the exchange table of a (space, neighbor) pair is the sorted union of the
+  ids held here and owned there and the ids held there and owned here.
+
+A vertex in no cell, or an edge that is no cell's side, has no owner and
+raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -16,9 +35,10 @@ import numpy as np
 
 from .chain import IterationSpace, MeshMap
 from .errors import PartitionBugError
-from .mesh import CELLS, EDGES, VERTS, Mesh
+from .mesh import CELLS, EDGES, VERTS, Mesh, cell_sides, pair_keys
 
-_REGION_ORDER = {"core": 0, "owned": 1, "exec": 2, "nonexec": 3}
+SPACES = (CELLS, EDGES, VERTS)
+CORE, OWNED, EXEC, NONEXEC = range(4)  # region codes, in storage order
 
 
 @dataclass(frozen=True)
@@ -73,13 +93,54 @@ class LocalMesh:
         }
 
 
-def _vertex_cells(mesh: Mesh) -> list[list[int]]:
-    incident: list[list[int]] = [[] for _ in range(mesh.num_vertices)]
-    tri = mesh.cells_to_vertices.reshape(-1, 3)
-    for c, row in enumerate(tri.tolist()):
-        for v in row:
-            incident[v].append(c)
-    return incident
+@dataclass(frozen=True)
+class _Incidence:
+    """The cells around every vertex and every edge, as sorted segments.
+
+    A vertex's segment holds the cells containing it; an edge's holds the
+    cells having it as a side, i.e. the cells containing both its endpoints.
+    """
+
+    vertex_cells: np.ndarray
+    vertex_starts: np.ndarray
+    side_cells: np.ndarray
+    side_starts: np.ndarray
+    edge_side_run: np.ndarray  # edge -> index of its run of sides
+
+    def reduce(self, cell_values: np.ndarray, ufunc=np.minimum) -> dict[str, np.ndarray]:
+        """Per space, ``ufunc`` over the values of the cells around each entity."""
+        sides = ufunc.reduceat(cell_values[self.side_cells], self.side_starts)
+        return {
+            CELLS: cell_values,
+            EDGES: sides[self.edge_side_run],
+            VERTS: ufunc.reduceat(cell_values[self.vertex_cells], self.vertex_starts),
+        }
+
+
+def _incidence(tri: np.ndarray, pairs: np.ndarray, num_vertices: int) -> _Incidence:
+    # vertex -> cells: one stable argsort of the connectivity, cells ascending
+    flat = tri.ravel()
+    counts = np.bincount(flat, minlength=num_vertices)
+    if not counts.all():
+        raise ValueError(f"vertex {int(np.argmin(counts))} lies in no cell")
+    vertex_cells = np.argsort(flat, kind="stable") // 3
+    vertex_starts = np.concatenate(([0], np.cumsum(counts[:-1])))
+
+    # edge -> cells: the runs of equal pair keys among all cell sides
+    keys = pair_keys(cell_sides(tri), num_vertices)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    side_starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    run_keys = keys[side_starts]
+    edge_keys = pair_keys(pairs, num_vertices)
+    run = np.minimum(np.searchsorted(run_keys, edge_keys), len(run_keys) - 1)
+    unmatched = run_keys[run] != edge_keys
+    if unmatched.any():
+        e = int(np.argmax(unmatched))
+        raise ValueError(f"edge {e} {tuple(pairs[e].tolist())} is a side of no cell")
+    return _Incidence(vertex_cells=vertex_cells,
+                      vertex_starts=vertex_starts, side_cells=order // 3,
+                      side_starts=side_starts, edge_side_run=run)
 
 
 def partition_for_ranks(mesh: Mesh, nranks: int, depth: int) -> list[LocalMesh]:
@@ -92,150 +153,104 @@ def partition_for_ranks(mesh: Mesh, nranks: int, depth: int) -> list[LocalMesh]:
 
     tri = mesh.cells_to_vertices.reshape(-1, 3)
     pairs = mesh.edges_to_vertices.reshape(-1, 2)
-    vertex_cells = _vertex_cells(mesh)
+    incidence = _incidence(tri, pairs, mesh.num_vertices)
 
     # contiguous block ownership of cells; entities follow their lowest-rank cell
-    cell_owner = np.empty(mesh.num_cells, dtype=np.int64)
-    for r, block in enumerate(np.array_split(np.arange(mesh.num_cells), nranks)):
-        cell_owner[block] = r
-    vertex_owner = np.array(
-        [min(cell_owner[c] for c in vertex_cells[v]) for v in range(mesh.num_vertices)],
-        dtype=np.int64)
-    # flanking cells of an edge = cells containing both endpoints
-    edge_owner = np.array(
-        [min(cell_owner[c]
-             for c in set(vertex_cells[a]) & set(vertex_cells[b]))
-         for a, b in pairs.tolist()],
-        dtype=np.int64)
+    blocks = [len(b) for b in np.array_split(np.arange(mesh.num_cells), nranks)]
+    cell_owner = np.repeat(np.arange(nranks, dtype=np.int64), blocks)
+    owners = incidence.reduce(cell_owner)
 
-    # "touches a foreign cell" drives the core/owned split for every space
-    def ring_owners(vertices) -> set[int]:
-        return {int(cell_owner[c]) for v in vertices for c in vertex_cells[v]}
+    # core <=> the ring of cells around the entity's vertices is {owner}.  The
+    # entity's own cells lie in every vertex's ring, so it suffices that each
+    # vertex sees a single owner: its lowest and highest cell owners agree.
+    single = owners[VERTS] == incidence.reduce(cell_owner, np.maximum)[VERTS]
+    core = {CELLS: single[tri].all(axis=1), EDGES: single[pairs].all(axis=1),
+            VERTS: single}
 
-    cell_ring = [ring_owners(row) for row in tri.tolist()]
-    edge_ring = [ring_owners(row) for row in pairs.tolist()]
-    vert_ring = [ring_owners([v]) for v in range(mesh.num_vertices)]
+    ranks = [_build_rank(mesh, r, depth, tri, pairs, incidence, owners, core)
+             for r in range(nranks)]
+    exchange = _exchange_tables(ranks, owners, nranks)
 
-    locals_: list[dict] = []
-    for r in range(nranks):
-        locals_.append(_build_rank(mesh, r, depth, tri, pairs, vertex_cells,
-                                   cell_owner, vertex_owner, edge_owner,
-                                   cell_ring, edge_ring, vert_ring))
-
-    _fill_exchange_tables(locals_, nranks)
-
-    meshes = []
-    for info in locals_:
-        meshes.append(LocalMesh(
-            rank=info["rank"],
-            sizes=info["sizes"],
-            cells_to_vertices=info["c2v"],
-            edges_to_vertices=info["e2v"],
-            vertex_coords=info["coords"],
-            global_ids=info["global_ids"],
-            exchange_table=info["exchange"],
-        ))
-    return meshes
+    return [LocalMesh(rank=r, sizes=info["sizes"], cells_to_vertices=info["c2v"],
+                      edges_to_vertices=info["e2v"], vertex_coords=info["coords"],
+                      global_ids=info["global_ids"], exchange_table=table)
+            for r, (info, table) in enumerate(zip(ranks, exchange))]
 
 
-def _build_rank(mesh, r, depth, tri, pairs, vertex_cells, cell_owner,
-                vertex_owner, edge_owner, cell_ring, edge_ring, vert_ring) -> dict:
-    owned_cells = np.flatnonzero(cell_owner == r)
-
-    # grow `depth` strips of cells through shared vertices
-    strip = {int(c): 0 for c in owned_cells}
-    frontier = set(strip)
+def _build_rank(mesh, r, depth, tri, pairs, incidence, owners, core) -> dict:
+    # grow `depth` strips of cells through shared vertices; depth + 1 = absent
+    cell_strip = np.where(owners[CELLS] == r, 0, depth + 1)
+    frontier = cell_strip == 0
     for k in range(1, depth + 1):
-        grown = set()
-        for c in frontier:
-            for v in tri[c]:
-                grown.update(vertex_cells[v])
-        frontier = grown - strip.keys()
-        for c in frontier:
-            strip[c] = k
-        if not frontier:
+        touched = np.zeros(mesh.num_vertices, dtype=bool)
+        touched[tri[frontier]] = True
+        frontier = touched[tri].any(axis=1) & (cell_strip > depth)
+        if not frontier.any():
             break
-
-    local_cells = sorted(strip)
-    local_cell_set = set(local_cells)
+        cell_strip[frontier] = k
 
     # entities are local iff incident to a local cell; strip = min over those cells
-    vert_strip: dict[int, int] = {}
-    for c in local_cells:
-        for v in tri[c]:
-            v = int(v)
-            vert_strip[v] = min(vert_strip.get(v, depth), strip[c])
-    edge_strip: dict[int, int] = {}
-    for e, (a, b) in enumerate(pairs.tolist()):
-        flanks = [c for c in set(vertex_cells[a]) & set(vertex_cells[b])
-                  if c in local_cell_set]
-        if flanks:
-            edge_strip[e] = min(strip[c] for c in flanks)
+    strips = incidence.reduce(cell_strip)
 
-    def region(owner, strp, ring) -> str:
-        if owner == r:
-            return "owned" if ring != {r} else "core"
-        return "exec" if strp <= depth - 1 else "nonexec"
+    sizes, global_ids, local_of = {}, {}, {}
+    for space in SPACES:
+        strip = strips[space]
+        gids = np.flatnonzero(strip <= depth)
+        region = np.where(owners[space][gids] == r,
+                          np.where(core[space][gids], CORE, OWNED),
+                          np.where(strip[gids] <= depth - 1, EXEC, NONEXEC))
+        # gids ascend, so a stable sort by region orders by (region, gid)
+        gids = gids[np.argsort(region, kind="stable")].astype(np.int64, copy=False)
+        sizes[space] = RegionSizes(*np.bincount(region, minlength=4).tolist())
+        global_ids[space] = gids
+        local = np.full(len(strip), -1, dtype=np.int64)
+        local[gids] = np.arange(len(gids))
+        local_of[space] = local
 
-    def order_space(strips: dict[int, int], owner, ring) -> tuple:
-        entries = sorted(
-            (g for g in strips),
-            key=lambda g: (_REGION_ORDER[region(owner[g], strips[g], ring[g])], g))
-        regions = [region(owner[g], strips[g], ring[g]) for g in entries]
-        counts = {name: regions.count(name) for name in _REGION_ORDER}
-        sizes = RegionSizes(counts["core"], counts["owned"], counts["exec"],
-                            counts["nonexec"])
-        gids = np.array(entries, dtype=np.int64)
-        local_of = {g: i for i, g in enumerate(entries)}
-        return sizes, gids, local_of
-
-    csizes, cgids, clocal = order_space(strip, cell_owner, cell_ring)
-    vsizes, vgids, vlocal = order_space(vert_strip, vertex_owner, vert_ring)
-    esizes, egids, elocal = order_space(edge_strip, edge_owner, edge_ring)
-
-    c2v = np.array([vlocal[int(v)] for g in cgids for v in tri[g]], dtype=np.int64)
-    e2v = np.array([vlocal[int(v)] for g in egids for v in pairs[g]], dtype=np.int64)
-
+    vlocal = local_of[VERTS]
     return {
-        "rank": r,
-        "sizes": {CELLS: csizes, EDGES: esizes, VERTS: vsizes},
-        "c2v": c2v,
-        "e2v": e2v,
-        "coords": mesh.vertex_coords[vgids],
-        "global_ids": {CELLS: cgids, EDGES: egids, VERTS: vgids},
-        "owners": {CELLS: cell_owner, EDGES: edge_owner, VERTS: vertex_owner},
-        "local_of": {CELLS: clocal, EDGES: elocal, VERTS: vlocal},
-        "exchange": {},
+        "sizes": sizes,
+        "c2v": vlocal[tri[global_ids[CELLS]]].ravel(),
+        "e2v": vlocal[pairs[global_ids[EDGES]]].ravel(),
+        "coords": mesh.vertex_coords[global_ids[VERTS]],
+        "global_ids": global_ids,
+        "local_of": local_of,
     }
 
 
-def _fill_exchange_tables(locals_: list[dict], nranks: int) -> None:
+def _exchange_tables(ranks: list[dict], owners: dict[str, np.ndarray],
+                     nranks: int) -> list[dict[tuple[str, int], np.ndarray]]:
     """Pair every halo copy with its owner, ordered by global id on both sides."""
+    # held[r][space][s]: ids rank r holds as halo that rank s owns, ascending
+    held = []
+    for info in ranks:
+        per_space = {}
+        for space in SPACES:
+            halo = info["global_ids"][space][info["sizes"][space].owned_total:]
+            owner = owners[space][halo]
+            order = np.lexsort((halo, owner))
+            bounds = np.searchsorted(owner[order], np.arange(nranks + 1))
+            per_space[space] = np.split(halo[order], bounds[1:-1])
+        held.append(per_space)
+
+    tables = []
     for r in range(nranks):
-        info_r = locals_[r]
-        for space in (CELLS, EDGES, VERTS):
-            owners = info_r["owners"][space]
-            shared: dict[int, list[int]] = {}
-            for g in info_r["global_ids"][space].tolist():
-                o = int(owners[g])
-                if o != r:
-                    shared.setdefault(o, []).append(g)  # r holds a copy of o's element
+        table = {}
+        for space in SPACES:
+            here = ranks[r]["local_of"][space]
             for s in range(nranks):
                 if s == r:
                     continue
-                info_s = locals_[s]
-                gids = set(shared.get(s, ()))
-                # elements r owns that s copies
-                for g in info_s["global_ids"][space].tolist():
-                    if int(owners[g]) == r:
-                        gids.add(g)
-                if not gids:
+                gids = np.sort(np.concatenate([held[r][space][s], held[s][space][r]]))
+                if not len(gids):
                     continue
-                table = []
-                for g in sorted(gids):
-                    if g not in info_s["local_of"][space]:
+                there = ranks[s]["local_of"][space]
+                for holder, peer, local in ((s, r, there), (r, s, here)):
+                    missing = local[gids] < 0
+                    if missing.any():
                         raise PartitionBugError(
-                            f"{space} {g} missing on rank {s} but shared with {r}")
-                    table.append((info_r["local_of"][space][g],
-                                  info_s["local_of"][space][g]))
-                info_r["exchange"][(space, s)] = np.array(table, dtype=np.int64)
+                            f"{space} {int(gids[np.argmax(missing)])} missing on rank "
+                            f"{holder} but shared with {peer}")
+                table[(space, s)] = np.column_stack([here[gids], there[gids]])
+        tables.append(table)
+    return tables

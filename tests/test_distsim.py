@@ -1,4 +1,10 @@
 import dataclasses
+import gc
+import os
+import subprocess
+import sys
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -217,3 +223,32 @@ def test_exchange_through_executor_phases(registry):
     assert order == ["begin", "end"]
     assert endpoints[0].exchange_count == 1
     assert report.bytes_exchanged == endpoints[0].bytes_exchanged > 0
+
+
+def test_dropped_result_frees_without_the_cycle_collector(registry):
+    # endpoints must not hold each other, or every rank's arrays outlive the
+    # result until a gc pass happens to run
+    mesh = generate_rect_mesh(6, 3)
+    gc.disable()
+    try:
+        result = run_distributed(mesh, FIG2, 3, 8, 3, registry)
+        endpoint = weakref.ref(result.ranks[0].endpoint)
+        del result
+        assert endpoint() is None
+    finally:
+        gc.enable()
+
+
+def test_distributed_demo_script_matches_serial_run():
+    # the demo drives partition, poisoned halos, exchange and gather end to end
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "distributed_demo.py"),
+         "--nx", "8", "--ny", "4", "--nranks", "3"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    for spec in FIG2.datasets:
+        assert f"dataset {spec.name}: matches serial run" in proc.stdout, proc.stdout

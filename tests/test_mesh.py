@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -111,3 +113,48 @@ def test_renumbered_mesh_keeps_entity_counts():
     assert new.num_cells == mesh.num_cells
     assert new.num_edges == mesh.num_edges
     new.validate()
+
+
+# -- byte identity of generated meshes ----------------------------------------
+
+def mesh_digest(mesh):
+    """sha256 over dtype, shape and bytes of c2v, e2v and the coordinates."""
+    h = hashlib.sha256()
+    for a in (mesh.cells_to_vertices, mesh.edges_to_vertices, mesh.vertex_coords):
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+# recorded from the per-element generator and RCM relabelling these replaced
+GOLDEN_MESH_DIGESTS = {
+    ((1, 1), False): "a6ca273c39a66323875732e916eb7f0d254a268067ffe8b85cbcdbe612cd1d0a",
+    ((1, 1), True): "f891e56a66bfa0b757431b78d7b5efd3a22e01350d7366b05c269800daa0b717",
+    ((9, 1), False): "f94bcef404fe41c909a978151f2f5c51c7b354f501595f3472ed8732acf25924",
+    ((9, 1), True): "fe76733e0c7008566313120de544a6a6b1a06273cde3d2c6b7d9b9583570e5ab",
+    ((3, 7), False): "b10dfbfd52f9d68053bc023486849710d6b5cbf39c0c1ce1f2cbfb71112480a4",
+    ((3, 7), True): "da0eb69dbc629cda41046dbc57138ca77884ffd87b141ce3f623d1f36b727ca9",
+    ((16, 8), False): "dfc7c00f9a15f8197d8e4568633cf4d25a5542ef69b378a8a8ad86a2f2af7198",
+    ((16, 8), True): "b35c5d791e74e71324ebc371fe73499347f8a150c57a139bb50fa674dd2a1498",
+    ((64, 32), False): "fa13c1b30978892fca2ceff459675571b7553e93811dfc553415bf608a32bcd8",
+    ((64, 32), True): "59348614dff4793d91a35b36f0460b06e78ce766b66429fd534505f61226ffda",
+}
+
+
+@pytest.mark.parametrize("dims,rcm", list(GOLDEN_MESH_DIGESTS))
+def test_meshes_match_golden_digests(dims, rcm):
+    mesh = generate_rect_mesh(*dims)
+    if rcm:
+        mesh = rcm_renumber(mesh)
+    assert mesh_digest(mesh) == GOLDEN_MESH_DIGESTS[(dims, rcm)]
+
+
+def test_vertex_adjacency_lists_sorted_distinct_neighbors():
+    # a repeated edge adds no repeated neighbor
+    mesh = generate_rect_mesh(2, 1)
+    e2v = np.concatenate([mesh.edges_to_vertices, mesh.edges_to_vertices[:2][::-1]])
+    doubled = Mesh(mesh.num_vertices, mesh.num_cells, mesh.num_edges + 1,
+                   mesh.cells_to_vertices, e2v, mesh.vertex_coords)
+    expected = [[1, 3, 4], [0, 2, 4, 5], [1, 5], [0, 4], [0, 1, 3, 5], [1, 2, 4]]
+    assert vertex_adjacency(mesh) == expected
+    assert vertex_adjacency(doubled) == expected

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from looptile.mesh import CELLS, EDGES, VERTS, generate_rect_mesh, rcm_renumber
+from looptile.mesh import CELLS, EDGES, VERTS, Mesh, generate_rect_mesh, rcm_renumber
 from looptile.partition import partition_for_ranks
+
+from reference_partition import partition_for_ranks_reference
 
 SPACES = (CELLS, EDGES, VERTS)
 
@@ -139,3 +141,77 @@ def test_too_many_ranks_rejected():
         partition_for_ranks(mesh, 0, 1)
     with pytest.raises(ValueError):
         partition_for_ranks(mesh, 1, 0)
+
+
+# -- the whole-array passes against the per-element reference -----------------
+
+def assert_arrays_identical(got, want, what):
+    assert got.dtype == want.dtype, what
+    assert got.shape == want.shape, what
+    assert np.array_equal(got, want), what
+
+
+def assert_same_local_meshes(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.rank == w.rank
+        assert list(g.sizes) == list(w.sizes)
+        for space, sizes in w.sizes.items():
+            assert g.sizes[space] == sizes, (g.rank, space)
+            assert all(type(n) is int for n in (g.sizes[space].core, g.sizes[space].owned,
+                                                g.sizes[space].exec, g.sizes[space].nonexec))
+        for field in ("cells_to_vertices", "edges_to_vertices", "vertex_coords"):
+            assert_arrays_identical(getattr(g, field), getattr(w, field), (g.rank, field))
+        assert list(g.global_ids) == list(w.global_ids)
+        for space, gids in w.global_ids.items():
+            assert_arrays_identical(g.global_ids[space], gids, (g.rank, space))
+        # insertion order too: the executor walks the tables in this order
+        assert list(g.exchange_table) == list(w.exchange_table), g.rank
+        for key, table in w.exchange_table.items():
+            assert_arrays_identical(g.exchange_table[key], table, (g.rank, key))
+
+
+@st.composite
+def partition_cases(draw):
+    nx, ny = draw(st.integers(1, 8)), draw(st.integers(1, 5))
+    rcm = draw(st.booleans())
+    nranks = draw(st.integers(1, min(6, 2 * nx * ny)))
+    return nx, ny, rcm, nranks, draw(st.integers(1, 5))
+
+
+@given(case=partition_cases())
+@settings(max_examples=150, deadline=None)
+def test_partition_matches_per_element_reference(case):
+    nx, ny, rcm, nranks, depth = case
+    mesh = generate_rect_mesh(nx, ny)
+    if rcm:
+        mesh = rcm_renumber(mesh)
+    assert_same_local_meshes(partition_for_ranks(mesh, nranks, depth),
+                             partition_for_ranks_reference(mesh, nranks, depth))
+
+
+def test_benchmark_partition_matches_per_element_reference():
+    # the eight-dist4 benchmark's mesh, ranks and depth
+    mesh = rcm_renumber(generate_rect_mesh(64, 32))
+    assert_same_local_meshes(partition_for_ranks(mesh, 4, 4),
+                             partition_for_ranks_reference(mesh, 4, 4))
+
+
+def test_vertex_in_no_cell_rejected():
+    # validate accepts an isolated vertex; the partition has no owner for it
+    mesh = Mesh(num_vertices=4, num_cells=1, num_edges=3,
+                cells_to_vertices=np.array([0, 1, 2]),
+                edges_to_vertices=np.array([0, 1, 0, 2, 1, 2]),
+                vertex_coords=np.zeros((4, 2)))
+    mesh.validate()
+    with pytest.raises(ValueError, match="vertex 3 lies in no cell"):
+        partition_for_ranks(mesh, 1, 1)
+
+
+def test_edge_on_no_cell_side_rejected():
+    mesh = Mesh(num_vertices=4, num_cells=2, num_edges=6,
+                cells_to_vertices=np.array([0, 1, 2, 1, 3, 2]),
+                edges_to_vertices=np.array([0, 1, 0, 2, 0, 3, 1, 2, 1, 3, 2, 3]),
+                vertex_coords=np.zeros((4, 2)))
+    with pytest.raises(ValueError, match=r"edge 2 \(0, 3\) is a side of no cell"):
+        partition_for_ranks(mesh, 2, 1)
