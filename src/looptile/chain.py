@@ -168,12 +168,6 @@ class LoopChain:
     def fingerprint(self) -> str:
         return self._fingerprint
 
-    def space_named(self, name: str) -> IterationSpace:
-        for space in self.spaces:
-            if space.name == name:
-                return space
-        raise KeyError(name)
-
     def subchain(self, start: int, stop: int) -> "LoopChain":
         """A chain over loops [start, stop), re-indexed from zero."""
         loops = tuple(

@@ -1,5 +1,20 @@
 """Command-line driver: run, verify, inspect-only, export-vtk, sweep.
 
+Every line that ``run``, ``verify``, ``inspect-only`` and ``sweep`` print,
+and every line of the ``[output] report`` file, is one JSON record with a
+``record`` field naming its kind:
+
+- ``schedule``: one per inspected schedule, that is per fused sub-chain and,
+  in distributed mode, per rank.  Tiles per region, colors, recolor rounds,
+  per-loop tile sizes and the inspection phases; once the schedule has run,
+  also its executor phases, tiles per color and bytes exchanged.
+- ``run``: one per run.  Fusion scheme, mode, ranks, inspect and execute
+  seconds, and the verify status (``pass``, ``FAIL`` or null).
+
+``run`` prints its run record, ``verify`` the run record with ``pass``,
+``inspect-only`` the schedule records, ``sweep`` one run record per variant;
+the report file holds the schedule records, then the run record.
+
 Exit codes: 0 ok, 1 other error (I/O, failed inspection), 2 config error
 (including a binding or kernel the executor rejects), 3 verification failure,
 4 depth violation.
@@ -9,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
 import os
 import sys
 import time
@@ -16,16 +32,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import LoopChain
+from .chain import LoopChain, Region
 from .config import ConfigError, RunConfig, SubChain, parse_config, parse_fusion
 from .errors import (DepthExceededError, ExecutionError, InspectionError,
                      VerificationError)
-from .executor import (KernelRegistry, execute_schedule, execute_untiled,
-                       integer_valued)
+from .executor import (ExecutionReport, KernelRegistry, execute_schedule,
+                       execute_untiled, integer_valued)
 from .inspector import ExecMode, Schedule, inspect_chain
 from .mesh import Mesh, generate_rect_mesh, rcm_renumber
 from .problems import Problem, default_registry, global_setup
-from .distsim import run_distributed
+from .distsim import run_distributed, setup_ranks
 from .vtk import export_vtk
 
 
@@ -37,24 +53,34 @@ class ScheduleCache:
         self.hits = 0
         self.misses = 0
 
-    def get_or_inspect(self, chain: LoopChain, ts: int, mode: ExecMode) -> Schedule:
+    def get_or_inspect(self, chain: LoopChain, ts: int,
+                       mode: ExecMode) -> tuple[Schedule, bool]:
+        """The schedule, and whether this call inspected it."""
         key = (chain.fingerprint, ts, mode.value)
         if key in self._store:
             self.hits += 1
-            return self._store[key]
+            return self._store[key], False
         self.misses += 1
         schedule = inspect_chain(chain, ts, mode)
         self._store[key] = schedule
-        return schedule
+        return schedule, True
+
+
+@dataclass
+class Inspected:
+    """One inspected schedule, with its execution report once it has run."""
+
+    subchain: SubChain
+    rank: int | None  # None unless distributed
+    schedule: Schedule
+    report: ExecutionReport | None = None
 
 
 @dataclass
 class RunResult:
     mesh: Mesh
-    problem: Problem
     values: dict[str, np.ndarray]  # final dataset values, global numbering
-    schedules: list[Schedule] = field(default_factory=list)
-    reports: list = field(default_factory=list)
+    inspected: list[Inspected] = field(default_factory=list)
     inspect_seconds: float = 0.0
     execute_seconds: float = 0.0
 
@@ -73,54 +99,49 @@ def _sub_problem(problem: Problem, sc: SubChain) -> Problem:
 
 def run_config(cfg: RunConfig, cache: ScheduleCache | None = None,
                registry: KernelRegistry | None = None) -> RunResult:
-    """Execute the configured fusion scheme; unfused trailing loops run untiled."""
+    """Execute the configured fusion scheme; unfused trailing loops run untiled.
+
+    The global datasets carry the values from one sub-chain to the next; a
+    distributed sub-chain writes its gathered values back into them.
+    ``inspect_seconds`` counts the inspections this call ran, so cache hits
+    count zero; ``execute_seconds`` is the summed executor phases plus the
+    untiled tail.  Partitioning, local set-up and gather count as neither.
+    """
     cache = cache or ScheduleCache()
     registry = registry or default_registry()
     mesh = build_mesh(cfg)
     n_loops = len(cfg.problem.loops)
-    result = RunResult(mesh=mesh, problem=cfg.problem, values={})
-
-    if cfg.mode is ExecMode.DISTRIBUTED:
-        chain, datasets, bindings = global_setup(mesh, cfg.problem, cfg.depth)
-        state = {name: ds.values.copy() for name, ds in datasets.items()}
-        for sc in cfg.fusion:
-            dist = run_distributed(mesh, _sub_problem(cfg.problem, sc),
-                                   cfg.nranks, sc.tile_size, cfg.depth,
-                                   registry, initial=state)
-            # partitioning, local set-up and gather count as neither
-            result.inspect_seconds += sum(vr.schedule.stats.total_s for vr in dist.ranks)
-            result.execute_seconds += sum(sum(r.phase_seconds.values())
-                                          for r in dist.reports)
-            result.schedules.extend(vr.schedule for vr in dist.ranks)
-            result.reports.extend(dist.reports)
-            state = dist.datasets
-        if cfg.fused_stop < n_loops:
-            for name, ds in datasets.items():
-                ds.values[:] = state[name]
-            t0 = time.perf_counter()
-            execute_untiled(chain.subchain(cfg.fused_stop, n_loops),
-                            bindings[cfg.fused_stop:], datasets, registry)
-            result.execute_seconds += time.perf_counter() - t0
-            state = {name: ds.values.copy() for name, ds in datasets.items()}
-        result.values = state
-        return result
-
     chain, datasets, bindings = global_setup(mesh, cfg.problem, cfg.depth)
+    result = RunResult(mesh=mesh, values={})
+
     for sc in cfg.fusion:
-        sub = chain.subchain(sc.start, sc.stop)
-        t0 = time.perf_counter()
-        schedule = cache.get_or_inspect(sub, sc.tile_size, cfg.mode)
-        result.inspect_seconds += time.perf_counter() - t0
-        t0 = time.perf_counter()
-        report = execute_schedule(schedule, sub, bindings[sc.start:sc.stop],
-                                  datasets, registry)
-        result.execute_seconds += time.perf_counter() - t0
-        result.schedules.append(schedule)
-        result.reports.append(report)
+        if cfg.mode is ExecMode.DISTRIBUTED:
+            dist = run_distributed(mesh, _sub_problem(cfg.problem, sc),
+                                   cfg.nranks, sc.tile_size, cfg.depth, registry,
+                                   initial={name: ds.values
+                                            for name, ds in datasets.items()})
+            for name, values in dist.datasets.items():
+                datasets[name].values[:] = values
+            result.inspect_seconds += sum(vr.schedule.stats.total_s
+                                          for vr in dist.ranks)
+            ran = [Inspected(sc, vr.rank, vr.schedule, vr.report)
+                   for vr in dist.ranks]
+        else:
+            sub = chain.subchain(sc.start, sc.stop)
+            schedule, inspected = cache.get_or_inspect(sub, sc.tile_size, cfg.mode)
+            if inspected:
+                result.inspect_seconds += schedule.stats.total_s
+            report = execute_schedule(schedule, sub, bindings[sc.start:sc.stop],
+                                      datasets, registry)
+            ran = [Inspected(sc, None, schedule, report)]
+        result.execute_seconds += sum(sum(e.report.phase_seconds.values())
+                                      for e in ran)
+        result.inspected += ran
+
     if cfg.fused_stop < n_loops:
-        tail = chain.subchain(cfg.fused_stop, n_loops)
         t0 = time.perf_counter()
-        execute_untiled(tail, bindings[cfg.fused_stop:], datasets, registry)
+        execute_untiled(chain.subchain(cfg.fused_stop, n_loops),
+                        bindings[cfg.fused_stop:], datasets, registry)
         result.execute_seconds += time.perf_counter() - t0
     result.values = {name: ds.values.copy() for name, ds in datasets.items()}
     return result
@@ -183,79 +204,122 @@ def verify_config(cfg: RunConfig, cache: ScheduleCache | None = None) -> RunResu
     return result
 
 
-def inspect_only(cfg: RunConfig) -> list[Schedule]:
-    """Inspect every fused sub-chain on the global mesh; no execution."""
+def inspect_only(cfg: RunConfig) -> list[Inspected]:
+    """Inspect every fused sub-chain as ``run_config`` does; no execution.
+
+    In distributed mode that is every rank's local sub-chain, in rank order.
+    """
     mesh = build_mesh(cfg)
+    if cfg.mode is ExecMode.DISTRIBUTED:
+        return [Inspected(sc, vr.rank, vr.schedule)
+                for sc in cfg.fusion
+                for vr in setup_ranks(mesh, _sub_problem(cfg.problem, sc),
+                                      cfg.nranks, sc.tile_size, cfg.depth)]
     chain, _, _ = global_setup(mesh, cfg.problem, cfg.depth)
-    mode = cfg.mode if cfg.mode is not ExecMode.DISTRIBUTED else ExecMode.SEQUENTIAL
-    schedules = []
-    for sc in cfg.fusion:
-        sub = chain.subchain(sc.start, sc.stop)
-        schedules.append(inspect_chain(sub, sc.tile_size, mode))
-    return schedules
+    return [Inspected(sc, None, inspect_chain(chain.subchain(sc.start, sc.stop),
+                                              sc.tile_size, cfg.mode))
+            for sc in cfg.fusion]
 
 
 def export_vtk_config(cfg: RunConfig, path: str | None = None) -> str:
     """Inspect the first fused sub-chain and write cell tile/color fields."""
+    if cfg.mode is ExecMode.DISTRIBUTED:
+        raise ConfigError("export-vtk draws one global tiling; distributed mode "
+                          "tiles every rank's local mesh instead")
     path = path or cfg.vtk_path
     if not path:
         raise ConfigError("no VTK output path configured")
     mesh = build_mesh(cfg)
     chain, _, _ = global_setup(mesh, cfg.problem, cfg.depth)
-    mode = cfg.mode if cfg.mode is not ExecMode.DISTRIBUTED else ExecMode.SEQUENTIAL
     sc = cfg.fusion[0]
     sub = chain.subchain(sc.start, sc.stop)
-    schedule = inspect_chain(sub, sc.tile_size, mode)
-    export_vtk(schedule, sub, mesh, path)
+    export_vtk(inspect_chain(sub, sc.tile_size, cfg.mode), sub, mesh, path)
     return path
 
 
-def sweep_config(cfg: RunConfig, tile_sizes, modes, schemes=None, out=None) -> list[dict]:
-    """Cartesian product over ts x mode x fusion scheme, one timing row each."""
-    out = out if out is not None else sys.stdout
-    schemes = schemes or [None]
-    rows = []
-    print(f"{'scheme':<18} {'ts':>5} {'mode':<12} {'inspect_ms':>11} "
-          f"{'execute_ms':>11} {'verify':>7}", file=out)
-    for scheme in schemes:
+def sweep_config(cfg: RunConfig, tile_sizes, modes, schemes=None):
+    """Verify every ts x mode x fusion scheme; yield one run record each.
+
+    A scheme without tile sizes, like the configured one, takes the ts.
+    """
+    for scheme in schemes or [None]:
+        text = scheme or ",".join(f"{sc.start}-{sc.stop - 1}" for sc in cfg.fusion)
         for ts in tile_sizes:
             for mode in modes:
-                variant = dataclasses.replace(cfg, tile_size=ts, mode=mode)
-                fusion_text = scheme or ",".join(
-                    f"{sc.start}-{sc.stop - 1}" for sc in cfg.fusion)
-                variant.fusion = parse_fusion(fusion_text, len(cfg.problem.loops),
-                                               ts, cfg.depth, mode)
+                fusion = parse_fusion(text, len(cfg.problem.loops), ts,
+                                      cfg.depth, mode)
+                variant = dataclasses.replace(cfg, tile_size=ts, mode=mode,
+                                              fusion=fusion)
                 try:
-                    result = verify_config(variant)
-                    ok = "pass"
+                    result, status = verify_config(variant), "pass"
                 except VerificationError:
-                    result = None
-                    ok = "FAIL"
-                row = {
-                    "scheme": fusion_text, "ts": ts, "mode": mode.value,
-                    "inspect_ms": result.inspect_seconds * 1e3 if result else float("nan"),
-                    "execute_ms": result.execute_seconds * 1e3 if result else float("nan"),
-                    "verify": ok,
-                }
-                rows.append(row)
-                print(f"{row['scheme']:<18} {ts:>5} {mode.value:<12} "
-                      f"{row['inspect_ms']:>11.3f} {row['execute_ms']:>11.3f} "
-                      f"{ok:>7}", file=out)
-    return rows
+                    result, status = None, "FAIL"
+                yield run_record(variant, result, status)
+
+
+# -- records ------------------------------------------------------------------
+
+
+def schedule_record(entry: Inspected) -> dict:
+    """The record of one inspected schedule, with its run once it has run."""
+    schedule, sc = entry.schedule, entry.subchain
+    executable = schedule.executable_tiles()
+    sizes = [[len(t.iteration_lists[j]) for t in executable]
+             for j in range(schedule.n_loops)]
+    phase, share = schedule.stats.dominant_phase()
+    record = {
+        "record": "schedule",
+        "subchain": [sc.start, sc.stop - 1],  # inclusive, as in a fusion scheme
+        "ts": sc.tile_size,
+        "mode": schedule.mode.value,
+        "rank": entry.rank,
+        "tiles": {r.name.lower(): sum(t.region is r for t in schedule.tiles)
+                  for r in Region},
+        "colors": len(schedule.color_order),
+        "recolor_rounds": schedule.recolor_rounds,
+        "tile_sizes": [{"min": min(s), "mean": sum(s) / len(s), "max": max(s)}
+                       for s in sizes],
+        "inspect": dataclasses.asdict(schedule.stats),
+        "dominant_phase": phase,
+        "dominant_share": share,
+    }
+    if entry.report is not None:
+        record["execute"] = dict(entry.report.phase_seconds)
+        record["tiles_per_color"] = {str(c): n for c, n in
+                                     sorted(entry.report.tiles_per_color.items())}
+        record["bytes_exchanged"] = entry.report.bytes_exchanged
+    return record
+
+
+def run_record(cfg: RunConfig, result: RunResult | None,
+               verify: str | None = None) -> dict:
+    """The record of one run; ``result`` is None when a sweep variant failed."""
+    return {
+        "record": "run",
+        "fusion": ",".join(f"{sc.start}-{sc.stop - 1}:{sc.tile_size}"
+                           for sc in cfg.fusion),
+        "mode": cfg.mode.value,
+        "nranks": cfg.nranks if cfg.mode is ExecMode.DISTRIBUTED else None,
+        "inspect_s": None if result is None else result.inspect_seconds,
+        "execute_s": None if result is None else result.execute_seconds,
+        "verify": verify,
+    }
+
+
+def write_records(records, out) -> None:
+    """One JSON object per line."""
+    for record in records:
+        print(json.dumps(record), file=out)
 
 
 def _write_outputs(cfg: RunConfig, result: RunResult) -> None:
-    for path in (cfg.report_path, cfg.summary_path, cfg.vtk_path):
+    for path in (cfg.report_path, cfg.vtk_path):
         if path and os.path.dirname(path):
             os.makedirs(os.path.dirname(path), exist_ok=True)
     if cfg.report_path:
         with open(cfg.report_path, "w") as fh:
-            for i, report in enumerate(result.reports):
-                fh.write(f"# sub-chain {i}\n{report.to_kv()}\n")
-    if cfg.summary_path:
-        with open(cfg.summary_path, "w") as fh:
-            for i, schedule in enumerate(result.schedules):
-                fh.write(f"# sub-chain {i}\n{schedule.summary()}\n")
+            write_records([*map(schedule_record, result.inspected),
+                           run_record(cfg, result)], fh)
     if cfg.vtk_path and cfg.mode is not ExecMode.DISTRIBUTED:
         export_vtk_config(cfg, cfg.vtk_path)
 
@@ -266,9 +330,9 @@ def _build_argparser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
     for name, blurb in (("run", "inspect and execute the configured chain"),
                         ("verify", "run tiled and untiled, diff the outputs"),
-                        ("inspect-only", "run inspection and print summaries"),
+                        ("inspect-only", "inspect only, one schedule record each"),
                         ("export-vtk", "write the tile map as a VTK file"),
-                        ("sweep", "time a grid of tile sizes, modes, schemes")):
+                        ("sweep", "verify a grid of tile sizes, modes, schemes")):
         p = sub.add_parser(name, help=blurb)
         p.add_argument("config", help="path to an INI run configuration")
         if name == "export-vtk":
@@ -290,17 +354,11 @@ def main(argv=None) -> int:
         if args.command == "run":
             result = run_config(cfg)
             _write_outputs(cfg, result)
-            print(f"ok: {len(result.reports)} sub-chain executions, "
-                  f"inspect {result.inspect_seconds * 1e3:.3f} ms, "
-                  f"execute {result.execute_seconds * 1e3:.3f} ms")
+            write_records([run_record(cfg, result)], sys.stdout)
         elif args.command == "verify":
-            result = verify_config(cfg)
-            print(f"verify ok: {len(result.values)} datasets match the "
-                  f"untiled reference")
+            write_records([run_record(cfg, verify_config(cfg), "pass")], sys.stdout)
         elif args.command == "inspect-only":
-            for i, schedule in enumerate(inspect_only(cfg)):
-                print(f"# sub-chain {i}")
-                print(schedule.summary())
+            write_records(map(schedule_record, inspect_only(cfg)), sys.stdout)
         elif args.command == "export-vtk":
             path = export_vtk_config(cfg, getattr(args, "out", None))
             print(f"wrote {path}")
@@ -308,7 +366,7 @@ def main(argv=None) -> int:
             tile_sizes = [int(t) for t in args.tile_sizes.split(",")]
             modes = [ExecMode.parse(m) for m in args.modes.split(",")]
             schemes = args.schemes.split(";") if args.schemes else None
-            sweep_config(cfg, tile_sizes, modes, schemes)
+            write_records(sweep_config(cfg, tile_sizes, modes, schemes), sys.stdout)
     except DepthExceededError as exc:
         print(f"depth violation: {exc}", file=sys.stderr)
         return 4

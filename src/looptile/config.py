@@ -18,7 +18,7 @@ Example::
     nranks = 2
 
     [output]
-    report = out/report.txt
+    report = out/report.jsonl
 
 Chains may also be spelled out explicitly with [loops] / [datasets] sections;
 each loop line reads ``<space> <kernel> <mode>@<map|->:<dataset>, ...``.
@@ -62,7 +62,6 @@ class RunConfig:
     nranks: int
     fusion: tuple[SubChain, ...]
     report_path: str | None = None
-    summary_path: str | None = None
     vtk_path: str | None = None
     source: str = field(default="<memory>", compare=False)
 
@@ -178,7 +177,6 @@ def parse_config(path: str) -> RunConfig:
         depth=depth, mode=mode, tile_size=tile_size, nranks=nranks,
         fusion=fusion,
         report_path=parser.get("output", "report", fallback=None),
-        summary_path=parser.get("output", "summary", fallback=None),
         vtk_path=parser.get("output", "vtk", fallback=None),
         source=path,
     )

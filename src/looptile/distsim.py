@@ -176,17 +176,15 @@ def gather(mesh: Mesh, problem: Problem, ranks: list[VirtualRank]) -> dict[str, 
     return out
 
 
-def run_distributed(mesh: Mesh, problem: Problem, nranks: int, ts: int,
-                    depth: int, registry: KernelRegistry,
-                    poison_halo: bool = False,
-                    initial: dict[str, np.ndarray] | None = None) -> DistributedResult:
-    """Partition, inspect and execute on N virtual ranks, then gather.
+def setup_ranks(mesh: Mesh, problem: Problem, nranks: int, ts: int, depth: int,
+                poison_halo: bool = False,
+                initial: dict[str, np.ndarray] | None = None) -> list[VirtualRank]:
+    """Partition, set up and inspect every rank's local chain; run nothing.
 
-    One halo exchange serves the whole chain execution: staging precedes all
-    computation, each rank commits between its core and boundary phases.
-    ``poison_halo`` overwrites halo slots before staging to prove no core
-    tile depends on them; ``initial`` replaces the problem's dataset
-    initializers with given global arrays (for chaining sub-chains).
+    ``poison_halo`` overwrites halo slots to prove no core tile depends on
+    them; ``initial`` replaces the problem's dataset initializers with given
+    global arrays (for chaining sub-chains).  The endpoints are linked to
+    each other, with no exchange begun.
     """
     local_meshes = partition_for_ranks(mesh, nranks, depth)
     exchanged = exchanged_dataset_names(problem)
@@ -213,6 +211,21 @@ def run_distributed(mesh: Mesh, problem: Problem, nranks: int, ts: int,
 
     for e in endpoints:
         e.link(endpoints)
+    return ranks
+
+
+def run_distributed(mesh: Mesh, problem: Problem, nranks: int, ts: int,
+                    depth: int, registry: KernelRegistry,
+                    poison_halo: bool = False,
+                    initial: dict[str, np.ndarray] | None = None) -> DistributedResult:
+    """Partition, inspect and execute on N virtual ranks, then gather.
+
+    One halo exchange serves the whole chain execution: staging precedes all
+    computation, each rank commits between its core and boundary phases.
+    ``poison_halo`` and ``initial`` are passed to ``setup_ranks``.
+    """
+    ranks = setup_ranks(mesh, problem, nranks, ts, depth, poison_halo, initial)
+    endpoints = [vr.endpoint for vr in ranks]
     check_exchange_symmetry(endpoints)
     for e in endpoints:
         e.begin()  # snapshot owners before anything runs

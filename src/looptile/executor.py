@@ -77,14 +77,6 @@ class ExecutionReport:
     tiles_per_color: dict[int, int] = field(default_factory=dict)
     bytes_exchanged: int = 0
 
-    PHASES = ("core", "exchange_wait", "boundary")
-
-    def to_kv(self) -> str:
-        items = [f"phase.{p}={self.phase_seconds.get(p, 0.0):.9f}" for p in self.PHASES]
-        items += [f"tiles.color{c}={n}" for c, n in sorted(self.tiles_per_color.items())]
-        items.append(f"bytes_exchanged={self.bytes_exchanged}")
-        return "\n".join(items)
-
 
 def check_bindings(chain: LoopChain, bindings, datasets: dict[str, Dataset],
                    registry: KernelRegistry) -> list:

@@ -46,10 +46,6 @@ class Tile:
     iteration_lists: dict[int, np.ndarray] = field(default_factory=dict)
     local_maps: dict[tuple[int, str], np.ndarray] = field(default_factory=dict)
 
-    def size(self, loop_index: int) -> int:
-        lst = self.iteration_lists.get(loop_index)
-        return 0 if lst is None else len(lst)
-
 
 @dataclass
 class TilingFunction:
@@ -85,7 +81,9 @@ class ConflictMatrix:
 
 @dataclass
 class InspectionStats:
-    partition_s: float = 0.0
+    """Wall seconds per inspection phase; ``seed_s`` chunks the seed space."""
+
+    seed_s: float = 0.0
     coloring_s: float = 0.0
     projection_tiling_s: float = 0.0
     local_maps_s: float = 0.0
@@ -94,7 +92,7 @@ class InspectionStats:
     def dominant_phase(self) -> tuple[str, float]:
         """Name and share of the costliest phase, over the summed phases."""
         phases = {
-            "partition": self.partition_s,
+            "seed": self.seed_s,
             "coloring": self.coloring_s,
             "projection_tiling": self.projection_tiling_s,
             "local_maps": self.local_maps_s,
@@ -127,9 +125,6 @@ class Schedule:
     def executable_tiles(self) -> list[Tile]:
         return [t for t in self.tiles if t.region is not Region.NONEXEC]
 
-    def tiles_in_region(self, region: Region) -> list[Tile]:
-        return [t for t in self.tiles if t.region is region]
-
     def tile_of(self, loop_index: int, n_elements: int) -> np.ndarray:
         """Invert the iteration lists of one loop back into a per-element array."""
         out = np.full(n_elements, NO_TILE, dtype=np.int64)
@@ -156,30 +151,6 @@ class Schedule:
                 lines.append(f"  lmap {j} {name}=" +
                              ",".join(map(str, t.local_maps[(j, name)].tolist())))
         return ("\n".join(lines) + "\n").encode()
-
-    def summary(self) -> str:
-        by_region = {r: len(self.tiles_in_region(r)) for r in Region}
-        lines = [
-            f"tiles: {len(self.tiles)} "
-            f"(core {by_region[Region.CORE]}, boundary {by_region[Region.BOUNDARY]}, "
-            f"non-exec {by_region[Region.NONEXEC]})",
-            f"colors: {len(self.color_order)}",
-            f"recolor rounds: {self.recolor_rounds}",
-        ]
-        for j in range(self.n_loops):
-            sizes = [t.size(j) for t in self.executable_tiles()]
-            lines.append(
-                f"loop {j}: tile size min/mean/max = "
-                f"{min(sizes)}/{sum(sizes) / len(sizes):.1f}/{max(sizes)}")
-        s = self.stats
-        lines.append(f"inspection wall time: {s.total_s * 1e3:.3f} ms")
-        lines.append(
-            "phases (ms): partition %.3f, coloring %.3f, projection+tiling %.3f, "
-            "local maps %.3f" % (s.partition_s * 1e3, s.coloring_s * 1e3,
-                                 s.projection_tiling_s * 1e3, s.local_maps_s * 1e3))
-        name, share = s.dominant_phase()
-        lines.append(f"dominant phase: {name} ({share:.1%})")
-        return "\n".join(lines)
 
 
 # -- inspection steps ---------------------------------------------------------
@@ -487,7 +458,7 @@ def inspect_chain(chain: LoopChain, ts: int, mode: ExecMode) -> Schedule:
     sigma_seed, tiles = partition_seed(seed_loop.space, ts)
     assign(sigma_seed, tiles)
     seed_map = find_seed_map(chain)
-    stats.partition_s += time.perf_counter() - t0
+    stats.seed_s += time.perf_counter() - t0
 
     t0 = time.perf_counter()
     seed_adjacency = (_seed_adjacency(tiles, seed_map)

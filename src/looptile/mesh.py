@@ -25,12 +25,6 @@ class Mesh:
     edges_to_vertices: np.ndarray  # flat, arity 2
     vertex_coords: np.ndarray      # shape (num_vertices, 2)
 
-    def cell_vertices(self, c: int) -> np.ndarray:
-        return self.cells_to_vertices[3 * c : 3 * c + 3]
-
-    def edge_vertices(self, e: int) -> np.ndarray:
-        return self.edges_to_vertices[2 * e : 2 * e + 2]
-
     def validate(self) -> None:
         """Raise ValueError naming the first connectivity invariant that fails."""
         c2v = self.cells_to_vertices

@@ -76,9 +76,6 @@ class LocalMesh:
     global_ids: dict[str, np.ndarray]
     exchange_table: dict[tuple[str, int], np.ndarray]
 
-    def neighbors(self) -> list[int]:
-        return sorted({nbr for (_, nbr) in self.exchange_table})
-
     def spaces(self) -> dict[str, IterationSpace]:
         return {
             name: IterationSpace(name, s.core, s.owned + s.exec, s.nonexec)

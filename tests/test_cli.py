@@ -1,11 +1,15 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from looptile.chain import AccessMode
-from looptile.cli import (ScheduleCache, compare_values, main, reference_values,
-                          run_config, verify_config, export_vtk_config,
-                          inspect_only, sweep_config)
-from looptile.config import ConfigError, parse_config
+from looptile.cli import (Inspected, ScheduleCache, compare_values, main,
+                          reference_values, run_config, schedule_record,
+                          verify_config, export_vtk_config, inspect_only,
+                          sweep_config)
+from looptile.config import ConfigError, SubChain, parse_config
 from looptile.errors import DepthExceededError, VerificationError
 from looptile.executor import execute_schedule
 from looptile.inspector import ExecMode, compute_local_maps, inspect_chain
@@ -115,26 +119,45 @@ def test_two_subchains_hit_the_cache_on_second_run(tmp_path):
     assert (cache.hits, cache.misses) == (0, 2)
     second = run_config(cfg, cache)
     assert (cache.hits, cache.misses) == (2, 2)
+    assert first.inspect_seconds > 0 and second.inspect_seconds == 0
     for name in first.values:
         np.testing.assert_array_equal(first.values[name], second.values[name])
 
 
-def test_distributed_execute_time_is_the_executor_phases(tmp_path):
+@pytest.mark.parametrize("mode", ["sequential", "shared", "distributed"])
+def test_execute_time_is_the_executor_phases(tmp_path, mode):
     # partitioning, local set-up and gather are not execution
     cfg = parse_config(write_config(tmp_path, FIG2_INI.format(
-        mode="distributed", ts=8, extra="fusion = 0-1:8,2-2:8\nnranks = 2")))
+        mode=mode, ts=8, extra="fusion = 0-1:8,2-2:8\nnranks = 2")))
     result = run_config(cfg)
-    assert len(result.reports) == 2 * 2
-    phases = sum(sum(r.phase_seconds.values()) for r in result.reports)
+    assert len(result.inspected) == 2 * (2 if mode == "distributed" else 1)
+    phases = sum(sum(e.report.phase_seconds.values()) for e in result.inspected)
     assert result.execute_seconds == pytest.approx(phases, rel=1e-12)
+    assert result.inspect_seconds == pytest.approx(
+        sum(e.schedule.stats.total_s for e in result.inspected), rel=1e-12)
 
     # an unfused tail loop runs untiled, and that counts as execution too
     cfg = parse_config(write_config(tmp_path, FIG2_INI.format(
-        mode="distributed", ts=8, extra="fusion = 0-1:8\nnranks = 2")))
+        mode=mode, ts=8, extra="fusion = 0-1:8\nnranks = 2")))
     result = run_config(cfg)
-    phases = sum(sum(r.phase_seconds.values()) for r in result.reports)
+    phases = sum(sum(e.report.phase_seconds.values()) for e in result.inspected)
     assert result.execute_seconds > phases
     assert compare_values(reference_values(cfg, result.mesh), result.values) == []
+
+
+@pytest.mark.parametrize("mode", ["sequential", "shared", "distributed"])
+def test_inspect_only_shows_the_schedules_run_executes(tmp_path, mode):
+    cfg = parse_config(write_config(tmp_path, FIG2_INI.format(
+        mode=mode, ts=8, extra="fusion = 0-1:8,2-2:4\nnranks = 3")))
+    inspected = inspect_only(cfg)
+    ran = run_config(cfg).inspected
+    assert ([e.schedule.serialize() for e in inspected]
+            == [e.schedule.serialize() for e in ran])
+    assert ([(e.subchain, e.rank) for e in inspected]
+            == [(e.subchain, e.rank) for e in ran])
+    if mode == "distributed":
+        assert [e.rank for e in inspected] == [0, 1, 2] * 2
+        assert all(e.schedule.mode is ExecMode.DISTRIBUTED for e in inspected)
 
 
 def test_unfused_tail_loops_run_untiled(tmp_path):
@@ -207,7 +230,7 @@ def test_vtk_counts_match_mesh_sizes(tmp_path):
     assert len(parsed["points"]) == mesh.num_vertices
     assert len(parsed["cells"]) == mesh.num_cells
     assert set(parsed["cell_data"]) == {"tile_id", "color"}
-    schedule = inspect_only(cfg)[0]
+    schedule = inspect_only(cfg)[0].schedule
     tile_of = schedule.tile_of(1, mesh.num_cells)
     assert np.array_equal(parsed["cell_data"]["tile_id"], tile_of)
 
@@ -234,15 +257,16 @@ def test_corrupted_schedule_fails_verification(registry, mesh_8x4):
     assert diffs, "legality violation went unnoticed by the oracle diff"
 
 
-def test_sweep_emits_a_row_per_combination(tmp_path, capsys):
+def test_sweep_emits_a_row_per_combination(tmp_path):
     cfg = parse_config(write_config(tmp_path, FIG2_INI.format(
         mode="shared", ts=8, extra="")))
-    rows = sweep_config(cfg, tile_sizes=[4, 16], modes=[ExecMode.SEQUENTIAL,
-                                                        ExecMode.SHARED])
-    assert len(rows) == 4
-    assert all(r["verify"] == "pass" for r in rows)
-    out = capsys.readouterr().out
-    assert "inspect_ms" in out
+    rows = list(sweep_config(cfg, tile_sizes=[4, 16],
+                             modes=[ExecMode.SEQUENTIAL, ExecMode.SHARED]))
+    assert [(r["fusion"], r["mode"]) for r in rows] == [
+        ("0-2:4", "sequential"), ("0-2:4", "shared"),
+        ("0-2:16", "sequential"), ("0-2:16", "shared")]
+    assert all(r["record"] == "run" and r["verify"] == "pass" for r in rows)
+    assert all(r["inspect_s"] > 0 and r["execute_s"] > 0 for r in rows)
 
 
 EIGHT_INI = """
@@ -264,7 +288,7 @@ tile_size = 8
 def test_five_scheme_sweep_over_eight_loop_chain(tmp_path, capsys):
     # varying fusion aggressiveness, from no fusion beyond pairs up to
     # one chain fusing everything
-    cfg = parse_config(write_config(tmp_path, EIGHT_INI))
+    path = write_config(tmp_path, EIGHT_INI)
     schemes = [
         "0-1,2-3,4-5,6-7",
         "0-3,4-7",
@@ -272,12 +296,12 @@ def test_five_scheme_sweep_over_eight_loop_chain(tmp_path, capsys):
         "0-5,6-7",
         "0-7",
     ]
-    rows = sweep_config(cfg, tile_sizes=[8], modes=[ExecMode.SHARED],
-                        schemes=schemes)
-    assert len(rows) == 5
-    assert all(r["verify"] == "pass" for r in rows)
-    table = capsys.readouterr().out
-    assert all(s in table for s in schemes)
+    assert main(["sweep", path, "--tile-sizes", "8", "--modes", "shared",
+                 "--schemes", ";".join(schemes)]) == 0
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r["fusion"] for r in rows] == [
+        ",".join(f"{span}:8" for span in s.split(",")) for s in schemes]
+    assert all(r["mode"] == "shared" and r["verify"] == "pass" for r in rows)
 
 
 def test_compare_values_tolerates_float_noise():
@@ -297,8 +321,12 @@ def test_main_exit_codes(tmp_path, monkeypatch, capsys):
     assert main(["verify", good]) == 0
     assert main(["run", good]) == 0
     assert main(["inspect-only", good]) == 0
-    out = capsys.readouterr().out
-    assert "dominant phase" in out
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r["record"] for r in records] == ["run", "run", "schedule"]
+    assert records[0]["verify"] == "pass" and records[1]["verify"] is None
+    phases = {k: v for k, v in records[2]["inspect"].items() if k != "total_s"}
+    assert (records[2]["inspect"][records[2]["dominant_phase"] + "_s"]
+            == max(phases.values()))
 
     missing = str(tmp_path / "missing.ini")
     assert main(["verify", missing]) == 2
@@ -390,13 +418,79 @@ def test_export_vtk_to_unwritable_path_raises(tmp_path):
 
 
 def test_main_writes_configured_outputs(tmp_path):
-    report = tmp_path / "report.txt"
-    summary = tmp_path / "summary.txt"
-    vtk_path = tmp_path / "tiles.vtk"
-    extra = f"\n[output]\nreport = {report}\nsummary = {summary}\nvtk = {vtk_path}"
+    report = tmp_path / "out" / "report.jsonl"
+    vtk_path = tmp_path / "out" / "tiles.vtk"
+    extra = f"fusion = 0-1:8,2-2:8\n[output]\nreport = {report}\nvtk = {vtk_path}"
     cfg_path = write_config(tmp_path, FIG2_INI.format(mode="shared", ts=16,
                                                       extra=extra))
     assert main(["run", cfg_path]) == 0
-    assert "phase.core" in report.read_text()
-    assert "dominant phase" in summary.read_text()
+    records = [json.loads(line) for line in report.read_text().splitlines()]
+    assert [r["record"] for r in records] == ["schedule", "schedule", "run"]
+    assert [r["subchain"] for r in records[:2]] == [[0, 1], [2, 2]]
+    assert all(set(r["execute"]) == {"core", "exchange_wait", "boundary"}
+               for r in records[:2])
+    assert records[2]["execute_s"] == pytest.approx(
+        sum(sum(r["execute"].values()) for r in records[:2]), rel=1e-12)
     assert vtk_path.exists()
+
+
+def test_schedule_record_carries_the_execution_report(registry):
+    mesh = generate_rect_mesh(2, 2)
+    chain, datasets, bindings = global_setup(mesh, FIG2, depth=3)
+    schedule = inspect_chain(chain, 3, ExecMode.SEQUENTIAL)
+    report = execute_schedule(schedule, chain, bindings, datasets, registry)
+    record = schedule_record(Inspected(SubChain(0, 3, 3), None, schedule, report))
+    assert json.loads(json.dumps(record)) == record
+    assert record["execute"] == report.phase_seconds
+    assert record["bytes_exchanged"] == 0
+    assert sum(record["tiles_per_color"].values()) == len(
+        schedule.executable_tiles())
+    assert record["inspect"]["seed_s"] == schedule.stats.seed_s
+    assert "execute" not in schedule_record(Inspected(SubChain(0, 3, 3), None,
+                                                      schedule))
+
+
+def _records(text):
+    records = [json.loads(line) for line in text.splitlines()]
+    assert records and all(r["record"] in ("run", "schedule") for r in records)
+    return records
+
+
+@pytest.mark.parametrize("mode", ["shared", "distributed"])
+def test_every_output_line_is_a_record(tmp_path, capsys, mode):
+    report = tmp_path / "report.jsonl"
+    path = write_config(tmp_path, FIG2_INI.format(
+        mode=mode, ts=8, extra=f"nranks = 2\n[output]\nreport = {report}"))
+    for argv in (["run", path], ["verify", path], ["inspect-only", path],
+                 ["sweep", path, "--tile-sizes", "8", "--modes", mode]):
+        assert main(argv) == 0
+        records = _records(capsys.readouterr().out)
+        kinds = {r["record"] for r in records}
+        assert kinds == ({"schedule"} if argv[0] == "inspect-only" else {"run"})
+    records = _records(report.read_text())
+    assert [r["record"] for r in records] == ["schedule"] * (
+        2 if mode == "distributed" else 1) + ["run"]
+    if mode == "distributed":
+        assert [r["rank"] for r in records[:2]] == [0, 1]
+        assert records[-1]["nranks"] == 2
+        assert all(r["bytes_exchanged"] > 0 for r in records[:2])
+
+
+def test_export_vtk_rejects_a_distributed_config(tmp_path, capsys):
+    vtk_path = tmp_path / "tiles.vtk"
+    path = write_config(tmp_path, FIG2_INI.format(
+        mode="distributed", ts=8, extra=f"nranks = 2\n[output]\nvtk = {vtk_path}"))
+    assert main(["export-vtk", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and len(err.splitlines()) == 1
+    assert not vtk_path.exists()
+
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.ini"))
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=[p.name for p in CONFIGS])
+def test_committed_configs_verify(tmp_path, monkeypatch, capsys, path):
+    monkeypatch.chdir(tmp_path)  # configured outputs land here
+    assert main(["verify", str(path)]) == 0
+    assert _records(capsys.readouterr().out)[0]["verify"] == "pass"

@@ -89,7 +89,7 @@ def test_tiled_matches_untiled_on_8x4(registry, mesh_8x4):
     schedule = inspect_chain(chain2, 6, ExecMode.SHARED)
     report = execute_schedule(schedule, chain2, bindings2, datasets2, registry)
     assert_values_equal(expected, dataset_values(datasets2))
-    assert set(report.phase_seconds) == set(report.PHASES)
+    assert set(report.phase_seconds) == {"core", "exchange_wait", "boundary"}
     assert sum(report.tiles_per_color.values()) == len(schedule.executable_tiles())
 
 
@@ -182,16 +182,6 @@ def test_read_views_are_immutable():
     chain, datasets, bindings = global_setup(mesh, FIG2, depth=3)
     with pytest.raises(ValueError, match="read-only"):
         execute_untiled(chain, bindings, datasets, registry)
-
-
-def test_report_kv_roundtrip(registry):
-    mesh = generate_rect_mesh(2, 2)
-    chain, datasets, bindings = global_setup(mesh, FIG2, depth=3)
-    schedule = inspect_chain(chain, 3, ExecMode.SEQUENTIAL)
-    report = execute_schedule(schedule, chain, bindings, datasets, registry)
-    kv = dict(line.split("=") for line in report.to_kv().splitlines())
-    assert "phase.core" in kv
-    assert int(kv["bytes_exchanged"]) == 0
 
 
 def test_integer_valued_detection():
