@@ -79,6 +79,7 @@ class Inspected:
 @dataclass
 class RunResult:
     mesh: Mesh
+    chain: LoopChain  # the whole chain, global numbering
     values: dict[str, np.ndarray]  # final dataset values, global numbering
     inspected: list[Inspected] = field(default_factory=list)
     inspect_seconds: float = 0.0
@@ -112,7 +113,7 @@ def run_config(cfg: RunConfig, cache: ScheduleCache | None = None,
     mesh = build_mesh(cfg)
     n_loops = len(cfg.problem.loops)
     chain, datasets, bindings = global_setup(mesh, cfg.problem, cfg.depth)
-    result = RunResult(mesh=mesh, values={})
+    result = RunResult(mesh=mesh, chain=chain, values={})
 
     for sc in cfg.fusion:
         if cfg.mode is ExecMode.DISTRIBUTED:
@@ -320,8 +321,10 @@ def _write_outputs(cfg: RunConfig, result: RunResult) -> None:
         with open(cfg.report_path, "w") as fh:
             write_records([*map(schedule_record, result.inspected),
                            run_record(cfg, result)], fh)
-    if cfg.vtk_path and cfg.mode is not ExecMode.DISTRIBUTED:
-        export_vtk_config(cfg, cfg.vtk_path)
+    if cfg.vtk_path:
+        first = result.inspected[0]
+        sub = result.chain.subchain(first.subchain.start, first.subchain.stop)
+        export_vtk(first.schedule, sub, result.mesh, cfg.vtk_path)
 
 
 def _build_argparser() -> argparse.ArgumentParser:

@@ -32,7 +32,9 @@ from dataclasses import dataclass, field
 from .chain import AccessMode
 from .errors import DepthExceededError
 from .inspector import ExecMode
-from .problems import PRESETS, AccessSpec, DatasetSpec, LoopSpec, Problem
+from .mesh import MAPS, SPACES
+from .problems import (INITIALIZERS, PRESETS, AccessSpec, DatasetSpec, LoopSpec,
+                       Problem)
 
 
 class ConfigError(ValueError):
@@ -105,6 +107,12 @@ def parse_fusion(text: str, n_loops: int, tile_size: int, depth: int,
     return tuple(subchains)
 
 
+def _check_known(name: str, known, where: str, what: str) -> None:
+    if name not in known:
+        raise ConfigError(f"{where}: unknown {what} {name!r}; "
+                          f"available: {sorted(known)}")
+
+
 def _parse_explicit_problem(parser: configparser.ConfigParser) -> Problem:
     if not parser.has_section("loops"):
         raise ConfigError("[chain] needs preset=... or a [loops] section")
@@ -114,6 +122,7 @@ def _parse_explicit_problem(parser: configparser.ConfigParser) -> Problem:
         if len(tokens) != 3:
             raise ConfigError(f"[loops] {key}: expected '<space> <kernel> <accesses>'")
         space, kernel, access_text = tokens
+        _check_known(space, SPACES, f"[loops] {key}", "space")
         accesses = []
         for item in access_text.split(","):
             item = item.strip()
@@ -124,8 +133,13 @@ def _parse_explicit_problem(parser: configparser.ConfigParser) -> Problem:
                 raise ConfigError(f"[loops] {key}: bad access {item!r}") from None
             if not dataset:
                 raise ConfigError(f"[loops] {key}: access {item!r} names no dataset")
-            accesses.append(AccessSpec(None if map_text == "-" else map_text,
-                                       AccessMode.parse(mode_text), dataset))
+            map_name = None if map_text == "-" else map_text
+            if map_name is not None:
+                _check_known(map_name, MAPS, f"[loops] {key}", "map")
+                if MAPS[map_name][0] != space:
+                    raise ConfigError(f"[loops] {key}: map {map_name!r} starts "
+                                      f"on {MAPS[map_name][0]!r}, not {space!r}")
+            accesses.append(AccessSpec(map_name, AccessMode.parse(mode_text), dataset))
         loops.append(LoopSpec(space, kernel, tuple(accesses)))
     if not parser.has_section("datasets"):
         raise ConfigError("explicit chains need a [datasets] section")
@@ -134,8 +148,14 @@ def _parse_explicit_problem(parser: configparser.ConfigParser) -> Problem:
         tokens = parser["datasets"][name].split()
         if len(tokens) != 3:
             raise ConfigError(f"[datasets] {name}: expected '<space> <vpe> <init>'")
-        space, vpe, init = tokens
-        datasets.append(DatasetSpec(name, space, int(vpe), init))
+        space, vpe_text, init = tokens
+        _check_known(space, SPACES, f"[datasets] {name}", "space")
+        vpe = int(vpe_text)
+        if vpe < 1:
+            raise ConfigError(f"[datasets] {name}: values per element must be "
+                              f">= 1, got {vpe}")
+        _check_known(init, INITIALIZERS, f"[datasets] {name}", "initializer")
+        datasets.append(DatasetSpec(name, space, vpe, init))
     return Problem("custom", tuple(loops), tuple(datasets))
 
 
@@ -172,11 +192,14 @@ def parse_config(path: str) -> RunConfig:
             raise
         raise ConfigError(f"{path}: {exc}") from exc
 
+    vtk_path = parser.get("output", "vtk", fallback=None)
+    if vtk_path and mode is ExecMode.DISTRIBUTED:
+        raise ConfigError("[output] vtk draws one global tiling; distributed "
+                          "mode tiles every rank's local mesh instead")
     return RunConfig(
         nx=nx, ny=ny, renumber=(renumber == "rcm"), problem=problem,
         depth=depth, mode=mode, tile_size=tile_size, nranks=nranks,
         fusion=fusion,
         report_path=parser.get("output", "report", fallback=None),
-        vtk_path=parser.get("output", "vtk", fallback=None),
-        source=path,
+        vtk_path=vtk_path, source=path,
     )

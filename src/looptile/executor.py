@@ -2,8 +2,9 @@
 
 Kernels are user-registered callables receiving one view per descriptor:
 direct accesses get the element's own values, mapped accesses a list of the
-target elements' values.  Read views are frozen; write and increment views
-are ordinary mutable numpy slices.  Tiles run color by color on the calling
+target elements' values.  Read accesses get slices of a read-only view, so a
+kernel writing through one raises ValueError; write and increment views are
+ordinary mutable numpy slices.  Tiles run color by color on the calling
 thread, and a tile reads its mapped accesses through its own local maps.
 """
 
@@ -116,41 +117,36 @@ def check_bindings(chain: LoopChain, bindings, datasets: dict[str, Dataset],
     return bodies
 
 
-def _frozen(view: np.ndarray) -> np.ndarray:
-    out = view[...]
-    out.flags.writeable = False
-    return out
-
-
 def _run_loop(loop: Loop, binding: KernelBinding, body, datasets: dict[str, Dataset],
               elements, rows_of: dict[str, np.ndarray]) -> None:
     """Run ``body`` over ``elements``.
 
     A mapped access finds its target ids in ``rows_of[map name]`` at the
-    element's position in ``elements``.
+    element's position in ``elements``.  A read access slices one read-only
+    view of its dataset, taken once per call.
     """
     plan = []
     for d, name in zip(loop.descriptors, binding.args):
         ds = datasets[name]
-        rows = None if d.is_direct else rows_of[d.map.name]
-        plan.append((d, ds.values, ds.values_per_element, rows))
+        values = ds.values
+        if d.mode is AccessMode.READ:
+            values = values.view()
+            values.flags.writeable = False
+        if d.is_direct:
+            plan.append((values, ds.values_per_element, None, 1))
+        else:
+            plan.append((values, ds.values_per_element,
+                         rows_of[d.map.name].tolist(), d.map.arity))
 
-    for pos, e in enumerate(elements):
+    # Python ints index faster than numpy scalars
+    for pos, e in enumerate(np.asarray(elements).tolist()):
         args = []
-        for d, values, k, rows in plan:
-            if d.is_direct:
-                view = values[e * k:(e + 1) * k]
-                args.append(_frozen(view) if d.mode is AccessMode.READ else view)
+        for values, k, rows, a in plan:
+            if rows is None:
+                args.append(values[e * k:(e + 1) * k])
             else:
-                a = d.map.arity
-                base = pos * a
-                if d.mode is AccessMode.READ:
-                    views = [_frozen(values[t * k:(t + 1) * k])
-                             for t in rows[base:base + a]]
-                else:
-                    views = [values[t * k:(t + 1) * k]
-                             for t in rows[base:base + a]]
-                args.append(views)
+                args.append([values[t * k:(t + 1) * k]
+                             for t in rows[pos * a:(pos + 1) * a]])
         body(*args)
 
 

@@ -3,7 +3,9 @@
 The seed loop's iteration space is chunked into tiles; every later loop is
 scheduled onto those tiles by projecting which tile last touched each element
 and taking per-element color maxima.  Coloring conflicts discovered along the
-way trigger fake adjacency connections and a recoloring round.
+way trigger fake adjacency connections and a recoloring round.  The rounds
+pass plain per-element tile arrays; the tiles' iteration lists are filled
+once, after the last round.
 """
 
 from __future__ import annotations
@@ -45,38 +47,6 @@ class Tile:
     color: int = -1
     iteration_lists: dict[int, np.ndarray] = field(default_factory=dict)
     local_maps: dict[tuple[int, str], np.ndarray] = field(default_factory=dict)
-
-
-@dataclass
-class TilingFunction:
-    """Per-element tile assignment for one loop."""
-
-    loop_index: int
-    assignment: np.ndarray
-
-
-@dataclass
-class Projection:
-    """Per-element record of the maximum-color tile that touched the element."""
-
-    space: IterationSpace
-    assignment: np.ndarray  # NO_TILE where nothing touched yet
-
-
-@dataclass
-class ConflictMatrix:
-    """Symmetric, irreflexive relation over tile ids that grew adjacent."""
-
-    pairs: set[tuple[int, int]] = field(default_factory=set)
-
-    def add_pairs(self, a: np.ndarray, b: np.ndarray) -> None:
-        """Record every pair (a[i], b[i]); a tile is never paired with itself."""
-        distinct = a != b
-        a, b = a[distinct], b[distinct]
-        self.pairs.update(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
-
-    def has_conflicts(self) -> bool:
-        return bool(self.pairs)
 
 
 @dataclass
@@ -154,13 +124,17 @@ class Schedule:
 
 
 # -- inspection steps ---------------------------------------------------------
+# A tiling array holds a tile id per element of a loop's space; ``phi`` maps a
+# space name to the max-color tile that last touched each element (NO_TILE if
+# none); conflicts are a set of (low, high) tile-id pairs.
 
 
-def partition_seed(space: IterationSpace, ts: int) -> tuple[TilingFunction, list[Tile]]:
+def partition_seed(space: IterationSpace, ts: int) -> tuple[np.ndarray, list[Tile]]:
     """Chunk the seed space into tiles of ts contiguous iterations per region.
 
     Core chunks come first, then boundary chunks, then the single non-exec
     tile covering the non-exec region (created even when that region is empty).
+    Returns the seed loop's tiling array and the (still empty) tiles.
     """
     if ts < 1:
         raise ValueError(f"tile size must be >= 1, got {ts}")
@@ -170,28 +144,23 @@ def partition_seed(space: IterationSpace, ts: int) -> tuple[TilingFunction, list
     tiles += [Tile(id=m + j, region=Region.BOUNDARY) for j in range(k)]
     tiles.append(Tile(id=m + k, region=Region.NONEXEC))
 
-    assignment = np.empty(space.total, dtype=np.int64)
-    core = np.arange(space.core_size)
-    assignment[:space.core_size] = core // ts
-    boundary = np.arange(space.boundary_size)
-    assignment[space.core_size:space.executable_size] = m + boundary // ts
-    assignment[space.executable_size:] = m + k
-    return TilingFunction(loop_index=0, assignment=assignment), tiles
+    seed = np.empty(space.total, dtype=np.int64)
+    seed[:space.core_size] = np.arange(space.core_size) // ts
+    seed[space.core_size:space.executable_size] = m + np.arange(space.boundary_size) // ts
+    seed[space.executable_size:] = m + k
+    return seed, tiles
 
 
-def _seed_adjacency(tiles: list[Tile], seed_map: MeshMap | None) -> dict[int, set[int]]:
+def seed_adjacency(seed: np.ndarray, n_tiles: int,
+                   seed_map: MeshMap | None) -> dict[int, set[int]]:
     """Tiles are adjacent iff their seed iterations share a target element."""
-    adjacency: dict[int, set[int]] = {t.id: set() for t in tiles}
+    adjacency: dict[int, set[int]] = {t: set() for t in range(n_tiles)}
     if seed_map is None:
         return adjacency
-    lists = [t.iteration_lists.get(0, _EMPTY) for t in tiles]
-    owner = np.repeat(np.array([t.id for t in tiles], dtype=np.int64),
-                      [len(lst) * seed_map.arity for lst in lists])
-    targets = seed_map.values.reshape(-1, seed_map.arity)[np.concatenate(lists)].ravel()
+    owner = np.repeat(seed, seed_map.arity)
     # distinct (target, tile) touches, sorted by target then tile
-    span = max(t.id for t in tiles) + 1
-    touches = np.unique(targets * span + owner)
-    target, tile = touches // span, touches % span
+    touches = np.unique(seed_map.values.reshape(-1) * n_tiles + owner)
+    target, tile = touches // n_tiles, touches % n_tiles
     first, second = [], []
     step = 1
     while step < len(touches):
@@ -202,64 +171,56 @@ def _seed_adjacency(tiles: list[Tile], seed_map: MeshMap | None) -> dict[int, se
         second.append(tile[step:][same])
         step += 1
     if first:
-        pairs = np.unique(np.concatenate(first) * span + np.concatenate(second))
-        for a, b in zip((pairs // span).tolist(), (pairs % span).tolist()):
+        pairs = np.unique(np.concatenate(first) * n_tiles + np.concatenate(second))
+        for a, b in zip((pairs // n_tiles).tolist(), (pairs % n_tiles).tolist()):
             adjacency[a].add(b)
             adjacency[b].add(a)
     return adjacency
 
 
-def color_tiles(tiles: list[Tile], seed_map: MeshMap | None,
-                fake_connections: set[tuple[int, int]], mode: ExecMode,
-                adjacency: dict[int, set[int]] | None = None) -> None:
+def color_tiles(tiles: list[Tile], adjacency: dict[int, set[int]],
+                fake_connections: set[tuple[int, int]], mode: ExecMode) -> None:
     """Assign execution-priority colors.
 
     Shared mode reuses colors across non-adjacent tiles (greedy first-fit over
-    the seed-map adjacency plus fake connections); sequential and distributed
+    the seed adjacency plus fake connections); sequential and distributed
     modes give tile i color i.  Boundary colors always exceed core colors and
-    the non-exec tile gets the highest color.  ``adjacency`` short-circuits
-    the seed-map scan when the caller already holds it (it never changes
-    across recoloring rounds).
+    the non-exec tile gets the highest color.
     """
-    if mode is ExecMode.SHARED:
-        if adjacency is None:
-            adjacency = _seed_adjacency(tiles, seed_map)
-        adjacency = {t: set(nbrs) for t, nbrs in adjacency.items()}
-        for a, b in sorted(fake_connections):
-            adjacency[a].add(b)
-            adjacency[b].add(a)
-        floor = 0
-        for region in (Region.CORE, Region.BOUNDARY):
-            group = [t for t in tiles if t.region is region]
-            assigned: dict[int, int] = {}
-            for t in group:
-                used = {assigned[n] for n in adjacency[t.id] if n in assigned}
-                color = floor
-                while color in used:
-                    color += 1
-                assigned[t.id] = color
-                t.color = color
-            if group:
-                floor = max(t.color for t in group) + 1
-        tiles[-1].color = floor  # non-exec tile above everything
-    else:
+    if mode is not ExecMode.SHARED:
         for t in tiles:
             t.color = t.id
+        return
+    neighbours = {t.id: set(adjacency.get(t.id, ())) for t in tiles}
+    for a, b in fake_connections:
+        neighbours[a].add(b)
+        neighbours[b].add(a)
+    floor = 0
+    for region in (Region.CORE, Region.BOUNDARY):
+        group = [t for t in tiles if t.region is region]
+        assigned: dict[int, int] = {}
+        for t in group:
+            used = {assigned[n] for n in neighbours[t.id] if n in assigned}
+            color = floor
+            while color in used:
+                color += 1
+            assigned[t.id] = color
+            t.color = color
+        if group:
+            floor = max(t.color for t in group) + 1
+    tiles[-1].color = floor  # non-exec tile above everything
 
 
-def _tile_colors(tiles: list[Tile]) -> tuple[np.ndarray, bool]:
-    """Every tile's color, and whether any two tiles share one.
-
-    Only tiles of one color can conflict, so the conflict scans are skipped
-    when colors are unique (always so in sequential and distributed modes).
-    """
-    colors = np.array([t.color for t in tiles], dtype=np.int64)
-    ordered = np.sort(colors)
-    return colors, bool(np.any(ordered[1:] == ordered[:-1]))
+def _add_conflicts(conflicts: set[tuple[int, int]], a: np.ndarray,
+                   b: np.ndarray) -> None:
+    """Record every pair (a[i], b[i]); a tile never conflicts with itself."""
+    distinct = a != b
+    a, b = a[distinct], b[distinct]
+    conflicts.update(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
 
 
-def _project_mapped(inv: InverseMap, sa: np.ndarray, held: np.ndarray,
-                    colors: np.ndarray, conflicts: ConflictMatrix | None) -> np.ndarray:
+def _project_mapped(inv: InverseMap, sigma: np.ndarray, held: np.ndarray,
+                    colors: np.ndarray, conflicts: set | None) -> np.ndarray:
     """New projection of a mapped access's target space; see ``project``.
 
     Each target element's segment of the CSR inverse lists its sources in
@@ -268,7 +229,7 @@ def _project_mapped(inv: InverseMap, sa: np.ndarray, held: np.ndarray,
     maximum color wins.
     """
     n, size = len(held), len(inv.values)
-    touch = sa[inv.values]
+    touch = sigma[inv.values]
     new = np.full(n, NO_TILE, dtype=np.int64)
     best_color = np.full(n, -1, dtype=np.int64)
     filled = np.flatnonzero(np.diff(inv.offsets))
@@ -296,77 +257,72 @@ def _project_mapped(inv: InverseMap, sa: np.ndarray, held: np.ndarray,
         key, entry_tile = key[order], entry_tile[order]
         starts = np.flatnonzero(np.diff(key, prepend=-1))  # keys are >= 0
         first = np.repeat(entry_tile[starts], np.diff(np.append(starts, len(key))))
-        conflicts.add_pairs(first, entry_tile)
+        _add_conflicts(conflicts, first, entry_tile)
     return new
 
 
-def project(loop: Loop, sigma: TilingFunction, phi: dict[str, Projection],
-            conflicts: ConflictMatrix, tiles: list[Tile],
+def project(loop: Loop, sigma: np.ndarray, phi: dict[str, np.ndarray],
+            colors: np.ndarray, conflicts: set[tuple[int, int]] | None,
             inverse_maps: dict[str, InverseMap]) -> None:
-    """Fold loop's tile assignment into the per-space projections (updates phi, C).
+    """Fold loop's tiling array into the per-space projections (updates phi).
 
-    Direct descriptors copy sigma wholesale; mapped descriptors take, per
+    Direct descriptors take sigma wholesale; mapped descriptors take, per
     target element, the maximum-color tile among the held one and the
-    element's sources in the inverse map.  Per element and color, the first
-    tile to touch the element (the held tile, then sources in inverse-map
-    order) is recorded as conflicting with every later distinct tile of that
-    color.
+    element's sources in the inverse map.  Unless ``conflicts`` is None,
+    per element and color the first tile to touch the element (the held
+    tile, then sources in inverse-map order) is recorded as conflicting with
+    every later distinct tile of that color.
     """
-    colors, shared = _tile_colors(tiles)
     for d in loop.descriptors:
         if d.is_direct:
-            space = loop.space
-            old = phi.get(space.name)
-            new = sigma.assignment.copy()
-            if shared and old is not None:
-                both = (old.assignment >= 0) & (new >= 0)
-                clash = both & (colors[old.assignment] == colors[new])
-                conflicts.add_pairs(old.assignment[clash], new[clash])
-            phi[space.name] = Projection(space, new)
+            old = phi.get(loop.space.name)
+            if conflicts is not None and old is not None:
+                clash = (old >= 0) & (sigma >= 0) & (colors[old] == colors[sigma])
+                _add_conflicts(conflicts, old[clash], sigma[clash])
+            phi[loop.space.name] = sigma
         else:
             if d.map.name not in inverse_maps:
                 inverse_maps[d.map.name] = invert_map(d.map)
             space = d.map.target
-            old = phi.get(space.name)
-            held = (old.assignment if old is not None
-                    else np.full(space.total, NO_TILE, dtype=np.int64))
-            new = _project_mapped(inverse_maps[d.map.name], sigma.assignment,
-                                  held, colors, conflicts if shared else None)
-            phi[space.name] = Projection(space, new)
+            held = phi.get(space.name)
+            if held is None:
+                held = np.full(space.total, NO_TILE, dtype=np.int64)
+            phi[space.name] = _project_mapped(inverse_maps[d.map.name], sigma,
+                                              held, colors, conflicts)
 
 
-def _candidate_columns(loop: Loop, phi: dict[str, Projection], n: int):
+def _candidate_columns(loop: Loop, phi: dict[str, np.ndarray], n: int):
     """Candidate tiles of the loop's first n elements, one array per
     (descriptor, map column), in descriptor order."""
     for d in loop.descriptors:
         if d.is_direct:
             proj = phi.get(loop.space.name)
             if proj is not None:
-                yield proj.assignment[:n]
+                yield proj[:n]
         else:
             proj = phi.get(d.map.target.name)
             if proj is not None:
                 rows = d.map.values.reshape(-1, d.map.arity)[:n]
                 for k in range(d.map.arity):
-                    yield proj.assignment[rows[:, k]]
+                    yield proj[rows[:, k]]
 
 
-def tile_loop(loop: Loop, phi: dict[str, Projection], tiles: list[Tile],
-              conflicts: ConflictMatrix | None = None) -> TilingFunction:
-    """Build the loop's tiling function from the available projections.
+def tile_loop(loop: Loop, phi: dict[str, np.ndarray], colors: np.ndarray,
+              conflicts: set[tuple[int, int]] | None = None) -> np.ndarray:
+    """The loop's tiling array, built from the available projections.
 
     Every element lands on the maximum-color tile reachable through any of the
     loop's descriptors; color ties keep the tile already held.  Descriptors
     over spaces no earlier loop touched contribute nothing.
 
-    A second sweep compares each executed element's final tile against all
-    its candidates: an equal-colored distinct candidate means the assigned
-    tile will touch data some same-colored tile already touched, which the
-    projections alone cannot see for the last loop in the chain.
+    Unless ``conflicts`` is None, a second sweep compares each executed
+    element's final tile against all its candidates: an equal-colored
+    distinct candidate means the assigned tile will touch data some
+    same-colored tile already touched, which the projections alone cannot see
+    for the last loop in the chain.
     """
-    colors, shared = _tile_colors(tiles)
     space = loop.space
-    assignment = np.full(space.total, NO_TILE, dtype=np.int64)
+    sigma = np.full(space.total, NO_TILE, dtype=np.int64)
     held_color = np.full(space.total, -1, dtype=np.int64)
 
     applied = False
@@ -374,36 +330,37 @@ def tile_loop(loop: Loop, phi: dict[str, Projection], tiles: list[Tile],
         applied = True
         color = np.where(candidate >= 0, colors[candidate], -1)
         better = color > held_color
-        assignment[better] = candidate[better]
+        sigma[better] = candidate[better]
         held_color[better] = color[better]
 
     if not applied:
         raise InspectionError(
             f"loop {loop.index} over {space.name!r}: no projection covers any "
             f"accessed space")
-    if np.any(assignment[:space.executable_size] < 0):
-        missing = int(np.flatnonzero(assignment[:space.executable_size] < 0)[0])
+    if np.any(sigma[:space.executable_size] < 0):
+        missing = int(np.flatnonzero(sigma[:space.executable_size] < 0)[0])
         raise InspectionError(
             f"loop {loop.index}: element {missing} of {space.name!r} is not "
             f"reachable through any projection")
 
-    if conflicts is not None and shared:
-        held = assignment[:space.executable_size]
+    if conflicts is not None:
+        held = sigma[:space.executable_size]
         held_color = held_color[:space.executable_size]
         for candidate in _candidate_columns(loop, phi, space.executable_size):
             clash = (candidate >= 0) & (colors[candidate] == held_color)
-            conflicts.add_pairs(held[clash], candidate[clash])
-    return TilingFunction(loop_index=loop.index, assignment=assignment)
+            _add_conflicts(conflicts, held[clash], candidate[clash])
+    return sigma
 
 
-def assign(sigma: TilingFunction, tiles: list[Tile]) -> None:
-    """Distribute elements into tiles' iteration lists, ascending per tile."""
-    order = np.argsort(sigma.assignment, kind="stable")
-    sorted_ids = sigma.assignment[order]
-    bounds = np.searchsorted(sorted_ids, np.arange(len(tiles) + 1))
+def assign(sigma: np.ndarray, loop_index: int, tiles: list[Tile]) -> None:
+    """Fill every tile's iteration list of one loop, ascending per tile.
+
+    The lists are consecutive slices of one stable argsort of ``sigma``.
+    """
+    order = np.argsort(sigma, kind="stable")
+    bounds = np.searchsorted(sigma[order], np.arange(len(tiles) + 1))
     for t in tiles:
-        t.iteration_lists[sigma.loop_index] = order[bounds[t.id]:bounds[t.id + 1]].copy()
-
+        t.iteration_lists[loop_index] = order[bounds[t.id]:bounds[t.id + 1]]
 
 
 def compute_local_maps(tiles: list[Tile], chain: LoopChain) -> None:
@@ -411,23 +368,20 @@ def compute_local_maps(tiles: list[Tile], chain: LoopChain) -> None:
 
     The executor can then index map rows by position-in-tile instead of
     global element id.  Gathers run once per (loop, map) over all tiles'
-    concatenated lists, then split per tile.
+    concatenated lists; each tile keeps its slice of the gathered rows.
     """
     for t in tiles:
         t.local_maps.clear()
     for j, loop in enumerate(chain.loops):
-        done = set()
-        for d in loop.descriptors:
-            if d.is_direct or d.map.name in done:
-                continue
-            done.add(d.map.name)
-            lists = [t.iteration_lists.get(j, _EMPTY) for t in tiles]
-            flat = d.map.values.reshape(-1, d.map.arity)[np.concatenate(lists)].ravel()
-            offset = 0
-            for t, lst in zip(tiles, lists):
-                span = len(lst) * d.map.arity
-                t.local_maps[(j, d.map.name)] = flat[offset:offset + span].copy()
-                offset += span
+        lists = [t.iteration_lists.get(j, _EMPTY) for t in tiles]
+        elements = np.concatenate(lists)
+        bounds = np.cumsum([0] + [len(lst) for lst in lists])
+        for m in {d.map.name: d.map for d in loop.descriptors
+                  if not d.is_direct}.values():
+            flat = m.values.reshape(-1, m.arity)[elements].ravel()
+            ends = bounds * m.arity
+            for t, start, stop in zip(tiles, ends[:-1], ends[1:]):
+                t.local_maps[(j, m.name)] = flat[start:stop]
 
 
 def find_seed_map(chain: LoopChain) -> MeshMap | None:
@@ -445,24 +399,23 @@ def find_seed_map(chain: LoopChain) -> MeshMap | None:
 def inspect_chain(chain: LoopChain, ts: int, mode: ExecMode) -> Schedule:
     """Run the full inspection and return a conflict-free schedule.
 
-    Pure in (chain, ts, mode): repeated calls produce identical schedules.
-    Raises ColoringLimitError if recoloring fails to converge within
-    10 * (number of tiles) rounds.
+    Each recoloring round grows one tiling array per loop from the seed
+    partition; the tiles' iteration lists and local maps are filled once,
+    from the last round's arrays.  Pure in (chain, ts, mode): repeated calls
+    produce identical schedules.  Raises ColoringLimitError if recoloring
+    fails to converge within 10 * (number of tiles) rounds.
     """
     t_start = time.perf_counter()
     stats = InspectionStats()
-    n = len(chain.loops)
-    seed_loop = chain.loops[0]
+    loops = chain.loops
 
     t0 = time.perf_counter()
-    sigma_seed, tiles = partition_seed(seed_loop.space, ts)
-    assign(sigma_seed, tiles)
-    seed_map = find_seed_map(chain)
+    seed, tiles = partition_seed(loops[0].space, ts)
     stats.seed_s += time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    seed_adjacency = (_seed_adjacency(tiles, seed_map)
-                      if mode is ExecMode.SHARED else None)
+    adjacency = (seed_adjacency(seed, len(tiles), find_seed_map(chain))
+                 if mode is ExecMode.SHARED else {})
     stats.coloring_s += time.perf_counter() - t0
 
     inverse_maps: dict[str, InverseMap] = {}
@@ -477,31 +430,38 @@ def inspect_chain(chain: LoopChain, ts: int, mode: ExecMode) -> Schedule:
             raise ColoringLimitError(
                 f"recoloring did not converge after {max_rounds} rounds")
         t0 = time.perf_counter()
-        color_tiles(tiles, seed_map, fake_connections, mode,
-                    adjacency=seed_adjacency)
+        color_tiles(tiles, adjacency, fake_connections, mode)
+        colors = np.array([t.color for t in tiles], dtype=np.int64)
         stats.coloring_s += time.perf_counter() - t0
 
-        conflicts = ConflictMatrix()
-        phi: dict[str, Projection] = {}
-        sigma = sigma_seed
+        # only same-colored tiles conflict, so unique colors (always so in
+        # sequential and distributed modes) skip the conflict scans
+        shared = len(np.unique(colors)) < len(colors)
+        conflicts: set[tuple[int, int]] | None = set() if shared else None
+        phi: dict[str, np.ndarray] = {}
+        sigmas = [seed]
         t0 = time.perf_counter()
-        for j in range(1, n):
-            project(chain.loops[j - 1], sigma, phi, conflicts, tiles, inverse_maps)
-            sigma = tile_loop(chain.loops[j], phi, tiles, conflicts)
+        for j in range(1, len(loops)):
+            project(loops[j - 1], sigmas[-1], phi, colors, conflicts, inverse_maps)
+            sigma = tile_loop(loops[j], phi, colors, conflicts)
             # the non-exec region is never computed by this rank
-            sigma.assignment[chain.loops[j].space.executable_size:] = tne_id
-            assign(sigma, tiles)
+            sigma[loops[j].space.executable_size:] = tne_id
+            sigmas.append(sigma)
         stats.projection_tiling_s += time.perf_counter() - t0
 
-        if conflicts.has_conflicts():
-            fake_connections |= conflicts.pairs
-            continue
-        break
+        if not conflicts:
+            break
+        fake_connections |= conflicts
+
+    t0 = time.perf_counter()
+    for j, sigma in enumerate(sigmas):
+        assign(sigma, j, tiles)
+    stats.projection_tiling_s += time.perf_counter() - t0
 
     t0 = time.perf_counter()
     compute_local_maps(tiles, chain)
     stats.local_maps_s += time.perf_counter() - t0
     stats.total_s = time.perf_counter() - t_start
 
-    return Schedule(mode=mode, fingerprint=chain.fingerprint, n_loops=n,
+    return Schedule(mode=mode, fingerprint=chain.fingerprint, n_loops=len(loops),
                     tiles=tuple(tiles), recolor_rounds=rounds, stats=stats)

@@ -235,6 +235,9 @@ def rcm_renumber(mesh: Mesh) -> Mesh:
 # -- chain-building helpers -------------------------------------------------
 
 CELLS, EDGES, VERTS = "cells", "edges", "verts"
+SPACES = (CELLS, EDGES, VERTS)
+# every map a mesh provides: name -> (source space, target space, arity)
+MAPS = {"c2v": (CELLS, VERTS, 3), "e2v": (EDGES, VERTS, 2)}
 
 
 def mesh_spaces(mesh: Mesh) -> dict[str, IterationSpace]:
@@ -246,8 +249,8 @@ def mesh_spaces(mesh: Mesh) -> dict[str, IterationSpace]:
     }
 
 
-def mesh_maps(mesh: Mesh, spaces: dict[str, IterationSpace]) -> dict[str, MeshMap]:
-    return {
-        "c2v": MeshMap("c2v", spaces[CELLS], spaces[VERTS], 3, mesh.cells_to_vertices),
-        "e2v": MeshMap("e2v", spaces[EDGES], spaces[VERTS], 2, mesh.edges_to_vertices),
-    }
+def mesh_maps(mesh, spaces: dict[str, IterationSpace]) -> dict[str, MeshMap]:
+    """The MAPS of a global or rank-local mesh over the given spaces."""
+    values = {"c2v": mesh.cells_to_vertices, "e2v": mesh.edges_to_vertices}
+    return {name: MeshMap(name, spaces[source], spaces[target], arity, values[name])
+            for name, (source, target, arity) in MAPS.items()}

@@ -35,9 +35,9 @@ import numpy as np
 
 from .chain import IterationSpace, MeshMap
 from .errors import PartitionBugError
-from .mesh import CELLS, EDGES, VERTS, Mesh, cell_sides, pair_keys
+from .mesh import (CELLS, EDGES, SPACES, VERTS, Mesh, cell_sides, mesh_maps,
+                   pair_keys)
 
-SPACES = (CELLS, EDGES, VERTS)
 CORE, OWNED, EXEC, NONEXEC = range(4)  # region codes, in storage order
 
 
@@ -83,11 +83,7 @@ class LocalMesh:
         }
 
     def maps(self, spaces: dict[str, IterationSpace] | None = None) -> dict[str, MeshMap]:
-        spaces = spaces or self.spaces()
-        return {
-            "c2v": MeshMap("c2v", spaces[CELLS], spaces[VERTS], 3, self.cells_to_vertices),
-            "e2v": MeshMap("e2v", spaces[EDGES], spaces[VERTS], 2, self.edges_to_vertices),
-        }
+        return mesh_maps(self, spaces or self.spaces())
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ class DatasetSpec:
     name: str
     space: str
     values_per_element: int
-    init: str  # zeros | ones | ramp
+    init: str  # a key of INITIALIZERS
 
 
 @dataclass(frozen=True)
@@ -73,17 +73,21 @@ def default_registry() -> KernelRegistry:
     return registry
 
 
+# dataset initializers, each a function of the flat value indices
+INITIALIZERS = {
+    "zeros": lambda flat: np.zeros(len(flat)),
+    "ones": lambda flat: np.ones(len(flat)),
+    "ramp": lambda flat: (flat % 7 + 1).astype(np.float64),
+}
+
+
 def init_values(spec: DatasetSpec, global_ids: np.ndarray) -> np.ndarray:
     """Deterministic integer-valued data as a function of global ids."""
+    if spec.init not in INITIALIZERS:
+        raise ValueError(f"unknown initializer {spec.init!r}")
     flat = (global_ids[:, None] * spec.values_per_element
             + np.arange(spec.values_per_element)[None, :]).ravel()
-    if spec.init == "zeros":
-        return np.zeros(len(flat))
-    if spec.init == "ones":
-        return np.ones(len(flat))
-    if spec.init == "ramp":
-        return (flat % 7 + 1).astype(np.float64)
-    raise ValueError(f"unknown initializer {spec.init!r}")
+    return INITIALIZERS[spec.init](flat)
 
 
 FIG2 = Problem(

@@ -3,7 +3,7 @@
 These walk every element in Python, one map entry at a time, exactly as the
 inspector once did.  They are slow but easy to read, and serve as the oracle
 that the vectorized passes in ``looptile.inspector`` are checked against:
-same projections, same tiling functions and the same conflict pairs.
+same projection arrays, same tiling arrays and the same conflict pairs.
 """
 
 from __future__ import annotations
@@ -12,39 +12,36 @@ import numpy as np
 
 from looptile.chain import InverseMap, Loop, invert_map
 from looptile.errors import InspectionError
-from looptile.inspector import (NO_TILE, ConflictMatrix, Projection, Tile,
-                                TilingFunction)
+from looptile.inspector import NO_TILE
 
 
-def _add(conflicts: ConflictMatrix, a: int, b: int) -> None:
+def _add(conflicts: set[tuple[int, int]], a: int, b: int) -> None:
     if a != b:
-        conflicts.pairs.add((min(a, b), max(a, b)))
+        conflicts.add((min(a, b), max(a, b)))
 
 
-def project_reference(loop: Loop, sigma: TilingFunction, phi: dict[str, Projection],
-                      conflicts: ConflictMatrix, tiles: list[Tile],
+def project_reference(loop: Loop, sigma: np.ndarray, phi: dict[str, np.ndarray],
+                      colors: np.ndarray, conflicts: set[tuple[int, int]],
                       inverse_maps: dict[str, InverseMap]) -> None:
-    colors = np.array([t.color for t in tiles], dtype=np.int64)
     for d in loop.descriptors:
         if d.is_direct:
             space = loop.space
             old = phi.get(space.name)
-            new = sigma.assignment.copy()
+            new = sigma.copy()
             if old is not None:
-                both = (old.assignment >= 0) & (new >= 0) & (old.assignment != new)
-                clash = both & (colors[old.assignment] == colors[new])
+                both = (old >= 0) & (new >= 0) & (old != new)
+                clash = both & (colors[old] == colors[new])
                 for e in np.flatnonzero(clash):
-                    _add(conflicts, int(old.assignment[e]), int(new[e]))
-            phi[space.name] = Projection(space, new)
+                    _add(conflicts, int(old[e]), int(new[e]))
+            phi[space.name] = new
         else:
             if d.map.name not in inverse_maps:
                 inverse_maps[d.map.name] = invert_map(d.map)
             inv = inverse_maps[d.map.name]
             space = d.map.target
-            old = phi.get(space.name)
-            old_assign = old.assignment if old is not None else None
+            old_assign = phi.get(space.name)
             offsets, sources = inv.offsets, inv.values
-            sa = sigma.assignment
+            sa = sigma
             new = np.full(space.total, NO_TILE, dtype=np.int64)
             for e in range(space.total):
                 if old_assign is not None and old_assign[e] >= 0:
@@ -64,12 +61,11 @@ def project_reference(loop: Loop, sigma: TilingFunction, phi: dict[str, Projecti
                     if c > best_color:
                         best, best_color = t, c
                 new[e] = best
-            phi[space.name] = Projection(space, new)
+            phi[space.name] = new
 
 
-def tile_loop_reference(loop: Loop, phi: dict[str, Projection], tiles: list[Tile],
-                        conflicts: ConflictMatrix | None = None) -> TilingFunction:
-    colors = np.array([t.color for t in tiles], dtype=np.int64)
+def tile_loop_reference(loop: Loop, phi: dict[str, np.ndarray], colors: np.ndarray,
+                        conflicts: set[tuple[int, int]] | None = None) -> np.ndarray:
     space = loop.space
     assignment = np.full(space.total, NO_TILE, dtype=np.int64)
     held_color = np.full(space.total, -1, dtype=np.int64)
@@ -79,11 +75,11 @@ def tile_loop_reference(loop: Loop, phi: dict[str, Projection], tiles: list[Tile
             if d.is_direct:
                 proj = phi.get(space.name)
                 if proj is not None:
-                    yield proj.assignment, None, 1
+                    yield proj, None, 1
             else:
                 proj = phi.get(d.map.target.name)
                 if proj is not None:
-                    yield proj.assignment, d.map.values, d.map.arity
+                    yield proj, d.map.values, d.map.arity
 
     applied = False
     for pa, vals, a in candidate_arrays():
@@ -119,4 +115,4 @@ def tile_loop_reference(loop: Loop, phi: dict[str, Projection], tiles: list[Tile
                     if (candidate >= 0 and candidate != held
                             and colors[candidate] == colors[held]):
                         _add(conflicts, held, candidate)
-    return TilingFunction(loop_index=loop.index, assignment=assignment)
+    return assignment

@@ -382,6 +382,66 @@ def test_main_reports_execution_and_inspection_errors(tmp_path, capsys, loops,
     assert "Traceback" not in err
 
 
+GOOD_LOOPS = "0 = edges edge_inc r@-:edge_w, i@e2v:vertex_acc"
+
+
+@pytest.mark.parametrize("old,new,where", [
+    ("i@e2v:", "i@x2v:", "[loops] 0: unknown map 'x2v'"),
+    ("0 = edges", "0 = faces", "[loops] 0: unknown space 'faces'"),
+    ("i@e2v:", "i@c2v:", "[loops] 0: map 'c2v' starts on 'cells', not 'edges'"),
+    ("cell_w = cells 1 ramp", "cell_w = nodes 1 ramp",
+     "[datasets] cell_w: unknown space 'nodes'"),
+    ("cell_w = cells 1 ramp", "cell_w = cells 1 rampz",
+     "[datasets] cell_w: unknown initializer 'rampz'"),
+    ("cell_w = cells 1 ramp", "cell_w = cells 0 ramp",
+     "[datasets] cell_w: values per element must be >= 1"),
+], ids=["map", "loop-space", "map-source", "dataset-space", "initializer",
+        "zero-width"])
+def test_bad_names_in_explicit_chain_are_config_errors(tmp_path, capsys,
+                                                             old, new, where):
+    body = EXPLICIT_INI.format(loops=GOOD_LOOPS)
+    assert old in body
+    path = write_config(tmp_path, body.replace(old, new))
+    assert main(["verify", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {where}")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def test_run_writes_the_vtk_of_the_schedule_it_executed(tmp_path, monkeypatch):
+    import looptile.cli as cli
+
+    calls = []
+    original = cli.inspect_chain
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cli, "inspect_chain", counted)
+    monkeypatch.chdir(tmp_path)
+    config = str(Path(__file__).resolve().parents[1] / "configs" / "fig2.ini")
+    assert main(["run", config]) == 0
+    assert len(calls) == 1
+    assert main(["export-vtk", config, "--out", "again.vtk"]) == 0
+    written = tmp_path / "out" / "fig2_tiles.vtk"
+    assert written.read_bytes() == (tmp_path / "again.vtk").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["run", "verify", "sweep"])
+def test_vtk_output_in_distributed_mode_is_a_config_error(tmp_path, capsys,
+                                                          command):
+    path = write_config(tmp_path, FIG2_INI.format(
+        mode="distributed", ts=8,
+        extra=f"nranks = 2\n[output]\nvtk = {tmp_path / 'd.vtk'}"))
+    assert main([command, path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [output] vtk")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "d.vtk").exists()
+
+
 def test_verify_dumps_both_runs_for_external_diffing(tmp_path):
     report = tmp_path / "verify.txt"
     cfg = parse_config(write_config(tmp_path, FIG2_INI.format(
@@ -398,7 +458,7 @@ def test_recoloring_guard_trips_on_nonconvergence(monkeypatch, mesh_8x4):
     from looptile import inspector as insp
     from looptile.errors import ColoringLimitError
 
-    def stubborn(tiles, seed_map, fakes, mode, adjacency=None):
+    def stubborn(tiles, adjacency, fakes, mode):
         for t in tiles[:-1]:
             t.color = 0
         tiles[-1].color = 1
