@@ -6,14 +6,20 @@ and every line of the ``[output] report`` file, is one JSON record with a
 
 - ``schedule``: one per inspected schedule, that is per fused sub-chain and,
   in distributed mode, per rank.  Tiles per region, colors, recolor rounds,
-  per-loop tile sizes and the inspection phases; once the schedule has run,
-  also its executor phases, tiles per color and bytes exchanged.
+  per-loop tile sizes and the inspection phases; in distributed mode, what
+  the rank holds of each space (core, owned, exec and non-exec elements);
+  once the schedule has run, also its executor phases, tiles per color and
+  bytes exchanged.
 - ``run``: one per run.  Fusion scheme, mode, ranks, inspect and execute
   seconds, and the verify status (``pass``, ``FAIL`` or null).
 
 ``run`` prints its run record, ``verify`` the run record with ``pass``,
 ``inspect-only`` the schedule records, ``sweep`` one run record per variant;
-the report file holds the schedule records, then the run record.
+``run`` writes the ``[output] report`` file: the schedule records, then
+the run record.
+
+Every distributed run poisons its ranks' halo slots until the exchange
+commits, so a core tile that read one would make ``verify`` fail.
 
 Exit codes: 0 ok, 1 other error (I/O, failed inspection), 2 config error
 (including a binding or kernel the executor rejects), 3 verification failure,
@@ -40,6 +46,7 @@ from .executor import (ExecutionReport, KernelRegistry, execute_schedule,
                        execute_untiled, integer_valued)
 from .inspector import ExecMode, Schedule, inspect_chain
 from .mesh import Mesh, generate_rect_mesh, rcm_renumber
+from .partition import RegionSizes
 from .problems import Problem, default_registry, global_setup
 from .distsim import run_distributed, setup_ranks
 from .vtk import export_vtk
@@ -74,6 +81,7 @@ class Inspected:
     rank: int | None  # None unless distributed
     schedule: Schedule
     report: ExecutionReport | None = None
+    holds: dict[str, RegionSizes] | None = None  # the rank's, if distributed
 
 
 @dataclass
@@ -125,8 +133,8 @@ def run_config(cfg: RunConfig, cache: ScheduleCache | None = None,
                 datasets[name].values[:] = values
             result.inspect_seconds += sum(vr.schedule.stats.total_s
                                           for vr in dist.ranks)
-            ran = [Inspected(sc, vr.rank, vr.schedule, vr.report)
-                   for vr in dist.ranks]
+            ran = [Inspected(sc, vr.rank, vr.schedule, vr.report,
+                             vr.local_mesh.sizes) for vr in dist.ranks]
         else:
             sub = chain.subchain(sc.start, sc.stop)
             schedule, inspected = cache.get_or_inspect(sub, sc.tile_size, cfg.mode)
@@ -175,27 +183,10 @@ def compare_values(reference: dict[str, np.ndarray], got: dict[str, np.ndarray],
     return diffs
 
 
-def write_values(path: str, values: dict[str, np.ndarray]) -> None:
-    """Line-oriented dump (dataset element value) for external diffing."""
-    if os.path.dirname(path):
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-    with open(path, "w") as fh:
-        for name in sorted(values):
-            for i, v in enumerate(values[name].tolist()):
-                fh.write(f"{name} {i} {v:.17g}\n")
-
-
 def verify_config(cfg: RunConfig, cache: ScheduleCache | None = None) -> RunResult:
-    """Run tiled and untiled, raise VerificationError on any mismatch.
-
-    With a configured report path, both runs' values are dumped next to it
-    so external tools can diff them.
-    """
+    """Run tiled and untiled, raise VerificationError on any mismatch."""
     result = run_config(cfg, cache)
     reference = reference_values(cfg, result.mesh)
-    if cfg.report_path:
-        write_values(cfg.report_path + ".tiled", result.values)
-        write_values(cfg.report_path + ".untiled", reference)
     diffs = compare_values(reference, result.values)
     if diffs:
         listing = "; ".join(
@@ -212,7 +203,7 @@ def inspect_only(cfg: RunConfig) -> list[Inspected]:
     """
     mesh = build_mesh(cfg)
     if cfg.mode is ExecMode.DISTRIBUTED:
-        return [Inspected(sc, vr.rank, vr.schedule)
+        return [Inspected(sc, vr.rank, vr.schedule, holds=vr.local_mesh.sizes)
                 for sc in cfg.fusion
                 for vr in setup_ranks(mesh, _sub_problem(cfg.problem, sc),
                                       cfg.nranks, sc.tile_size, cfg.depth)]
@@ -274,6 +265,8 @@ def schedule_record(entry: Inspected) -> dict:
         "ts": sc.tile_size,
         "mode": schedule.mode.value,
         "rank": entry.rank,
+        "holds": None if entry.holds is None else {
+            space: dataclasses.asdict(sizes) for space, sizes in entry.holds.items()},
         "tiles": {r.name.lower(): sum(t.region is r for t in schedule.tiles)
                   for r in Region},
         "colors": len(schedule.color_order),

@@ -27,7 +27,7 @@ each loop line reads ``<space> <kernel> <mode>@<map|->:<dataset>, ...``.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .chain import AccessMode
 from .errors import DepthExceededError
@@ -65,7 +65,6 @@ class RunConfig:
     fusion: tuple[SubChain, ...]
     report_path: str | None = None
     vtk_path: str | None = None
-    source: str = field(default="<memory>", compare=False)
 
     @property
     def fused_stop(self) -> int:
@@ -139,7 +138,9 @@ def _parse_explicit_problem(parser: configparser.ConfigParser) -> Problem:
                 if MAPS[map_name][0] != space:
                     raise ConfigError(f"[loops] {key}: map {map_name!r} starts "
                                       f"on {MAPS[map_name][0]!r}, not {space!r}")
-            accesses.append(AccessSpec(map_name, AccessMode.parse(mode_text), dataset))
+            # configparser lowercases the [datasets] names this refers to
+            accesses.append(AccessSpec(map_name, AccessMode.parse(mode_text),
+                                       dataset.lower()))
         loops.append(LoopSpec(space, kernel, tuple(accesses)))
     if not parser.has_section("datasets"):
         raise ConfigError("explicit chains need a [datasets] section")
@@ -201,5 +202,5 @@ def parse_config(path: str) -> RunConfig:
         depth=depth, mode=mode, tile_size=tile_size, nranks=nranks,
         fusion=fusion,
         report_path=parser.get("output", "report", fallback=None),
-        vtk_path=vtk_path, source=path,
+        vtk_path=vtk_path,
     )

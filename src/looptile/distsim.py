@@ -3,13 +3,14 @@
 Each rank gets a local mesh, chain, datasets and schedule.  All halo traffic
 for one chain execution happens in a single exchange: staging snapshots every
 owner's values before any rank computes, and each rank commits its incoming
-buffers between its core and boundary phases.  Core tiles therefore run
-against stale halos, exactly the contract they must satisfy.
+buffers between its core and boundary phases.  Until that commit every halo
+slot holds ``POISON``, so a core tile that read one would spread it into the
+gathered values and fail verification.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +22,8 @@ from .inspector import ExecMode, Schedule, inspect_chain
 from .mesh import Mesh
 from .partition import LocalMesh, partition_for_ranks
 from .problems import Problem, local_setup
+
+POISON = 1e30  # every halo slot's value until the exchange commits
 
 
 class HaloEndpoint:
@@ -128,7 +131,6 @@ class VirtualRank:
 class DistributedResult:
     datasets: dict[str, np.ndarray]  # gathered, in global numbering
     ranks: list[VirtualRank]
-    reports: list[ExecutionReport] = field(default_factory=list)
 
     @property
     def exchange_counts(self) -> list[int]:
@@ -177,14 +179,13 @@ def gather(mesh: Mesh, problem: Problem, ranks: list[VirtualRank]) -> dict[str, 
 
 
 def setup_ranks(mesh: Mesh, problem: Problem, nranks: int, ts: int, depth: int,
-                poison_halo: bool = False,
                 initial: dict[str, np.ndarray] | None = None) -> list[VirtualRank]:
     """Partition, set up and inspect every rank's local chain; run nothing.
 
-    ``poison_halo`` overwrites halo slots to prove no core tile depends on
-    them; ``initial`` replaces the problem's dataset initializers with given
-    global arrays (for chaining sub-chains).  The endpoints are linked to
-    each other, with no exchange begun.
+    ``initial`` replaces the problem's dataset initializers with given global
+    arrays (for chaining sub-chains).  Every slot past a rank's owned
+    elements then holds ``POISON``.  The endpoints are linked to each other,
+    with no exchange begun.
     """
     local_meshes = partition_for_ranks(mesh, nranks, depth)
     exchanged = exchanged_dataset_names(problem)
@@ -198,10 +199,9 @@ def setup_ranks(mesh: Mesh, problem: Problem, nranks: int, ts: int, depth: int,
                 k = ds.values_per_element
                 gids = lm.global_ids[ds.space.name]
                 ds.values.reshape(-1, k)[:] = initial[name].reshape(-1, k)[gids]
-        if poison_halo:
-            for ds in datasets.values():
-                owned = lm.sizes[ds.space.name].owned_total
-                ds.values[owned * ds.values_per_element:] = 1e30
+        for ds in datasets.values():
+            owned = lm.sizes[ds.space.name].owned_total
+            ds.values[owned * ds.values_per_element:] = POISON
         schedule = inspect_chain(chain, ts, ExecMode.DISTRIBUTED)
         endpoint = HaloEndpoint(lm, datasets, exchanged)
         endpoints.append(endpoint)
@@ -216,26 +216,21 @@ def setup_ranks(mesh: Mesh, problem: Problem, nranks: int, ts: int, depth: int,
 
 def run_distributed(mesh: Mesh, problem: Problem, nranks: int, ts: int,
                     depth: int, registry: KernelRegistry,
-                    poison_halo: bool = False,
                     initial: dict[str, np.ndarray] | None = None) -> DistributedResult:
     """Partition, inspect and execute on N virtual ranks, then gather.
 
     One halo exchange serves the whole chain execution: staging precedes all
     computation, each rank commits between its core and boundary phases.
-    ``poison_halo`` and ``initial`` are passed to ``setup_ranks``.
+    ``initial`` is passed to ``setup_ranks``.
     """
-    ranks = setup_ranks(mesh, problem, nranks, ts, depth, poison_halo, initial)
+    ranks = setup_ranks(mesh, problem, nranks, ts, depth, initial)
     endpoints = [vr.endpoint for vr in ranks]
     check_exchange_symmetry(endpoints)
     for e in endpoints:
         e.begin()  # snapshot owners before anything runs
 
-    reports = []
     for vr in ranks:
         vr.report = execute_schedule(vr.schedule, vr.chain, vr.bindings,
                                      vr.datasets, registry,
                                      exchange=vr.endpoint)
-        reports.append(vr.report)
-
-    gathered = gather(mesh, problem, ranks)
-    return DistributedResult(datasets=gathered, ranks=ranks, reports=reports)
+    return DistributedResult(datasets=gather(mesh, problem, ranks), ranks=ranks)

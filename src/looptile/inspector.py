@@ -20,6 +20,7 @@ import numpy as np
 from .chain import (InverseMap, IterationSpace, Loop, LoopChain, MeshMap,
                     Region, invert_map)
 from .errors import ColoringLimitError, InspectionError
+from .mesh import sorted_distinct
 
 NO_TILE = -1
 _EMPTY = np.empty(0, dtype=np.int64)
@@ -159,7 +160,7 @@ def seed_adjacency(seed: np.ndarray, n_tiles: int,
         return adjacency
     owner = np.repeat(seed, seed_map.arity)
     # distinct (target, tile) touches, sorted by target then tile
-    touches = np.unique(seed_map.values.reshape(-1) * n_tiles + owner)
+    touches = sorted_distinct(seed_map.values.reshape(-1) * n_tiles + owner)
     target, tile = touches // n_tiles, touches % n_tiles
     first, second = [], []
     step = 1
@@ -171,7 +172,7 @@ def seed_adjacency(seed: np.ndarray, n_tiles: int,
         second.append(tile[step:][same])
         step += 1
     if first:
-        pairs = np.unique(np.concatenate(first) * n_tiles + np.concatenate(second))
+        pairs = sorted_distinct(np.concatenate(first) * n_tiles + np.concatenate(second))
         for a, b in zip((pairs // n_tiles).tolist(), (pairs % n_tiles).tolist()):
             adjacency[a].add(b)
             adjacency[b].add(a)
@@ -436,7 +437,7 @@ def inspect_chain(chain: LoopChain, ts: int, mode: ExecMode) -> Schedule:
 
         # only same-colored tiles conflict, so unique colors (always so in
         # sequential and distributed modes) skip the conflict scans
-        shared = len(np.unique(colors)) < len(colors)
+        shared = len(sorted_distinct(colors)) < len(colors)
         conflicts: set[tuple[int, int]] | None = set() if shared else None
         phi: dict[str, np.ndarray] = {}
         sigmas = [seed]

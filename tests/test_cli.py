@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +16,8 @@ from looptile.config import ConfigError, SubChain, parse_config
 from looptile.errors import DepthExceededError, VerificationError
 from looptile.executor import execute_schedule
 from looptile.inspector import ExecMode, compute_local_maps, inspect_chain
-from looptile.mesh import generate_rect_mesh
+from looptile.mesh import generate_rect_mesh, rcm_renumber
+from looptile.partition import partition_for_ranks
 from looptile.problems import (FIG2, AccessSpec, DatasetSpec, LoopSpec,
                                Problem, global_setup)
 from looptile.vtk import export_vtk, parse_vtk
@@ -155,9 +159,20 @@ def test_inspect_only_shows_the_schedules_run_executes(tmp_path, mode):
             == [e.schedule.serialize() for e in ran])
     assert ([(e.subchain, e.rank) for e in inspected]
             == [(e.subchain, e.rank) for e in ran])
+    records = [schedule_record(e) for e in inspected]
     if mode == "distributed":
         assert [e.rank for e in inspected] == [0, 1, 2] * 2
         assert all(e.schedule.mode is ExecMode.DISTRIBUTED for e in inspected)
+        local_meshes = partition_for_ranks(
+            rcm_renumber(generate_rect_mesh(8, 4)), 3, cfg.depth)
+        for entry, record in zip(inspected, records):
+            sizes = local_meshes[entry.rank].sizes
+            assert entry.holds == sizes
+            assert record["holds"] == {
+                space: {"core": s.core, "owned": s.owned, "exec": s.exec,
+                        "nonexec": s.nonexec} for space, s in sizes.items()}
+    else:
+        assert all(record["holds"] is None for record in records)
 
 
 def test_unfused_tail_loops_run_untiled(tmp_path):
@@ -409,6 +424,14 @@ def test_bad_names_in_explicit_chain_are_config_errors(tmp_path, capsys,
     assert "Traceback" not in err
 
 
+def test_dataset_names_are_case_insensitive(tmp_path, capsys):
+    # configparser lowercases [datasets] names; accesses must match them
+    body = EXPLICIT_INI.format(loops=GOOD_LOOPS.replace(":edge_w", ":Edge_w"))
+    path = write_config(tmp_path, body.replace("edge_w = ", "Edge_W = "))
+    assert main(["verify", path]) == 0
+    assert _records(capsys.readouterr().out)[0]["verify"] == "pass"
+
+
 def test_run_writes_the_vtk_of_the_schedule_it_executed(tmp_path, monkeypatch):
     import looptile.cli as cli
 
@@ -440,17 +463,6 @@ def test_vtk_output_in_distributed_mode_is_a_config_error(tmp_path, capsys,
     assert err.startswith("config error: [output] vtk")
     assert len(err.splitlines()) == 1
     assert not (tmp_path / "d.vtk").exists()
-
-
-def test_verify_dumps_both_runs_for_external_diffing(tmp_path):
-    report = tmp_path / "verify.txt"
-    cfg = parse_config(write_config(tmp_path, FIG2_INI.format(
-        mode="shared", ts=16, extra=f"\n[output]\nreport = {report}")))
-    verify_config(cfg)
-    tiled = (tmp_path / "verify.txt.tiled").read_text().splitlines()
-    untiled = (tmp_path / "verify.txt.untiled").read_text().splitlines()
-    assert tiled == untiled
-    assert tiled[0].split()[0] == "cell_w"
 
 
 def test_recoloring_guard_trips_on_nonconvergence(monkeypatch, mesh_8x4):
@@ -547,6 +559,24 @@ def test_export_vtk_rejects_a_distributed_config(tmp_path, capsys):
 
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.ini"))
+
+
+def test_verify_leaves_numpy_ma_unimported(tmp_path):
+    # np.unique imports numpy.ma on first use, which adds to peak RSS
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    script = ("import sys\n"
+              "from looptile.cli import main\n"
+              "for path in sys.argv[1:]:\n"
+              "    assert main(['verify', path]) == 0\n"
+              "print('numpy.ma' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script, *map(str, CONFIGS)],
+                          capture_output=True, text=True, env=env,
+                          cwd=tmp_path, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=[p.name for p in CONFIGS])

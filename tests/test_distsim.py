@@ -1,23 +1,20 @@
 import dataclasses
 import gc
-import os
-import subprocess
-import sys
 import weakref
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from looptile.distsim import (HaloEndpoint, check_exchange_symmetry,
+from looptile.distsim import (POISON, HaloEndpoint, check_exchange_symmetry,
                               exchanged_dataset_names, gather, halo_exchange,
-                              run_distributed)
+                              run_distributed, setup_ranks)
 from looptile.errors import DepthExceededError, PartitionBugError
 from looptile.executor import execute_schedule, execute_untiled
 from looptile.inspector import ExecMode, Region, inspect_chain
 from looptile.mesh import generate_rect_mesh, rcm_renumber
 from looptile.partition import partition_for_ranks
-from looptile.problems import FIG2, global_setup, local_setup
+from looptile.problems import (EIGHT_LOOP, FIG2, Problem, global_setup,
+                               local_setup)
 
 from conftest import dataset_values
 
@@ -67,18 +64,40 @@ def test_four_ranks_with_poisoned_halos(registry, ts):
     # by the one exchange
     mesh = rcm_renumber(generate_rect_mesh(8, 4))
     expected = serial_reference(mesh, registry)
-    result = run_distributed(mesh, FIG2, 4, ts, depth=3, registry=registry,
-                             poison_halo=True)
+    result = run_distributed(mesh, FIG2, 4, ts, depth=3, registry=registry)
     for name in expected:
         np.testing.assert_array_equal(result.datasets[name], expected[name])
+
+
+@pytest.mark.parametrize("with_initial", [False, True])
+def test_every_halo_slot_is_poisoned_before_the_exchange(with_initial):
+    mesh = rcm_renumber(generate_rect_mesh(8, 4))
+    problem = Problem("eight[0:4]", EIGHT_LOOP.loops[:4], EIGHT_LOOP.datasets)
+    initial = None
+    if with_initial:
+        _, datasets, _ = global_setup(mesh, problem, 4)
+        initial = {name: np.arange(len(ds.values), dtype=float) + 1.0
+                   for name, ds in datasets.items()}
+    ranks = setup_ranks(mesh, problem, 4, 8, 4, initial=initial)
+    for vr in ranks:
+        for name, ds in vr.datasets.items():
+            k = ds.values_per_element
+            owned = vr.local_mesh.sizes[ds.space.name].owned_total * k
+            assert len(ds.values) > owned, (vr.rank, name)
+            assert np.all(ds.values[owned:] == POISON), (vr.rank, name)
+            assert not np.any(ds.values[:owned] == POISON), (vr.rank, name)
+            if initial is not None:
+                gids = vr.local_mesh.global_ids[ds.space.name][:owned // k]
+                np.testing.assert_array_equal(
+                    ds.values[:owned], initial[name].reshape(-1, k)[gids].ravel())
 
 
 def test_reports_carry_exchange_bytes(registry):
     mesh = rcm_renumber(generate_rect_mesh(4, 2))
     result = run_distributed(mesh, FIG2, 2, 4, depth=3, registry=registry)
-    for report in result.reports:
-        assert report.bytes_exchanged > 0
-        assert set(report.phase_seconds) == {"core", "exchange_wait", "boundary"}
+    for vr in result.ranks:
+        assert vr.report.bytes_exchanged > 0
+        assert set(vr.report.phase_seconds) == {"core", "exchange_wait", "boundary"}
 
 
 def test_depth_shorter_than_chain_rejected(registry):
@@ -238,17 +257,3 @@ def test_dropped_result_frees_without_the_cycle_collector(registry):
     finally:
         gc.enable()
 
-
-def test_distributed_demo_script_matches_serial_run():
-    # the demo drives partition, poisoned halos, exchange and gather end to end
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, str(root / "scripts" / "distributed_demo.py"),
-         "--nx", "8", "--ny", "4", "--nranks", "3"],
-        capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    for spec in FIG2.datasets:
-        assert f"dataset {spec.name}: matches serial run" in proc.stdout, proc.stdout
