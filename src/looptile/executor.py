@@ -6,6 +6,18 @@ target elements' values.  Read accesses get slices of a read-only view, so a
 kernel writing through one raises ValueError; write and increment views are
 ordinary mutable numpy slices.  Tiles run color by color on the calling
 thread, and a tile reads its mapped accesses through its own local maps.
+
+A kernel may also register a batch form, which the tiled executor calls once
+per non-empty (tile, loop) with whole-list arrays of n = len(list) rows and
+k values per element: shape (n, k) for direct accesses, (n, arity, k) for
+mapped ones.  Read arguments are read-only gathered copies, write arguments
+gathered copies the executor stores back with ``values[idx] = buf``, and
+increment arguments zeroed buffers it scatters with ``np.add.at``, which
+adds in index order, so every target sums in the per-element order.  The
+batch form declares the (mode, direct or mapped) pattern it implements, and
+a loop takes it only when its descriptors match that pattern exactly and no
+dataset it writes is bound to a second argument; every other loop, and
+``execute_untiled`` always, runs the per-element body.
 """
 
 from __future__ import annotations
@@ -44,11 +56,15 @@ class Dataset:
                        self.values.copy())
 
 
+DIRECT, MAPPED = "direct", "mapped"
+
+
 class KernelRegistry:
-    """Kernel bodies by id; an id registers once."""
+    """Kernel bodies by id, each with an optional batch form; an id registers once."""
 
     def __init__(self):
         self._kernels: dict[str, tuple] = {}
+        self._batches: dict[str, tuple] = {}
 
     def register(self, kernel_id: str, body, nargs: int) -> None:
         if kernel_id in self._kernels:
@@ -60,6 +76,33 @@ class KernelRegistry:
             return self._kernels[kernel_id]
         except KeyError:
             raise ExecutionError(f"kernel {kernel_id!r} not registered") from None
+
+    def register_batch(self, kernel_id: str, body, pattern) -> None:
+        """Add a batch form to a registered kernel.
+
+        ``pattern`` holds one (AccessMode, DIRECT or MAPPED) pair per
+        argument.  A mapped write is refused: its scatter-assign would
+        depend on the order of equal targets.
+        """
+        _, nargs = self.get(kernel_id)
+        if kernel_id in self._batches:
+            raise ExecutionError(f"kernel {kernel_id!r} already has a batch form")
+        pattern = tuple((AccessMode(mode), access) for mode, access in pattern)
+        if len(pattern) != nargs:
+            raise ExecutionError(f"batch form of {kernel_id!r} declares "
+                                 f"{len(pattern)} args, the kernel takes {nargs}")
+        for mode, access in pattern:
+            if access not in (DIRECT, MAPPED):
+                raise ExecutionError(f"batch form of {kernel_id!r}: access "
+                                     f"{access!r} is neither {DIRECT!r} nor {MAPPED!r}")
+            if access == MAPPED and mode is AccessMode.WRITE:
+                raise ExecutionError(f"batch form of {kernel_id!r}: a mapped "
+                                     "write has no order-free batch form")
+        self._batches[kernel_id] = (body, pattern)
+
+    def batch(self, kernel_id: str):
+        """(body, pattern) of the kernel's batch form, or None."""
+        return self._batches.get(kernel_id)
 
 
 @dataclass(frozen=True)
@@ -80,11 +123,13 @@ class ExecutionReport:
 
 
 def check_bindings(chain: LoopChain, bindings, datasets: dict[str, Dataset],
-                   registry: KernelRegistry) -> list:
-    """Validate bindings against the chain; return each loop's kernel body.
+                   registry: KernelRegistry) -> list[tuple]:
+    """Validate bindings against the chain; return each loop's kernel bodies.
 
-    Runs before anything executes, so a bad binding or an unregistered
-    kernel leaves every dataset untouched.
+    Each entry is (per-element body, batch body or None); the batch body is
+    given only where the loop matches its pattern (see the module
+    docstring).  Runs before anything executes, so a bad binding or an
+    unregistered kernel leaves every dataset untouched.
     """
     if len(bindings) != len(chain.loops):
         raise ExecutionError(
@@ -113,8 +158,25 @@ def check_bindings(chain: LoopChain, bindings, datasets: dict[str, Dataset],
             raise ExecutionError(
                 f"kernel {loop.kernel!r} takes {nargs} args, loop {loop.index} "
                 f"has {len(loop.descriptors)} descriptors")
-        bodies.append(body)
+        bodies.append((body, _batch_body(loop, binding, registry)))
     return bodies
+
+
+def _batch_body(loop: Loop, binding: KernelBinding, registry: KernelRegistry):
+    """The kernel's batch body if ``loop`` matches its pattern, else None."""
+    batch = registry.batch(loop.kernel)
+    if batch is None:
+        return None
+    body, pattern = batch
+    if pattern != tuple((d.mode, DIRECT if d.is_direct else MAPPED)
+                        for d in loop.descriptors):
+        return None
+    # gathering a dataset the loop also writes would miss the loop's own updates
+    written = [name for d, name in zip(loop.descriptors, binding.args)
+               if d.mode.writes]
+    if any(binding.args.count(name) > 1 for name in written):
+        return None
+    return body
 
 
 def _run_loop(loop: Loop, binding: KernelBinding, body, datasets: dict[str, Dataset],
@@ -150,11 +212,40 @@ def _run_loop(loop: Loop, binding: KernelBinding, body, datasets: dict[str, Data
         body(*args)
 
 
+def _run_batch(loop: Loop, binding: KernelBinding, body,
+               datasets: dict[str, Dataset], elements: np.ndarray,
+               rows_of: dict[str, np.ndarray]) -> None:
+    """Run the batch ``body`` once over all of ``elements``."""
+    args, stores = [], []
+    for d, name in zip(loop.descriptors, binding.args):
+        ds = datasets[name]
+        table = ds.values.reshape(-1, ds.values_per_element)
+        idx = elements if d.is_direct else rows_of[d.map.name].reshape(-1, d.map.arity)
+        if d.mode is AccessMode.INC:
+            buf = np.zeros(idx.shape + (ds.values_per_element,))
+        else:
+            buf = table[idx]
+        if d.mode is AccessMode.READ:
+            buf.flags.writeable = False
+        else:
+            stores.append((d.mode, table, idx, buf))
+        args.append(buf)
+    body(*args)
+    for mode, table, idx, buf in stores:
+        if mode is AccessMode.INC:
+            np.add.at(table, idx, buf)
+        else:
+            table[idx] = buf
+
+
 def execute_untiled(chain: LoopChain, bindings, datasets: dict[str, Dataset],
                     registry: KernelRegistry) -> None:
-    """The semantic reference: loops in chain order, ascending element order."""
+    """The semantic reference: loops in chain order, ascending element order.
+
+    Always per-element, even for kernels with a batch form.
+    """
     bodies = check_bindings(chain, bindings, datasets, registry)
-    for loop, binding, body in zip(chain.loops, bindings, bodies):
+    for loop, binding, (body, _) in zip(chain.loops, bindings, bodies):
         rows_of = {d.map.name: d.map.values
                    for d in loop.descriptors if not d.is_direct}
         _run_loop(loop, binding, body, datasets,
@@ -192,7 +283,8 @@ def execute_schedule(schedule: Schedule, chain: LoopChain, bindings,
     ``exchange`` is an optional endpoint whose exchange the caller has
     already begun; it must offer end() and a bytes_exchanged attribute, and
     end() runs between the core and boundary phases.  Same-colored tiles run
-    in schedule order; the non-exec tile is never executed.
+    in schedule order; the non-exec tile is never executed.  A loop with a
+    matching batch form runs as one batch call per tile.
     """
     if schedule.fingerprint != chain.fingerprint:
         raise StaleScheduleError("schedule was inspected for a different chain")
@@ -210,8 +302,13 @@ def execute_schedule(schedule: Schedule, chain: LoopChain, bindings,
         for color, work in sorted(tiles, key=lambda entry: entry[0]):
             report.tiles_per_color[color] = report.tiles_per_color.get(color, 0) + 1
             for j, elements, rows_of in work:
-                _run_loop(chain.loops[j], bindings[j], bodies[j], datasets,
-                          elements, rows_of)
+                body, batch = bodies[j]
+                if batch is not None:
+                    _run_batch(chain.loops[j], bindings[j], batch, datasets,
+                               elements, rows_of)
+                else:
+                    _run_loop(chain.loops[j], bindings[j], body, datasets,
+                              elements, rows_of)
 
     t0 = time.perf_counter()
     run_phase(phases[Region.CORE])

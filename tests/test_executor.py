@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
 
+from looptile.chain import AccessMode
+from looptile.distsim import setup_ranks
 from looptile.errors import ExecutionError, StaleScheduleError
-from looptile.executor import (KernelRegistry, execute_schedule,
-                               execute_untiled, integer_valued)
+from looptile.executor import (DIRECT, MAPPED, KernelRegistry, check_bindings,
+                               execute_schedule, execute_untiled, integer_valued)
 from looptile.inspector import ExecMode, compute_local_maps, inspect_chain
 from looptile.mesh import generate_rect_mesh
-from looptile.problems import FIG2, global_setup
+from looptile.problems import (FIG2, INC_PATTERN, READ_PATTERN, AccessSpec,
+                               DatasetSpec, LoopSpec, Problem, global_setup)
 
 from conftest import assert_values_equal, dataset_values
+
+R, W, I = AccessMode.READ, AccessMode.WRITE, AccessMode.INC
 
 
 def ones_inputs(datasets):
@@ -23,6 +28,81 @@ def test_duplicate_kernel_registration_rejected():
     registry.register("k", lambda a: None, 1)
     with pytest.raises(ExecutionError, match="already registered"):
         registry.register("k", lambda a: None, 1)
+
+
+def test_register_batch_contract():
+    registry = KernelRegistry()
+    registry.register("k", lambda a, b: None, 2)
+    body = registry.get("k")
+    with pytest.raises(ExecutionError, match="not registered"):
+        registry.register_batch("nosuch", lambda a, b: None, INC_PATTERN)
+    with pytest.raises(ExecutionError, match="mapped write"):
+        registry.register_batch("k", lambda a, b: None, ((R, DIRECT), (W, MAPPED)))
+    with pytest.raises(ExecutionError, match="declares 1 args"):
+        registry.register_batch("k", lambda a: None, ((R, DIRECT),))
+    with pytest.raises(ExecutionError, match="neither"):
+        registry.register_batch("k", lambda a, b: None, ((R, DIRECT), (I, "m")))
+    assert registry.batch("k") is None
+    registry.register_batch("k", lambda a, b: None, INC_PATTERN)
+    with pytest.raises(ExecutionError, match="already has a batch form"):
+        registry.register_batch("k", lambda a, b: None, INC_PATTERN)
+    # the per-element entry is untouched
+    assert registry.get("k") == body
+
+
+def _edge_chain(out_mode):
+    """FIG2's first and last loops, edge_read's output bound in ``out_mode``."""
+    problem = Problem("edge_pair", (
+        FIG2.loops[0],
+        LoopSpec("edges", "edge_read", (AccessSpec(None, out_mode, "edge_out"),
+                                        AccessSpec("e2v", R, "vertex_acc")))),
+        FIG2.datasets)
+    return global_setup(generate_rect_mesh(4, 3), problem, depth=2)
+
+
+@pytest.mark.parametrize("out_mode,batched", [(W, True), (I, False)])
+def test_batch_form_applies_only_to_its_exact_pattern(registry, out_mode, batched):
+    # an increment-bound output would meet a zeroed buffer, where the
+    # per-element body overwrites the live value
+    chain, datasets, bindings = _edge_chain(out_mode)
+    datasets["edge_out"].values[:] = 5.0
+    bodies = check_bindings(chain, bindings, datasets, registry)
+    assert bodies[0][1] is not None
+    assert (bodies[1][1] is not None) == batched
+
+    expected = {n: ds.copy() for n, ds in datasets.items()}
+    execute_untiled(chain, bindings, expected, registry)
+    schedule = inspect_chain(chain, 5, ExecMode.SHARED)
+    execute_schedule(schedule, chain, bindings, datasets, registry)
+    assert_values_equal(dataset_values(expected), dataset_values(datasets))
+
+
+def test_dataset_written_and_read_in_one_loop_runs_per_element(mesh_8x4):
+    # cell c reads vertex values that cells before it in the same loop have
+    # already incremented; a gathered copy would miss those updates
+    def spread(src, dst):
+        total = src[0] + src[1] + src[2]
+        for v in dst:
+            v += total
+
+    def spread_batch(src, dst):
+        dst += src.sum(axis=1, keepdims=True)
+
+    registry = KernelRegistry()
+    registry.register("spread", spread, 2)
+    registry.register_batch("spread", spread_batch, ((R, MAPPED), (I, MAPPED)))
+    problem = Problem("aliased", (
+        LoopSpec("cells", "spread", (AccessSpec("c2v", R, "v"),
+                                     AccessSpec("c2v", I, "v"))),),
+        (DatasetSpec("v", "verts", 1, "ramp"),))
+    chain, datasets, bindings = global_setup(mesh_8x4, problem, depth=1)
+    assert check_bindings(chain, bindings, datasets, registry)[0][1] is None
+
+    expected = {n: ds.copy() for n, ds in datasets.items()}
+    execute_untiled(chain, bindings, expected, registry)
+    execute_schedule(inspect_chain(chain, 10_000, ExecMode.SEQUENTIAL),
+                     chain, bindings, datasets, registry)
+    assert_values_equal(dataset_values(expected), dataset_values(datasets))
 
 
 def test_untiled_hand_check_on_unit_mesh(registry):
@@ -114,6 +194,50 @@ def test_kernel_invocations_match_executable_list_lengths(mesh_8x4):
     assert all(len(tne.iteration_lists[j]) == 0 for j in range(3))
 
 
+def _counting_registry(counts):
+    """Preset pattern kernels that count per-element and batch calls."""
+    registry = KernelRegistry()
+    for kernel_id, pattern in (("edge_inc", INC_PATTERN), ("cell_inc", INC_PATTERN),
+                               ("edge_read", READ_PATTERN)):
+        def tick(*args, key=kernel_id):
+            counts[key] = counts.get(key, 0) + 1
+
+        def batch_tick(*args, key=kernel_id):
+            counts[key, "batch"] = counts.get((key, "batch"), 0) + 1
+            counts[key, "rows"] = counts.get((key, "rows"), 0) + len(args[0])
+
+        registry.register(kernel_id, tick, 2)
+        registry.register_batch(kernel_id, batch_tick, pattern)
+    return registry
+
+
+@pytest.mark.parametrize("distributed", [False, True])
+def test_one_batch_call_per_nonempty_tile_loop(mesh_8x4, distributed):
+    if distributed:
+        # a rank's schedule, whose non-exec tile holds iterations
+        vr = setup_ranks(mesh_8x4, FIG2, 2, 5, depth=3)[0]
+        schedule, chain, bindings, datasets = (vr.schedule, vr.chain,
+                                               vr.bindings, vr.datasets)
+        assert any(len(lst) for lst in schedule.nonexec_tile.iteration_lists.values())
+    else:
+        chain, datasets, bindings = global_setup(mesh_8x4, FIG2, depth=3)
+        schedule = inspect_chain(chain, 7, ExecMode.SHARED)
+    counts = {}
+    registry = _counting_registry(counts)
+    execute_schedule(schedule, chain, bindings, datasets, registry)
+    for j, loop in enumerate(chain.loops):
+        lists = [t.iteration_lists[j] for t in schedule.executable_tiles()]
+        assert counts[loop.kernel, "batch"] == sum(1 for lst in lists if len(lst))
+        assert counts[loop.kernel, "rows"] == sum(len(lst) for lst in lists)
+        assert loop.kernel not in counts  # no per-element call
+
+    # the untiled oracle never takes a batch form
+    counts.clear()
+    execute_untiled(chain, bindings, datasets, registry)
+    assert counts == {loop.kernel: loop.space.executable_size
+                      for loop in chain.loops}
+
+
 def test_stale_schedule_rejected(registry):
     mesh_a = generate_rect_mesh(2, 2)
     mesh_b = generate_rect_mesh(3, 2)
@@ -136,21 +260,31 @@ def test_missing_binding_rejected(registry):
 
 @pytest.mark.parametrize("tiled", [False, True])
 def test_unregistered_kernel_leaves_datasets_unchanged(tiled, mesh_8x4):
-    # the third loop's kernel is missing: nothing may run, not even loops 0-1
-    registry = KernelRegistry()
-    registry.register("edge_inc", lambda x, v: None, 2)
-    registry.register("cell_inc", lambda r, v: None, 2)
-    chain, datasets, bindings = global_setup(mesh_8x4, FIG2, depth=3)
-    for ds in datasets.values():
-        ds.values[:] = np.arange(len(ds.values))
-    schedule = inspect_chain(chain, 6, ExecMode.SHARED)
-    before = dataset_values(datasets)
-    with pytest.raises(ExecutionError, match="edge_read"):
-        if tiled:
-            execute_schedule(schedule, chain, bindings, datasets, registry)
-        else:
-            execute_untiled(chain, bindings, datasets, registry)
-    assert_values_equal(before, dataset_values(datasets))
+    # the third loop's kernel is missing: nothing may run, not even loops
+    # 0-1, whose bodies would change vertex_acc on either path
+    def bump(x, verts):
+        verts[0] += 1.0
+
+    def bump_batch(x, verts):
+        verts += 1.0
+
+    for batch in (False, True):
+        registry = KernelRegistry()
+        for kernel_id in ("edge_inc", "cell_inc"):
+            registry.register(kernel_id, bump, 2)
+            if batch:
+                registry.register_batch(kernel_id, bump_batch, INC_PATTERN)
+        chain, datasets, bindings = global_setup(mesh_8x4, FIG2, depth=3)
+        for ds in datasets.values():
+            ds.values[:] = np.arange(len(ds.values))
+        schedule = inspect_chain(chain, 6, ExecMode.SHARED)
+        before = dataset_values(datasets)
+        with pytest.raises(ExecutionError, match="edge_read"):
+            if tiled:
+                execute_schedule(schedule, chain, bindings, datasets, registry)
+            else:
+                execute_untiled(chain, bindings, datasets, registry)
+        assert_values_equal(before, dataset_values(datasets))
 
 
 def test_list_changed_without_local_maps_is_stale(registry, mesh_8x4):
@@ -160,6 +294,11 @@ def test_list_changed_without_local_maps_is_stale(registry, mesh_8x4):
                 if len(t.iteration_lists[2]))
     tile.iteration_lists[2] = tile.iteration_lists[2][1:]
     before = dataset_values(datasets)
+    counts = {}
+    with pytest.raises(StaleScheduleError, match="local map"):
+        execute_schedule(schedule, chain, bindings, datasets,
+                         _counting_registry(counts))
+    assert counts == {}
     with pytest.raises(StaleScheduleError, match="local map"):
         execute_schedule(schedule, chain, bindings, datasets, registry)
     assert_values_equal(before, dataset_values(datasets))
@@ -170,18 +309,27 @@ def test_list_changed_without_local_maps_is_stale(registry, mesh_8x4):
 
 
 def test_read_views_are_immutable():
-    registry = KernelRegistry()
-
     def misbehaving(out, verts):
         verts[0][...] = 99.0
 
-    registry.register("edge_inc", lambda x, v: None, 2)
-    registry.register("cell_inc", lambda r, v: None, 2)
-    registry.register("edge_read", misbehaving, 2)
     mesh = generate_rect_mesh(1, 1)
-    chain, datasets, bindings = global_setup(mesh, FIG2, depth=3)
-    with pytest.raises(ValueError, match="read-only"):
-        execute_untiled(chain, bindings, datasets, registry)
+    for batch in (False, True):
+        registry = KernelRegistry()
+        registry.register("edge_inc", lambda x, v: None, 2)
+        registry.register("cell_inc", lambda r, v: None, 2)
+        if batch:
+            # batch read arguments are read-only gathered arrays
+            registry.register("edge_read", lambda o, v: None, 2)
+            registry.register_batch("edge_read", misbehaving, READ_PATTERN)
+        else:
+            registry.register("edge_read", misbehaving, 2)
+        chain, datasets, bindings = global_setup(mesh, FIG2, depth=3)
+        with pytest.raises(ValueError, match="read-only"):
+            if batch:
+                schedule = inspect_chain(chain, 10_000, ExecMode.SEQUENTIAL)
+                execute_schedule(schedule, chain, bindings, datasets, registry)
+            else:
+                execute_untiled(chain, bindings, datasets, registry)
 
 
 def test_integer_valued_detection():
