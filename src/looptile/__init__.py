@@ -11,8 +11,8 @@ from .chain import (AccessMode, Descriptor, InverseMap, IterationSpace, Loop,
                     invert_map)
 from .distsim import (DistributedResult, HaloEndpoint, VirtualRank, gather,
                       halo_exchange, run_distributed)
-from .executor import (DIRECT, MAPPED, Dataset, ExecutionReport, KernelBinding,
-                       KernelRegistry, execute_schedule, execute_untiled)
+from .executor import (Dataset, ExecutionReport, KernelBinding, KernelRegistry,
+                       execute_schedule, execute_untiled)
 from .inspector import (ExecMode, Schedule, Tile, assign, color_tiles,
                         compute_local_maps, inspect_chain, partition_seed,
                         project, tile_loop)

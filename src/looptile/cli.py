@@ -158,7 +158,7 @@ def run_config(cfg: RunConfig, cache: ScheduleCache | None = None,
 
 def reference_values(cfg: RunConfig, mesh: Mesh | None = None,
                      registry: KernelRegistry | None = None) -> dict[str, np.ndarray]:
-    """The untiled serial oracle for this configuration."""
+    """The unfused serial run that verify compares against."""
     registry = registry or default_registry()
     mesh = mesh if mesh is not None else build_mesh(cfg)
     chain, datasets, bindings = global_setup(mesh, cfg.problem, cfg.depth)

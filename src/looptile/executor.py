@@ -1,23 +1,26 @@
-"""Execute loop chains: an untiled reference executor and the tiled one.
+"""Execute loop chains: the unfused executor and the tiled one.
 
-Kernels are user-registered callables receiving one view per descriptor:
-direct accesses get the element's own values, mapped accesses a list of the
-target elements' values.  Read accesses get slices of a read-only view, so a
-kernel writing through one raises ValueError; write and increment views are
-ordinary mutable numpy slices.  Tiles run color by color on the calling
-thread, and a tile reads its mapped accesses through its own local maps.
+A kernel is one user-registered callable over whole iteration lists.  The
+executor calls it once per loop untiled, and once per non-empty (tile, loop)
+tiled, with one array per descriptor: for n iterations and k values per
+element, a direct access arrives as an (n, k) array and a mapped one as
+(n, arity, k).  The access mode alone defines each argument:
 
-A kernel may also register a batch form, which the tiled executor calls once
-per non-empty (tile, loop) with whole-list arrays of n = len(list) rows and
-k values per element: shape (n, k) for direct accesses, (n, arity, k) for
-mapped ones.  Read arguments are read-only gathered copies, write arguments
-gathered copies the executor stores back with ``values[idx] = buf``, and
-increment arguments zeroed buffers it scatters with ``np.add.at``, which
-adds in index order, so every target sums in the per-element order.  The
-batch form declares the (mode, direct or mapped) pattern it implements, and
-a loop takes it only when its descriptors match that pattern exactly and no
-dataset it writes is bound to a second argument; every other loop, and
-``execute_untiled`` always, runs the per-element body.
+- read: a gathered copy, read-only, so a kernel writing to it raises
+  ValueError;
+- write: a gathered copy that the executor stores back with
+  ``values[idx] = buf``;
+- increment: a zeroed buffer that the executor adds back with ``np.add.at``,
+  which adds in index order, so every target sums its contributions in
+  element order.
+
+So a loop that binds ``edge_read``'s output as an increment adds the sum to
+the output instead of overwriting it.  ``check_bindings`` rejects what this
+contract cannot run in any order: a mapped write, whose stores to equal
+targets would race, and a dataset that a loop writes or increments bound to
+a second argument, whose gathered copy would miss the loop's own updates.
+Tiles run color by color on the calling thread, and a tile reads its mapped
+accesses through its own local maps.
 """
 
 from __future__ import annotations
@@ -56,15 +59,11 @@ class Dataset:
                        self.values.copy())
 
 
-DIRECT, MAPPED = "direct", "mapped"
-
-
 class KernelRegistry:
-    """Kernel bodies by id, each with an optional batch form; an id registers once."""
+    """Kernel bodies by id; an id registers once."""
 
     def __init__(self):
         self._kernels: dict[str, tuple] = {}
-        self._batches: dict[str, tuple] = {}
 
     def register(self, kernel_id: str, body, nargs: int) -> None:
         if kernel_id in self._kernels:
@@ -76,33 +75,6 @@ class KernelRegistry:
             return self._kernels[kernel_id]
         except KeyError:
             raise ExecutionError(f"kernel {kernel_id!r} not registered") from None
-
-    def register_batch(self, kernel_id: str, body, pattern) -> None:
-        """Add a batch form to a registered kernel.
-
-        ``pattern`` holds one (AccessMode, DIRECT or MAPPED) pair per
-        argument.  A mapped write is refused: its scatter-assign would
-        depend on the order of equal targets.
-        """
-        _, nargs = self.get(kernel_id)
-        if kernel_id in self._batches:
-            raise ExecutionError(f"kernel {kernel_id!r} already has a batch form")
-        pattern = tuple((AccessMode(mode), access) for mode, access in pattern)
-        if len(pattern) != nargs:
-            raise ExecutionError(f"batch form of {kernel_id!r} declares "
-                                 f"{len(pattern)} args, the kernel takes {nargs}")
-        for mode, access in pattern:
-            if access not in (DIRECT, MAPPED):
-                raise ExecutionError(f"batch form of {kernel_id!r}: access "
-                                     f"{access!r} is neither {DIRECT!r} nor {MAPPED!r}")
-            if access == MAPPED and mode is AccessMode.WRITE:
-                raise ExecutionError(f"batch form of {kernel_id!r}: a mapped "
-                                     "write has no order-free batch form")
-        self._batches[kernel_id] = (body, pattern)
-
-    def batch(self, kernel_id: str):
-        """(body, pattern) of the kernel's batch form, or None."""
-        return self._batches.get(kernel_id)
 
 
 @dataclass(frozen=True)
@@ -123,13 +95,12 @@ class ExecutionReport:
 
 
 def check_bindings(chain: LoopChain, bindings, datasets: dict[str, Dataset],
-                   registry: KernelRegistry) -> list[tuple]:
-    """Validate bindings against the chain; return each loop's kernel bodies.
+                   registry: KernelRegistry) -> list:
+    """Validate bindings against the chain; return each loop's kernel body.
 
-    Each entry is (per-element body, batch body or None); the batch body is
-    given only where the loop matches its pattern (see the module
-    docstring).  Runs before anything executes, so a bad binding or an
-    unregistered kernel leaves every dataset untouched.
+    Runs before anything executes, so a bad binding, an unregistered kernel,
+    a mapped write or an aliased written dataset (see the module docstring)
+    leaves every dataset untouched.
     """
     if len(bindings) != len(chain.loops):
         raise ExecutionError(
@@ -153,69 +124,32 @@ def check_bindings(chain: LoopChain, bindings, datasets: dict[str, Dataset],
                 raise ExecutionError(
                     f"loop {loop.index}: dataset {name!r} lives on "
                     f"{ds.space.name!r}, descriptor needs {wanted.name!r}")
+            if d.mode is AccessMode.WRITE and not d.is_direct:
+                raise ExecutionError(
+                    f"loop {loop.index}: dataset {name!r} is written through "
+                    f"map {d.map.name!r}; stores to shared targets would race")
+            if d.mode.writes and binding.args.count(name) > 1:
+                raise ExecutionError(
+                    f"loop {loop.index}: dataset {name!r} is written and bound "
+                    "to a second argument")
         body, nargs = registry.get(loop.kernel)
         if nargs != len(loop.descriptors):
             raise ExecutionError(
                 f"kernel {loop.kernel!r} takes {nargs} args, loop {loop.index} "
                 f"has {len(loop.descriptors)} descriptors")
-        bodies.append((body, _batch_body(loop, binding, registry)))
+        bodies.append(body)
     return bodies
-
-
-def _batch_body(loop: Loop, binding: KernelBinding, registry: KernelRegistry):
-    """The kernel's batch body if ``loop`` matches its pattern, else None."""
-    batch = registry.batch(loop.kernel)
-    if batch is None:
-        return None
-    body, pattern = batch
-    if pattern != tuple((d.mode, DIRECT if d.is_direct else MAPPED)
-                        for d in loop.descriptors):
-        return None
-    # gathering a dataset the loop also writes would miss the loop's own updates
-    written = [name for d, name in zip(loop.descriptors, binding.args)
-               if d.mode.writes]
-    if any(binding.args.count(name) > 1 for name in written):
-        return None
-    return body
-
-
-def _run_loop(loop: Loop, binding: KernelBinding, body, datasets: dict[str, Dataset],
-              elements, rows_of: dict[str, np.ndarray]) -> None:
-    """Run ``body`` over ``elements``.
-
-    A mapped access finds its target ids in ``rows_of[map name]`` at the
-    element's position in ``elements``.  A read access slices one read-only
-    view of its dataset, taken once per call.
-    """
-    plan = []
-    for d, name in zip(loop.descriptors, binding.args):
-        ds = datasets[name]
-        values = ds.values
-        if d.mode is AccessMode.READ:
-            values = values.view()
-            values.flags.writeable = False
-        if d.is_direct:
-            plan.append((values, ds.values_per_element, None, 1))
-        else:
-            plan.append((values, ds.values_per_element,
-                         rows_of[d.map.name].tolist(), d.map.arity))
-
-    # Python ints index faster than numpy scalars
-    for pos, e in enumerate(np.asarray(elements).tolist()):
-        args = []
-        for values, k, rows, a in plan:
-            if rows is None:
-                args.append(values[e * k:(e + 1) * k])
-            else:
-                args.append([values[t * k:(t + 1) * k]
-                             for t in rows[pos * a:(pos + 1) * a]])
-        body(*args)
 
 
 def _run_batch(loop: Loop, binding: KernelBinding, body,
                datasets: dict[str, Dataset], elements: np.ndarray,
                rows_of: dict[str, np.ndarray]) -> None:
-    """Run the batch ``body`` once over all of ``elements``."""
+    """Run ``body`` once over all of ``elements``.
+
+    A mapped access takes the targets of the element at position i of
+    ``elements`` from entries i*arity .. (i+1)*arity - 1 of
+    ``rows_of[map name]``.
+    """
     args, stores = [], []
     for d, name in zip(loop.descriptors, binding.args):
         ds = datasets[name]
@@ -240,16 +174,13 @@ def _run_batch(loop: Loop, binding: KernelBinding, body,
 
 def execute_untiled(chain: LoopChain, bindings, datasets: dict[str, Dataset],
                     registry: KernelRegistry) -> None:
-    """The semantic reference: loops in chain order, ascending element order.
-
-    Always per-element, even for kernels with a batch form.
-    """
+    """The unfused baseline: one kernel call per loop, in chain order."""
     bodies = check_bindings(chain, bindings, datasets, registry)
-    for loop, binding, (body, _) in zip(chain.loops, bindings, bodies):
-        rows_of = {d.map.name: d.map.values
+    for loop, binding, body in zip(chain.loops, bindings, bodies):
+        n = loop.space.executable_size
+        rows_of = {d.map.name: d.map.values[:n * d.map.arity]
                    for d in loop.descriptors if not d.is_direct}
-        _run_loop(loop, binding, body, datasets,
-                  range(loop.space.executable_size), rows_of)
+        _run_batch(loop, binding, body, datasets, np.arange(n), rows_of)
 
 
 def _tile_work(tile: Tile, chain: LoopChain) -> list[tuple]:
@@ -283,8 +214,8 @@ def execute_schedule(schedule: Schedule, chain: LoopChain, bindings,
     ``exchange`` is an optional endpoint whose exchange the caller has
     already begun; it must offer end() and a bytes_exchanged attribute, and
     end() runs between the core and boundary phases.  Same-colored tiles run
-    in schedule order; the non-exec tile is never executed.  A loop with a
-    matching batch form runs as one batch call per tile.
+    in schedule order; the non-exec tile is never executed.  Each non-empty
+    (tile, loop) is one kernel call.
     """
     if schedule.fingerprint != chain.fingerprint:
         raise StaleScheduleError("schedule was inspected for a different chain")
@@ -302,13 +233,8 @@ def execute_schedule(schedule: Schedule, chain: LoopChain, bindings,
         for color, work in sorted(tiles, key=lambda entry: entry[0]):
             report.tiles_per_color[color] = report.tiles_per_color.get(color, 0) + 1
             for j, elements, rows_of in work:
-                body, batch = bodies[j]
-                if batch is not None:
-                    _run_batch(chain.loops[j], bindings[j], batch, datasets,
-                               elements, rows_of)
-                else:
-                    _run_loop(chain.loops[j], bindings[j], body, datasets,
-                              elements, rows_of)
+                _run_batch(chain.loops[j], bindings[j], bodies[j], datasets,
+                           elements, rows_of)
 
     t0 = time.perf_counter()
     run_phase(phases[Region.CORE])

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import AccessMode, Descriptor, IterationSpace, Loop, MeshMap, build_chain
-from .executor import DIRECT, MAPPED, Dataset, KernelBinding, KernelRegistry
+from .executor import Dataset, KernelBinding, KernelRegistry
 from .mesh import Mesh, mesh_maps, mesh_spaces
 
 
@@ -46,56 +46,30 @@ class Problem:
     datasets: tuple[DatasetSpec, ...]
 
 
+# kernels over whole iteration lists: direct (n, k), mapped (n, arity, k)
+
 def _edge_inc(x, verts):
-    verts[0] += x
-    verts[1] += x
-
-
-def _cell_inc(res, verts):
-    for v in verts:
-        v += res
-
-
-def _edge_read(out, verts):
-    out[:] = verts[0] + verts[1]
-
-
-def _cell_read(out, verts):
-    out[:] = verts[0] + verts[1] + verts[2]
-
-
-# batch forms over whole tile lists: direct (n, k), mapped (n, arity, k)
-
-def _edge_inc_batch(x, verts):
     verts[:, 0] += x
     verts[:, 1] += x
 
 
-def _cell_inc_batch(res, verts):
+def _cell_inc(res, verts):
     verts += res[:, None]
 
 
-def _edge_read_batch(out, verts):
+def _edge_read(out, verts):
     out[:] = verts[:, 0] + verts[:, 1]
 
 
-def _cell_read_batch(out, verts):
+def _cell_read(out, verts):
     out[:] = verts[:, 0] + verts[:, 1] + verts[:, 2]
-
-
-INC_PATTERN = ((AccessMode.READ, DIRECT), (AccessMode.INC, MAPPED))
-READ_PATTERN = ((AccessMode.WRITE, DIRECT), (AccessMode.READ, MAPPED))
 
 
 def default_registry() -> KernelRegistry:
     registry = KernelRegistry()
-    for kernel_id, body, batch, pattern in (
-            ("edge_inc", _edge_inc, _edge_inc_batch, INC_PATTERN),
-            ("cell_inc", _cell_inc, _cell_inc_batch, INC_PATTERN),
-            ("edge_read", _edge_read, _edge_read_batch, READ_PATTERN),
-            ("cell_read", _cell_read, _cell_read_batch, READ_PATTERN)):
+    for kernel_id, body in (("edge_inc", _edge_inc), ("cell_inc", _cell_inc),
+                            ("edge_read", _edge_read), ("cell_read", _cell_read)):
         registry.register(kernel_id, body, 2)
-        registry.register_batch(kernel_id, batch, pattern)
     return registry
 
 

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from looptile.executor import KernelRegistry
 from looptile.mesh import generate_rect_mesh, rcm_renumber
 from looptile.problems import FIG2, default_registry, global_setup
 
@@ -14,15 +13,6 @@ def registry():
 @pytest.fixture
 def mesh_8x4():
     return rcm_renumber(generate_rect_mesh(8, 4))
-
-
-def per_element_registry():
-    """The preset kernels' per-element bodies, without their batch forms."""
-    base = default_registry()
-    registry = KernelRegistry()
-    for kernel_id in ("edge_inc", "cell_inc", "edge_read", "cell_read"):
-        registry.register(kernel_id, *base.get(kernel_id))
-    return registry
 
 
 def fresh_fig2(mesh, depth=3):

@@ -1,4 +1,4 @@
-"""Batch kernels against the per-element path and the untiled oracle."""
+"""Whole-list kernels against the per-element reference executor."""
 
 import json
 
@@ -9,16 +9,16 @@ from hypothesis import strategies as st
 
 import looptile.executor as executor
 from looptile.cli import main
-from looptile.distsim import run_distributed
+from looptile.distsim import check_exchange_symmetry, gather, run_distributed, setup_ranks
 from looptile.executor import execute_schedule, execute_untiled
 from looptile.inspector import ExecMode, inspect_chain
 from looptile.mesh import generate_rect_mesh, rcm_renumber
 from looptile.problems import EIGHT_LOOP, FIG2, Problem, default_registry, global_setup
 
-from conftest import dataset_values, per_element_registry
+from conftest import dataset_values
+from reference_executor import run_per_element
 
-BATCH = default_registry()
-PER_ELEMENT = per_element_registry()
+REGISTRY = default_registry()
 
 
 def assert_bitwise_equal(expected, actual):
@@ -43,17 +43,22 @@ def shared_memory_cases(draw):
 @given(shared_memory_cases())
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_batch_equals_per_element_on_float_data(case):
-    # np.add.at scatters in index order, the per-element order of each target
+    # np.add.at adds in index order, the per-element order of each target
     mesh, problem, mode, ts, seed = case
     chain, datasets, bindings = global_setup(mesh, problem, len(problem.loops))
     rng = np.random.default_rng(seed)
     for ds in datasets.values():
         ds.values[:] = rng.uniform(-1.0, 1.0, len(ds.values))
-    per_element = {name: ds.copy() for name, ds in datasets.items()}
+    runs = {kind: {name: ds.copy() for name, ds in datasets.items()}
+            for kind in ("untiled", "untiled_ref", "tiled", "tiled_ref")}
     schedule = inspect_chain(chain, ts, mode)
-    execute_schedule(schedule, chain, bindings, datasets, BATCH)
-    execute_schedule(schedule, chain, bindings, per_element, PER_ELEMENT)
-    assert_bitwise_equal(dataset_values(per_element), dataset_values(datasets))
+    execute_untiled(chain, bindings, runs["untiled"], REGISTRY)
+    run_per_element(chain, bindings, runs["untiled_ref"])
+    execute_schedule(schedule, chain, bindings, runs["tiled"], REGISTRY)
+    run_per_element(chain, bindings, runs["tiled_ref"], schedule)
+    for kind in ("untiled", "tiled"):
+        assert_bitwise_equal(dataset_values(runs[kind + "_ref"]),
+                             dataset_values(runs[kind]))
 
 
 @st.composite
@@ -68,6 +73,19 @@ def distributed_cases(draw):
             depth, draw(st.integers(0, 2**32 - 1)))
 
 
+def per_element_distributed(mesh, problem, nranks, ts, depth, initial):
+    """``run_distributed`` with every rank's schedule run by the reference."""
+    ranks = setup_ranks(mesh, problem, nranks, ts, depth, initial)
+    endpoints = [vr.endpoint for vr in ranks]
+    check_exchange_symmetry(endpoints)
+    for e in endpoints:
+        e.begin()
+    for vr in ranks:
+        run_per_element(vr.chain, vr.bindings, vr.datasets, vr.schedule,
+                        exchange=vr.endpoint)
+    return gather(mesh, problem, ranks)
+
+
 @given(distributed_cases())
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_distributed_batch_run_matches_per_element_and_oracle(case):
@@ -77,14 +95,13 @@ def test_distributed_batch_run_matches_per_element_and_oracle(case):
     for ds in datasets.values():
         ds.values[:] = rng.integers(-50, 50, len(ds.values))
     initial = dataset_values(datasets)
-    batch = run_distributed(mesh, problem, nranks, ts, depth, BATCH, initial=initial)
-    per_element = run_distributed(mesh, problem, nranks, ts, depth, PER_ELEMENT,
-                                  initial=initial)
-    assert_bitwise_equal(per_element.datasets, batch.datasets)
+    batch = run_distributed(mesh, problem, nranks, ts, depth, REGISTRY, initial=initial)
+    per_element = per_element_distributed(mesh, problem, nranks, ts, depth, initial)
+    assert_bitwise_equal(per_element, batch.datasets)
     # a chain as long as its halo depth strands executable iterations on the
     # non-exec tile (ROADMAP item 1), so only deeper halos meet the oracle
     if depth > len(problem.loops):
-        execute_untiled(chain, bindings, datasets, BATCH)
+        run_per_element(chain, bindings, datasets)
         assert_bitwise_equal(dataset_values(datasets), batch.datasets)
 
 

@@ -397,6 +397,44 @@ def test_main_reports_execution_and_inspection_errors(tmp_path, capsys, loops,
     assert "Traceback" not in err
 
 
+REJECTED_INI = """
+[mesh]
+nx = 8
+ny = 4
+renumber = rcm
+
+[chain]
+depth = 1
+
+[loops]
+0 = {loop}
+
+[datasets]
+ew = edges 1 ramp
+v = verts 1 ramp
+
+[run]
+mode = {mode}
+tile_size = 4
+"""
+
+
+@pytest.mark.parametrize("mode", ["sequential", "shared", "distributed"])
+@pytest.mark.parametrize("loop,reason", [
+    ("cells cell_inc r@c2v:v, i@c2v:v", "'v' is written and bound"),
+    ("edges edge_inc r@-:ew, w@e2v:v", "'v' is written through map 'e2v'"),
+], ids=["aliased-increment", "mapped-write"])
+def test_bindings_no_order_can_run_are_config_errors(tmp_path, capsys, mode,
+                                                     loop, reason):
+    path = write_config(tmp_path, REJECTED_INI.format(loop=loop, mode=mode))
+    assert main(["verify", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: loop 0: dataset ")
+    assert reason in err
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 GOOD_LOOPS = "0 = edges edge_inc r@-:edge_w, i@e2v:vertex_acc"
 
 

@@ -4,12 +4,12 @@ import pytest
 from looptile.chain import AccessMode
 from looptile.distsim import setup_ranks
 from looptile.errors import ExecutionError, StaleScheduleError
-from looptile.executor import (DIRECT, MAPPED, KernelRegistry, check_bindings,
-                               execute_schedule, execute_untiled, integer_valued)
+from looptile.executor import (KernelRegistry, execute_schedule, execute_untiled,
+                               integer_valued)
 from looptile.inspector import ExecMode, compute_local_maps, inspect_chain
 from looptile.mesh import generate_rect_mesh
-from looptile.problems import (FIG2, INC_PATTERN, READ_PATTERN, AccessSpec,
-                               DatasetSpec, LoopSpec, Problem, global_setup)
+from looptile.problems import (FIG2, AccessSpec, DatasetSpec, LoopSpec, Problem,
+                               default_registry, global_setup)
 
 from conftest import assert_values_equal, dataset_values
 
@@ -30,24 +30,45 @@ def test_duplicate_kernel_registration_rejected():
         registry.register("k", lambda a: None, 1)
 
 
-def test_register_batch_contract():
-    registry = KernelRegistry()
-    registry.register("k", lambda a, b: None, 2)
-    body = registry.get("k")
-    with pytest.raises(ExecutionError, match="not registered"):
-        registry.register_batch("nosuch", lambda a, b: None, INC_PATTERN)
-    with pytest.raises(ExecutionError, match="mapped write"):
-        registry.register_batch("k", lambda a, b: None, ((R, DIRECT), (W, MAPPED)))
-    with pytest.raises(ExecutionError, match="declares 1 args"):
-        registry.register_batch("k", lambda a: None, ((R, DIRECT),))
-    with pytest.raises(ExecutionError, match="neither"):
-        registry.register_batch("k", lambda a, b: None, ((R, DIRECT), (I, "m")))
-    assert registry.batch("k") is None
-    registry.register_batch("k", lambda a, b: None, INC_PATTERN)
-    with pytest.raises(ExecutionError, match="already has a batch form"):
-        registry.register_batch("k", lambda a, b: None, INC_PATTERN)
-    # the per-element entry is untouched
-    assert registry.get("k") == body
+def _assert_rejected_before_any_write(mesh, loop, match):
+    """FIG2's first loop, then ``loop``: every run raises and changes nothing."""
+    def spread(src, dst):
+        dst += src.sum(axis=1, keepdims=True)
+
+    def scatter(x, verts):
+        verts[:] = x[:, None]
+
+    registry = default_registry()
+    registry.register("spread", spread, 2)
+    registry.register("scatter", scatter, 2)
+    problem = Problem("rejected", (FIG2.loops[0], loop), FIG2.datasets + (
+        DatasetSpec("v", "verts", 1, "ramp"), DatasetSpec("ew", "edges", 1, "ramp")))
+    chain, datasets, bindings = global_setup(mesh, problem, depth=2)
+    before = dataset_values(datasets)
+    with pytest.raises(ExecutionError, match=match):
+        execute_untiled(chain, bindings, datasets, registry)
+    assert_values_equal(before, dataset_values(datasets))
+    for ts in (4, 16):
+        schedule = inspect_chain(chain, ts, ExecMode.SHARED)
+        with pytest.raises(ExecutionError, match=match):
+            execute_schedule(schedule, chain, bindings, datasets, registry)
+        assert_values_equal(before, dataset_values(datasets))
+
+
+def test_dataset_incremented_and_read_in_one_loop_rejected(mesh_8x4):
+    # cell c would read vertex values that cells before it in the same loop
+    # have already incremented; tiles would see other orders of those updates
+    loop = LoopSpec("cells", "spread", (AccessSpec("c2v", R, "v"),
+                                        AccessSpec("c2v", I, "v")))
+    _assert_rejected_before_any_write(mesh_8x4, loop, "'v' is written and bound")
+
+
+def test_mapped_write_rejected(mesh_8x4):
+    # edges sharing a vertex would each store to it; the last store wins,
+    # and which store is last depends on the tiling
+    loop = LoopSpec("edges", "scatter", (AccessSpec(None, R, "ew"),
+                                         AccessSpec("e2v", W, "v")))
+    _assert_rejected_before_any_write(mesh_8x4, loop, "'v' is written through map 'e2v'")
 
 
 def _edge_chain(out_mode):
@@ -60,48 +81,20 @@ def _edge_chain(out_mode):
     return global_setup(generate_rect_mesh(4, 3), problem, depth=2)
 
 
-@pytest.mark.parametrize("out_mode,batched", [(W, True), (I, False)])
-def test_batch_form_applies_only_to_its_exact_pattern(registry, out_mode, batched):
-    # an increment-bound output would meet a zeroed buffer, where the
-    # per-element body overwrites the live value
+@pytest.mark.parametrize("out_mode", [W, I])
+def test_edge_read_output_bound_as_write_or_increment(registry, out_mode):
+    # a write stores the vertex sum; an increment adds it to the live value
     chain, datasets, bindings = _edge_chain(out_mode)
     datasets["edge_out"].values[:] = 5.0
-    bodies = check_bindings(chain, bindings, datasets, registry)
-    assert bodies[0][1] is not None
-    assert (bodies[1][1] is not None) == batched
-
     expected = {n: ds.copy() for n, ds in datasets.items()}
     execute_untiled(chain, bindings, expected, registry)
+    pairs = chain.loops[1].descriptors[1].map.values.reshape(-1, 2)
+    vertex_sum = expected["vertex_acc"].values[pairs].sum(axis=1)
+    base = 5.0 if out_mode is I else 0.0
+    np.testing.assert_array_equal(expected["edge_out"].values, base + vertex_sum)
+
     schedule = inspect_chain(chain, 5, ExecMode.SHARED)
     execute_schedule(schedule, chain, bindings, datasets, registry)
-    assert_values_equal(dataset_values(expected), dataset_values(datasets))
-
-
-def test_dataset_written_and_read_in_one_loop_runs_per_element(mesh_8x4):
-    # cell c reads vertex values that cells before it in the same loop have
-    # already incremented; a gathered copy would miss those updates
-    def spread(src, dst):
-        total = src[0] + src[1] + src[2]
-        for v in dst:
-            v += total
-
-    def spread_batch(src, dst):
-        dst += src.sum(axis=1, keepdims=True)
-
-    registry = KernelRegistry()
-    registry.register("spread", spread, 2)
-    registry.register_batch("spread", spread_batch, ((R, MAPPED), (I, MAPPED)))
-    problem = Problem("aliased", (
-        LoopSpec("cells", "spread", (AccessSpec("c2v", R, "v"),
-                                     AccessSpec("c2v", I, "v"))),),
-        (DatasetSpec("v", "verts", 1, "ramp"),))
-    chain, datasets, bindings = global_setup(mesh_8x4, problem, depth=1)
-    assert check_bindings(chain, bindings, datasets, registry)[0][1] is None
-
-    expected = {n: ds.copy() for n, ds in datasets.items()}
-    execute_untiled(chain, bindings, expected, registry)
-    execute_schedule(inspect_chain(chain, 10_000, ExecMode.SEQUENTIAL),
-                     chain, bindings, datasets, registry)
     assert_values_equal(dataset_values(expected), dataset_values(datasets))
 
 
@@ -174,40 +167,40 @@ def test_tiled_matches_untiled_on_8x4(registry, mesh_8x4):
 
 
 def test_kernel_invocations_match_executable_list_lengths(mesh_8x4):
-    counts = [0, 0, 0]
+    rows = [0, 0, 0]
+
+    def counter(j):
+        def tick(first, _second):
+            rows[j] += len(first)
+        return tick
+
     registry = KernelRegistry()
-    registry.register("edge_inc", lambda x, v: counts.__setitem__(0, counts[0] + 1), 2)
-    registry.register("cell_inc", lambda r, v: counts.__setitem__(1, counts[1] + 1), 2)
-    registry.register("edge_read", lambda o, v: counts.__setitem__(2, counts[2] + 1), 2)
+    for j, kernel_id in enumerate(("edge_inc", "cell_inc", "edge_read")):
+        registry.register(kernel_id, counter(j), 2)
     chain, datasets, bindings = global_setup(mesh_8x4, FIG2, depth=3)
     schedule = inspect_chain(chain, 7, ExecMode.SHARED)
     execute_schedule(schedule, chain, bindings, datasets, registry)
-    for j, expected in enumerate(counts):
+    for j in range(3):
         executed = sum(len(t.iteration_lists[j])
                        for t in schedule.executable_tiles())
-        assert counts[j] == executed
+        assert rows[j] == executed
     # nothing from the non-exec tile ever ran
     tne = schedule.nonexec_tile
-    assert sum(counts) == sum(len(t.iteration_lists[j])
-                              for t in schedule.executable_tiles()
-                              for j in range(3))
+    assert sum(rows) == sum(len(t.iteration_lists[j])
+                            for t in schedule.executable_tiles()
+                            for j in range(3))
     assert all(len(tne.iteration_lists[j]) == 0 for j in range(3))
 
 
 def _counting_registry(counts):
-    """Preset pattern kernels that count per-element and batch calls."""
+    """FIG2's kernel ids, each counting its calls and the rows it was given."""
     registry = KernelRegistry()
-    for kernel_id, pattern in (("edge_inc", INC_PATTERN), ("cell_inc", INC_PATTERN),
-                               ("edge_read", READ_PATTERN)):
+    for kernel_id in ("edge_inc", "cell_inc", "edge_read"):
         def tick(*args, key=kernel_id):
-            counts[key] = counts.get(key, 0) + 1
-
-        def batch_tick(*args, key=kernel_id):
-            counts[key, "batch"] = counts.get((key, "batch"), 0) + 1
+            counts[key, "calls"] = counts.get((key, "calls"), 0) + 1
             counts[key, "rows"] = counts.get((key, "rows"), 0) + len(args[0])
 
         registry.register(kernel_id, tick, 2)
-        registry.register_batch(kernel_id, batch_tick, pattern)
     return registry
 
 
@@ -227,15 +220,16 @@ def test_one_batch_call_per_nonempty_tile_loop(mesh_8x4, distributed):
     execute_schedule(schedule, chain, bindings, datasets, registry)
     for j, loop in enumerate(chain.loops):
         lists = [t.iteration_lists[j] for t in schedule.executable_tiles()]
-        assert counts[loop.kernel, "batch"] == sum(1 for lst in lists if len(lst))
+        assert counts[loop.kernel, "calls"] == sum(1 for lst in lists if len(lst))
         assert counts[loop.kernel, "rows"] == sum(len(lst) for lst in lists)
-        assert loop.kernel not in counts  # no per-element call
 
-    # the untiled oracle never takes a batch form
+    # the unfused baseline runs each loop as one call over its executable elements
     counts.clear()
     execute_untiled(chain, bindings, datasets, registry)
-    assert counts == {loop.kernel: loop.space.executable_size
-                      for loop in chain.loops}
+    assert counts == {key: value for loop in chain.loops
+                      for key, value in (((loop.kernel, "calls"), 1),
+                                         ((loop.kernel, "rows"),
+                                          loop.space.executable_size))}
 
 
 def test_stale_schedule_rejected(registry):
@@ -261,30 +255,24 @@ def test_missing_binding_rejected(registry):
 @pytest.mark.parametrize("tiled", [False, True])
 def test_unregistered_kernel_leaves_datasets_unchanged(tiled, mesh_8x4):
     # the third loop's kernel is missing: nothing may run, not even loops
-    # 0-1, whose bodies would change vertex_acc on either path
+    # 0-1, whose bodies would change vertex_acc
     def bump(x, verts):
-        verts[0] += 1.0
-
-    def bump_batch(x, verts):
         verts += 1.0
 
-    for batch in (False, True):
-        registry = KernelRegistry()
-        for kernel_id in ("edge_inc", "cell_inc"):
-            registry.register(kernel_id, bump, 2)
-            if batch:
-                registry.register_batch(kernel_id, bump_batch, INC_PATTERN)
-        chain, datasets, bindings = global_setup(mesh_8x4, FIG2, depth=3)
-        for ds in datasets.values():
-            ds.values[:] = np.arange(len(ds.values))
-        schedule = inspect_chain(chain, 6, ExecMode.SHARED)
-        before = dataset_values(datasets)
-        with pytest.raises(ExecutionError, match="edge_read"):
-            if tiled:
-                execute_schedule(schedule, chain, bindings, datasets, registry)
-            else:
-                execute_untiled(chain, bindings, datasets, registry)
-        assert_values_equal(before, dataset_values(datasets))
+    registry = KernelRegistry()
+    for kernel_id in ("edge_inc", "cell_inc"):
+        registry.register(kernel_id, bump, 2)
+    chain, datasets, bindings = global_setup(mesh_8x4, FIG2, depth=3)
+    for ds in datasets.values():
+        ds.values[:] = np.arange(len(ds.values))
+    schedule = inspect_chain(chain, 6, ExecMode.SHARED)
+    before = dataset_values(datasets)
+    with pytest.raises(ExecutionError, match="edge_read"):
+        if tiled:
+            execute_schedule(schedule, chain, bindings, datasets, registry)
+        else:
+            execute_untiled(chain, bindings, datasets, registry)
+    assert_values_equal(before, dataset_values(datasets))
 
 
 def test_list_changed_without_local_maps_is_stale(registry, mesh_8x4):
@@ -309,23 +297,18 @@ def test_list_changed_without_local_maps_is_stale(registry, mesh_8x4):
 
 
 def test_read_views_are_immutable():
+    # read arguments are read-only gathered arrays
     def misbehaving(out, verts):
         verts[0][...] = 99.0
 
-    mesh = generate_rect_mesh(1, 1)
-    for batch in (False, True):
-        registry = KernelRegistry()
-        registry.register("edge_inc", lambda x, v: None, 2)
-        registry.register("cell_inc", lambda r, v: None, 2)
-        if batch:
-            # batch read arguments are read-only gathered arrays
-            registry.register("edge_read", lambda o, v: None, 2)
-            registry.register_batch("edge_read", misbehaving, READ_PATTERN)
-        else:
-            registry.register("edge_read", misbehaving, 2)
-        chain, datasets, bindings = global_setup(mesh, FIG2, depth=3)
+    registry = KernelRegistry()
+    registry.register("edge_inc", lambda x, v: None, 2)
+    registry.register("cell_inc", lambda r, v: None, 2)
+    registry.register("edge_read", misbehaving, 2)
+    for tiled in (False, True):
+        chain, datasets, bindings = global_setup(generate_rect_mesh(1, 1), FIG2, depth=3)
         with pytest.raises(ValueError, match="read-only"):
-            if batch:
+            if tiled:
                 schedule = inspect_chain(chain, 10_000, ExecMode.SEQUENTIAL)
                 execute_schedule(schedule, chain, bindings, datasets, registry)
             else:
