@@ -13,9 +13,9 @@ from .distsim import (DistributedResult, HaloEndpoint, VirtualRank, gather,
                       halo_exchange, run_distributed)
 from .executor import (Dataset, ExecutionReport, KernelBinding, KernelRegistry,
                        execute_schedule, execute_untiled)
-from .inspector import (ExecMode, Schedule, Tile, assign, color_tiles,
-                        compute_local_maps, inspect_chain, partition_seed,
-                        project, tile_loop)
+from .inspector import (ExecMode, LoopTiling, Schedule, Tile, assign,
+                        build_schedule, color_tiles, compute_local_maps,
+                        inspect_chain, partition_seed, project, tile_loop)
 from .mesh import Mesh, generate_rect_mesh, rcm_renumber
 from .partition import LocalMesh, partition_for_ranks
 from .problems import PRESETS, Problem, default_registry, global_setup, local_setup

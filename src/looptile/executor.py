@@ -1,8 +1,11 @@
 """Execute loop chains: the unfused executor and the tiled one.
 
 A kernel is one user-registered callable over whole iteration lists.  The
-executor calls it once per loop untiled, and once per non-empty (tile, loop)
-tiled, with one array per descriptor: for n iterations and k values per
+executor calls it once per loop untiled, and once per step of the schedule's
+plan tiled: once per non-empty (region, color, loop), over the joined lists
+of that color's tiles, which are independent of each other.  In sequential
+and distributed modes every tile has its own color, so that is once per
+non-empty (tile, loop).  A kernel gets one array per descriptor: for n iterations and k values per
 element, a direct access arrives as an (n, k) array and a mapped one as
 (n, arity, k).  The access mode alone defines each argument:
 
@@ -19,8 +22,8 @@ the output instead of overwriting it.  ``check_bindings`` rejects what this
 contract cannot run in any order: a mapped write, whose stores to equal
 targets would race, and a dataset that a loop writes or increments bound to
 a second argument, whose gathered copy would miss the loop's own updates.
-Tiles run color by color on the calling thread, and a tile reads its mapped
-accesses through its own local maps.
+Colors run in ascending order on the calling thread, and a step reads its
+mapped accesses through the slices of the local maps that match its lists.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import numpy as np
 
 from .chain import AccessMode, IterationSpace, Loop, LoopChain, Region
 from .errors import ExecutionError, StaleScheduleError
-from .inspector import Schedule, Tile
+from .inspector import Schedule
 
 # read by bench/run.py only; nothing in the package consults it
 THREADS_ENV = "LOOPTILE_THREADS"
@@ -143,18 +146,17 @@ def check_bindings(chain: LoopChain, bindings, datasets: dict[str, Dataset],
 
 def _run_batch(loop: Loop, binding: KernelBinding, body,
                datasets: dict[str, Dataset], elements: np.ndarray,
-               rows_of: dict[str, np.ndarray]) -> None:
-    """Run ``body`` once over all of ``elements``.
+               rows_of: dict[str, np.ndarray], span: slice) -> None:
+    """Run ``body`` once over all of ``elements[span]``.
 
     A mapped access takes the targets of the element at position i of
-    ``elements`` from entries i*arity .. (i+1)*arity - 1 of
-    ``rows_of[map name]``.
+    ``elements`` from row i of ``rows_of[map name]``, an (n, arity) array.
     """
     args, stores = [], []
     for d, name in zip(loop.descriptors, binding.args):
         ds = datasets[name]
         table = ds.values.reshape(-1, ds.values_per_element)
-        idx = elements if d.is_direct else rows_of[d.map.name].reshape(-1, d.map.arity)
+        idx = (elements if d.is_direct else rows_of[d.map.name])[span]
         if d.mode is AccessMode.INC:
             buf = np.zeros(idx.shape + (ds.values_per_element,))
         else:
@@ -177,67 +179,38 @@ def execute_untiled(chain: LoopChain, bindings, datasets: dict[str, Dataset],
     """The unfused baseline: one kernel call per loop, in chain order."""
     bodies = check_bindings(chain, bindings, datasets, registry)
     for loop, binding, body in zip(chain.loops, bindings, bodies):
-        n = loop.space.executable_size
-        rows_of = {d.map.name: d.map.values[:n * d.map.arity]
+        rows_of = {d.map.name: d.map.values.reshape(-1, d.map.arity)
                    for d in loop.descriptors if not d.is_direct}
-        _run_batch(loop, binding, body, datasets, np.arange(n), rows_of)
-
-
-def _tile_work(tile: Tile, chain: LoopChain) -> list[tuple]:
-    """(loop index, elements, local maps by name) for each non-empty list."""
-    work = []
-    for j, loop in enumerate(chain.loops):
-        elements = tile.iteration_lists.get(j)
-        if elements is None or not len(elements):
-            continue
-        rows_of = {}
-        for d in loop.descriptors:
-            if d.is_direct:
-                continue
-            rows = tile.local_maps.get((j, d.map.name))
-            wanted = len(elements) * d.map.arity
-            if rows is None or len(rows) != wanted:
-                raise StaleScheduleError(
-                    f"tile {tile.id} loop {j}: local map {d.map.name!r} has "
-                    f"{0 if rows is None else len(rows)} entries, its list "
-                    f"needs {wanted}")
-            rows_of[d.map.name] = rows
-        work.append((j, elements, rows_of))
-    return work
+        _run_batch(loop, binding, body, datasets, np.arange(loop.space.total),
+                   rows_of, slice(0, loop.space.executable_size))
 
 
 def execute_schedule(schedule: Schedule, chain: LoopChain, bindings,
                      datasets: dict[str, Dataset], registry: KernelRegistry,
                      exchange=None) -> ExecutionReport:
-    """Run the tiled schedule: core tiles by color, halo wait, boundary tiles.
+    """Run the schedule's plan: core colors, halo wait, boundary colors.
 
     ``exchange`` is an optional endpoint whose exchange the caller has
     already begun; it must offer end() and a bytes_exchanged attribute, and
-    end() runs between the core and boundary phases.  Same-colored tiles run
-    in schedule order; the non-exec tile is never executed.  Each non-empty
-    (tile, loop) is one kernel call.
+    end() runs between the core and boundary phases.  Each plan step, one
+    per non-empty (region, color, loop), is one kernel call; the non-exec
+    tile is never executed.
     """
     if schedule.fingerprint != chain.fingerprint:
         raise StaleScheduleError("schedule was inspected for a different chain")
     if schedule.n_loops != len(chain.loops):
         raise StaleScheduleError("schedule loop count differs from chain")
     bodies = check_bindings(chain, bindings, datasets, registry)
-    phases = {Region.CORE: [], Region.BOUNDARY: []}
-    for t in schedule.tiles:
-        if t.region in phases:
-            phases[t.region].append((t.color, _tile_work(t, chain)))
+    report = ExecutionReport(tiles_per_color=dict(schedule.tiles_per_color))
 
-    report = ExecutionReport()
-
-    def run_phase(tiles):
-        for color, work in sorted(tiles, key=lambda entry: entry[0]):
-            report.tiles_per_color[color] = report.tiles_per_color.get(color, 0) + 1
-            for j, elements, rows_of in work:
-                _run_batch(chain.loops[j], bindings[j], bodies[j], datasets,
-                           elements, rows_of)
+    def run_phase(region):
+        for j, lo, hi in schedule.plan[region]:
+            tiling = schedule.tilings[j]
+            _run_batch(chain.loops[j], bindings[j], bodies[j], datasets,
+                       tiling.elements, tiling.rows, slice(lo, hi))
 
     t0 = time.perf_counter()
-    run_phase(phases[Region.CORE])
+    run_phase(Region.CORE)
     report.phase_seconds["core"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -247,7 +220,7 @@ def execute_schedule(schedule: Schedule, chain: LoopChain, bindings,
     report.phase_seconds["exchange_wait"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    run_phase(phases[Region.BOUNDARY])
+    run_phase(Region.BOUNDARY)
     report.phase_seconds["boundary"] = time.perf_counter() - t0
     return report
 

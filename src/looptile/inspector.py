@@ -4,26 +4,28 @@ The seed loop's iteration space is chunked into tiles; every later loop is
 scheduled onto those tiles by projecting which tile last touched each element
 and taking per-element color maxima.  Coloring conflicts discovered along the
 way trigger fake adjacency connections and a recoloring round.  The rounds
-pass plain per-element tile arrays; the tiles' iteration lists are filled
-once, after the last round.
+pass plain per-element tile arrays; after the last round each array is cut
+once into a CSR over the tiles in execution order, from which the schedule
+compiles its color-batched execution plan.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import math
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .chain import (InverseMap, IterationSpace, Loop, LoopChain, MeshMap,
                     Region, invert_map)
-from .errors import ColoringLimitError, InspectionError
+from .errors import ColoringLimitError, InspectionError, StaleScheduleError
 from .mesh import sorted_distinct
 
 NO_TILE = -1
-_EMPTY = np.empty(0, dtype=np.int64)
 
 
 class ExecMode(enum.Enum):
@@ -39,20 +41,97 @@ class ExecMode(enum.Enum):
         raise ValueError(f"unknown execution mode {token!r}")
 
 
+class _ListViews(Mapping):
+    """A scheduled tile's iteration list per loop index, as read-only views."""
+
+    def __init__(self, tile: "Tile"):
+        self._tile = tile
+
+    def __getitem__(self, j):
+        tilings, p = self._tile.tilings, self._tile.position
+        if j not in range(len(tilings)):
+            raise KeyError(j)
+        t = tilings[j]
+        return t.elements[t.bounds[p]:t.bounds[p + 1]]
+
+    def __iter__(self):
+        return iter(range(len(self._tile.tilings)))
+
+    def __len__(self):
+        return len(self._tile.tilings)
+
+
+class _LocalMapViews(Mapping):
+    """A scheduled tile's local map per (loop index, map name), flat, read-only."""
+
+    def __init__(self, tile: "Tile"):
+        self._tile = tile
+
+    def __getitem__(self, key):
+        tilings, p = self._tile.tilings, self._tile.position
+        j, name = key
+        if j not in range(len(tilings)) or name not in tilings[j].rows:
+            raise KeyError(key)
+        t = tilings[j]
+        return t.rows[name][t.bounds[p]:t.bounds[p + 1]].reshape(-1)
+
+    def __iter__(self):
+        return ((j, name) for j, t in enumerate(self._tile.tilings) for name in t.rows)
+
+    def __len__(self):
+        return sum(len(t.rows) for t in self._tile.tilings)
+
+
 @dataclass(eq=False)
 class Tile:
-    """An atomically executed unit: one iteration list per loop, plus a color."""
+    """An atomically executed unit: one iteration list per loop, plus a color.
+
+    A scheduled tile runs at execution position ``position`` of its
+    schedule's ``tilings``; ``iteration_lists`` (by loop) and ``local_maps``
+    (by (loop, map name), flat) are read-only views into them.  Before
+    scheduling both are empty.
+    """
 
     id: int
     region: Region
     color: int = -1
-    iteration_lists: dict[int, np.ndarray] = field(default_factory=dict)
-    local_maps: dict[tuple[int, str], np.ndarray] = field(default_factory=dict)
+    tilings: tuple["LoopTiling", ...] = field(default=(), repr=False)
+    position: int = -1
+
+    @property
+    def iteration_lists(self) -> Mapping[int, np.ndarray]:
+        return _ListViews(self)
+
+    @property
+    def local_maps(self) -> Mapping[tuple[int, str], np.ndarray]:
+        return _LocalMapViews(self)
+
+
+@dataclass(frozen=True, eq=False)
+class LoopTiling:
+    """One loop's tiling as a CSR over the tiles in execution order.
+
+    The tile at execution position p holds ``elements[bounds[p]:bounds[p + 1]]``
+    in ascending order, and ``rows[name][bounds[p]:bounds[p + 1]]`` holds map
+    ``name``'s rows of those elements, one row of arity targets per element.
+    The arrays are made read-only.
+    """
+
+    elements: np.ndarray
+    bounds: np.ndarray
+    rows: dict[str, np.ndarray]
+
+    def __post_init__(self):
+        for a in (self.elements, self.bounds, *self.rows.values()):
+            a.flags.writeable = False
 
 
 @dataclass
 class InspectionStats:
-    """Wall seconds per inspection phase; ``seed_s`` chunks the seed space."""
+    """Wall seconds per inspection phase; ``seed_s`` chunks the seed space.
+
+    ``local_maps_s`` also covers compiling the schedule's execution plan.
+    """
 
     seed_s: float = 0.0
     coloring_s: float = 0.0
@@ -73,17 +152,87 @@ class InspectionStats:
         return name, phases[name] / span
 
 
+_REGION_RANK = {Region.CORE: 0, Region.BOUNDARY: 1, Region.NONEXEC: 2}
+
+
 @dataclass(frozen=True, eq=False)
 class Schedule:
-    """Inspector output: populated tiles plus the color execution order."""
+    """Inspector output: the tiles, each loop's tiling and the execution plan.
+
+    Tiles run in execution order: ascending color, ties in id order.  Core
+    colors lie below boundary colors and the non-exec tile comes last, so
+    the tiles of one (region, color) hold one run of every loop's tiling.
+    Construction compiles ``plan``: per executable region, one step
+    ``(j, lo, hi)`` per non-empty (color, loop j), color by color and loop by
+    loop within a color; the step's iterations are ``tilings[j].elements[lo:hi]``.
+    Same-colored tiles are independent, so one kernel call may run all of a
+    color's iterations of a loop.  A local map whose length does not match
+    its list raises ``StaleScheduleError`` here, before anything runs.
+    """
 
     mode: ExecMode
     fingerprint: str
-    n_loops: int
     tiles: tuple[Tile, ...]
+    tilings: tuple[LoopTiling, ...]
     recolor_rounds: int
     stats: InspectionStats = field(compare=False, repr=False,
                                    default_factory=InspectionStats)
+    execution_order: np.ndarray = field(init=False, repr=False)
+    tiles_per_color: dict[int, int] = field(init=False, repr=False)
+    plan: dict[Region, list[tuple[int, int, int]]] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        n = len(self.tiles)
+        for j, tiling in enumerate(self.tilings):
+            if len(tiling.bounds) != n + 1 or tiling.bounds[-1] != len(tiling.elements):
+                raise StaleScheduleError(
+                    f"loop {j}: tiling bounds do not cut {len(tiling.elements)} "
+                    f"elements into {n} tiles")
+            for name, rows in tiling.rows.items():
+                if len(rows) != len(tiling.elements):
+                    raise StaleScheduleError(
+                        f"loop {j}: local map {name!r} has {len(rows)} rows, "
+                        f"its list needs {len(tiling.elements)}")
+
+        colors = np.array([t.color for t in self.tiles], dtype=np.int64)
+        order = execution_order(colors)
+        ordered = colors[order]
+        rank = np.array([_REGION_RANK[t.region] for t in self.tiles])[order]
+        # runs of one color along the execution order; each lies in one region
+        first = np.ones(n, dtype=bool)
+        first[1:] = ordered[1:] != ordered[:-1]
+        if np.any(rank[1:] < rank[:-1]) or np.any((rank[1:] != rank[:-1]) & ~first[1:]):
+            raise InspectionError("tile colors do not separate the regions")
+        starts = np.flatnonzero(first)
+        n_core, n_exec = np.searchsorted(rank[starts], [1, 2]).tolist()
+        edges = np.append(starts, n)[:n_exec + 1]
+
+        # per executable color g and loop j, the run [lo, hi) of j's tiling;
+        # nonzero walks (g, j) row-major, so steps go color by color
+        cuts = np.array([t.bounds[edges] for t in self.tilings]).reshape(-1, n_exec + 1)
+        lo, hi = cuts[:, :-1].T, cuts[:, 1:].T
+        g, j = np.nonzero(lo < hi)
+        steps = list(zip(j.tolist(), lo[g, j].tolist(), hi[g, j].tolist()))
+        split = int(np.searchsorted(g, n_core))
+        plan = {Region.CORE: steps[:split], Region.BOUNDARY: steps[split:]}
+        tiles_per_color = dict(zip(ordered[starts[:n_exec]].tolist(),
+                                   np.diff(edges).tolist()))
+
+        # bind the tiles to these tilings; another schedule's tiles keep theirs
+        tiles = []
+        for t, p in zip(self.tiles, np.argsort(order).tolist()):
+            if t.tilings:
+                t = dataclasses.replace(t)
+            t.tilings, t.position = self.tilings, p
+            tiles.append(t)
+        object.__setattr__(self, "tiles", tuple(tiles))
+        object.__setattr__(self, "execution_order", order)
+        object.__setattr__(self, "tiles_per_color", tiles_per_color)
+        object.__setattr__(self, "plan", plan)
+
+    @property
+    def n_loops(self) -> int:
+        return len(self.tilings)
 
     @property
     def color_order(self) -> list[int]:
@@ -97,12 +246,10 @@ class Schedule:
         return [t for t in self.tiles if t.region is not Region.NONEXEC]
 
     def tile_of(self, loop_index: int, n_elements: int) -> np.ndarray:
-        """Invert the iteration lists of one loop back into a per-element array."""
+        """Invert one loop's tiling back into a per-element tile array."""
+        tiling = self.tilings[loop_index]
         out = np.full(n_elements, NO_TILE, dtype=np.int64)
-        for t in self.tiles:
-            lst = t.iteration_lists.get(loop_index)
-            if lst is not None:
-                out[lst] = t.id
+        out[tiling.elements] = np.repeat(self.execution_order, np.diff(tiling.bounds))
         return out
 
     def serialize(self) -> bytes:
@@ -353,36 +500,66 @@ def tile_loop(loop: Loop, phi: dict[str, np.ndarray], colors: np.ndarray,
     return sigma
 
 
-def assign(sigma: np.ndarray, loop_index: int, tiles: list[Tile]) -> None:
-    """Fill every tile's iteration list of one loop, ascending per tile.
+def execution_order(colors: np.ndarray) -> np.ndarray:
+    """Tile ids in execution order: ascending color, ties in id order."""
+    return np.argsort(colors, kind="stable")
 
-    The lists are consecutive slices of one stable argsort of ``sigma``.
+
+def assign(sigma: np.ndarray, position: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cut one loop's tiling array into a CSR over the tiles in execution order.
+
+    ``position[t]`` is tile t's execution position.  Returns the loop's
+    elements, sorted by their tile's position and then ascending (one stable
+    argsort), and the bounds of each position's run.
     """
-    order = np.argsort(sigma, kind="stable")
-    bounds = np.searchsorted(sigma[order], np.arange(len(tiles) + 1))
-    for t in tiles:
-        t.iteration_lists[loop_index] = order[bounds[t.id]:bounds[t.id + 1]]
+    key = position[sigma]
+    order = np.argsort(key, kind="stable")
+    return order, np.searchsorted(key[order], np.arange(len(position) + 1))
 
 
-def compute_local_maps(tiles: list[Tile], chain: LoopChain) -> None:
-    """Restrict each map to every tile's iteration list, in list order.
+def compute_local_maps(elements: list[np.ndarray],
+                       chain: LoopChain) -> list[dict[str, np.ndarray]]:
+    """Restrict each loop's maps to that loop's elements, in the given order.
 
-    The executor can then index map rows by position-in-tile instead of
-    global element id.  Gathers run once per (loop, map) over all tiles'
-    concatenated lists; each tile keeps its slice of the gathered rows.
+    The executor can then index map rows by position in a list instead of
+    by global element id.  One gather per (loop, map); each result holds one
+    row of arity targets per element.
     """
-    for t in tiles:
-        t.local_maps.clear()
-    for j, loop in enumerate(chain.loops):
-        lists = [t.iteration_lists.get(j, _EMPTY) for t in tiles]
-        elements = np.concatenate(lists)
-        bounds = np.cumsum([0] + [len(lst) for lst in lists])
-        for m in {d.map.name: d.map for d in loop.descriptors
-                  if not d.is_direct}.values():
-            flat = m.values.reshape(-1, m.arity)[elements].ravel()
-            ends = bounds * m.arity
-            for t, start, stop in zip(tiles, ends[:-1], ends[1:]):
-                t.local_maps[(j, m.name)] = flat[start:stop]
+    return [{m.name: m.values.reshape(-1, m.arity)[lst]
+             for m in {d.map.name: d.map for d in loop.descriptors
+                       if not d.is_direct}.values()}
+            for lst, loop in zip(elements, chain.loops)]
+
+
+def build_schedule(chain: LoopChain, mode: ExecMode, tiles: list[Tile],
+                   sigmas: list[np.ndarray], recolor_rounds: int,
+                   stats: InspectionStats | None = None) -> Schedule:
+    """Cut one tiling array per loop into the schedule's CSR and compile it.
+
+    Every element of every loop's space must sit on one of ``tiles``, which
+    are colored and in id order.  Cutting counts toward
+    ``projection_tiling_s``, local maps and the plan toward ``local_maps_s``.
+    """
+    stats = stats if stats is not None else InspectionStats()
+    t0 = time.perf_counter()
+    for j, sigma in enumerate(sigmas):
+        if len(sigma) and (sigma.min() < 0 or sigma.max() >= len(tiles)):
+            raise InspectionError(f"loop {j}: an element is on no tile")
+    order = execution_order(np.array([t.color for t in tiles], dtype=np.int64))
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))
+    cut = [assign(sigma, position) for sigma in sigmas]
+    stats.projection_tiling_s += time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    rows = compute_local_maps([elements for elements, _ in cut], chain)
+    schedule = Schedule(
+        mode=mode, fingerprint=chain.fingerprint, tiles=tuple(tiles),
+        tilings=tuple(LoopTiling(elements, bounds, r)
+                      for (elements, bounds), r in zip(cut, rows)),
+        recolor_rounds=recolor_rounds, stats=stats)
+    stats.local_maps_s += time.perf_counter() - t0
+    return schedule
 
 
 def find_seed_map(chain: LoopChain) -> MeshMap | None:
@@ -401,8 +578,8 @@ def inspect_chain(chain: LoopChain, ts: int, mode: ExecMode) -> Schedule:
     """Run the full inspection and return a conflict-free schedule.
 
     Each recoloring round grows one tiling array per loop from the seed
-    partition; the tiles' iteration lists and local maps are filled once,
-    from the last round's arrays.  Pure in (chain, ts, mode): repeated calls
+    partition; ``build_schedule`` cuts the last round's arrays into the
+    schedule's tilings and compiles its plan.  Pure in (chain, ts, mode): repeated calls
     produce identical schedules.  Raises ColoringLimitError if recoloring
     fails to converge within 10 * (number of tiles) rounds.
     """
@@ -454,15 +631,6 @@ def inspect_chain(chain: LoopChain, ts: int, mode: ExecMode) -> Schedule:
             break
         fake_connections |= conflicts
 
-    t0 = time.perf_counter()
-    for j, sigma in enumerate(sigmas):
-        assign(sigma, j, tiles)
-    stats.projection_tiling_s += time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    compute_local_maps(tiles, chain)
-    stats.local_maps_s += time.perf_counter() - t0
+    schedule = build_schedule(chain, mode, tiles, sigmas, rounds, stats)
     stats.total_s = time.perf_counter() - t_start
-
-    return Schedule(mode=mode, fingerprint=chain.fingerprint, n_loops=len(loops),
-                    tiles=tuple(tiles), recolor_rounds=rounds, stats=stats)
+    return schedule

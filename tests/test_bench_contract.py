@@ -19,7 +19,7 @@ def load_tracing():
     return module
 
 
-def test_counting_registry_counts_one_call_per_nonempty_tile_loop(mesh_8x4):
+def test_counting_registry_counts_one_call_per_nonempty_color_loop(mesh_8x4):
     tracer = load_tracing().Tracer()
     counting = tracer.counting_registry(default_registry(),
                                         [spec.kernel for spec in FIG2.loops])
@@ -29,6 +29,6 @@ def test_counting_registry_counts_one_call_per_nonempty_tile_loop(mesh_8x4):
     execute_schedule(schedule, chain, bindings, uncounted, default_registry())
     execute_schedule(schedule, chain, bindings, datasets, counting)
     assert_values_equal(dataset_values(uncounted), dataset_values(datasets))
-    assert tracer.kernel_calls == sum(
-        1 for t in schedule.executable_tiles()
-        for j in range(len(chain.loops)) if len(t.iteration_lists[j]))
+    assert tracer.kernel_calls == len({
+        (t.region, t.color, j) for t in schedule.executable_tiles()
+        for j in range(len(chain.loops)) if len(t.iteration_lists[j])})

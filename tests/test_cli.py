@@ -15,7 +15,7 @@ from looptile.cli import (Inspected, ScheduleCache, compare_values, main,
 from looptile.config import ConfigError, SubChain, parse_config
 from looptile.errors import DepthExceededError, VerificationError
 from looptile.executor import execute_schedule
-from looptile.inspector import ExecMode, compute_local_maps, inspect_chain
+from looptile.inspector import ExecMode, build_schedule, inspect_chain
 from looptile.mesh import generate_rect_mesh, rcm_renumber
 from looptile.partition import partition_for_ranks
 from looptile.problems import (FIG2, AccessSpec, DatasetSpec, LoopSpec,
@@ -258,11 +258,13 @@ def test_corrupted_schedule_fails_verification(registry, mesh_8x4):
     tiles = sorted(schedule.executable_tiles(), key=lambda t: t.color)
     lo, hi = tiles[0], tiles[-1]
     assert lo.color < hi.color
-    moved = hi.iteration_lists[2][:1]
-    hi.iteration_lists[2] = hi.iteration_lists[2][1:]
-    lo.iteration_lists[2] = np.sort(np.concatenate([lo.iteration_lists[2], moved]))
-    compute_local_maps(schedule.tiles, chain)  # else the executor refuses it
-    execute_schedule(schedule, chain, bindings, datasets, registry)
+    sigmas = [schedule.tile_of(j, loop.space.total)
+              for j, loop in enumerate(chain.loops)]
+    sigmas[2][hi.iteration_lists[2][0]] = lo.id
+    corrupted = build_schedule(chain, schedule.mode, list(schedule.tiles), sigmas,
+                               schedule.recolor_rounds)
+    assert len(lo.iteration_lists[2]) + 1 == len(corrupted.tiles[lo.id].iteration_lists[2])
+    execute_schedule(corrupted, chain, bindings, datasets, registry)
 
     chain2, datasets2, bindings2 = global_setup(mesh_8x4, FIG2, depth=3)
     from looptile.executor import execute_untiled

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,8 @@ from looptile.distsim import setup_ranks
 from looptile.errors import ExecutionError, StaleScheduleError
 from looptile.executor import (KernelRegistry, execute_schedule, execute_untiled,
                                integer_valued)
-from looptile.inspector import ExecMode, compute_local_maps, inspect_chain
+from looptile.inspector import (ExecMode, LoopTiling, compute_local_maps,
+                                inspect_chain)
 from looptile.mesh import generate_rect_mesh
 from looptile.problems import (FIG2, AccessSpec, DatasetSpec, LoopSpec, Problem,
                                default_registry, global_setup)
@@ -204,9 +207,9 @@ def _counting_registry(counts):
     return registry
 
 
-@pytest.mark.parametrize("distributed", [False, True])
-def test_one_batch_call_per_nonempty_tile_loop(mesh_8x4, distributed):
-    if distributed:
+@pytest.mark.parametrize("mode", ["sequential", "shared", "distributed"])
+def test_one_batch_call_per_nonempty_region_color_loop(mesh_8x4, mode):
+    if mode == "distributed":
         # a rank's schedule, whose non-exec tile holds iterations
         vr = setup_ranks(mesh_8x4, FIG2, 2, 5, depth=3)[0]
         schedule, chain, bindings, datasets = (vr.schedule, vr.chain,
@@ -214,14 +217,19 @@ def test_one_batch_call_per_nonempty_tile_loop(mesh_8x4, distributed):
         assert any(len(lst) for lst in schedule.nonexec_tile.iteration_lists.values())
     else:
         chain, datasets, bindings = global_setup(mesh_8x4, FIG2, depth=3)
-        schedule = inspect_chain(chain, 7, ExecMode.SHARED)
+        schedule = inspect_chain(chain, 7, ExecMode(mode))
     counts = {}
     registry = _counting_registry(counts)
     execute_schedule(schedule, chain, bindings, datasets, registry)
     for j, loop in enumerate(chain.loops):
-        lists = [t.iteration_lists[j] for t in schedule.executable_tiles()]
-        assert counts[loop.kernel, "calls"] == sum(1 for lst in lists if len(lst))
-        assert counts[loop.kernel, "rows"] == sum(len(lst) for lst in lists)
+        lists = [(t.region, t.color, t.iteration_lists[j])
+                 for t in schedule.executable_tiles()]
+        nonempty = [(region, color) for region, color, lst in lists if len(lst)]
+        assert counts[loop.kernel, "calls"] == len(set(nonempty))
+        assert counts[loop.kernel, "rows"] == sum(len(lst) for _, _, lst in lists)
+        if mode != "shared":
+            # every tile has its own color
+            assert len(set(nonempty)) == len(nonempty)
 
     # the unfused baseline runs each loop as one call over its executable elements
     counts.clear()
@@ -230,6 +238,18 @@ def test_one_batch_call_per_nonempty_tile_loop(mesh_8x4, distributed):
                       for key, value in (((loop.kernel, "calls"), 1),
                                          ((loop.kernel, "rows"),
                                           loop.space.executable_size))}
+
+
+def test_shared_plan_joins_same_colored_tiles(mesh_8x4):
+    chain, datasets, bindings = global_setup(mesh_8x4, FIG2, depth=3)
+    schedule = inspect_chain(chain, 7, ExecMode.SHARED)
+    counts = {}
+    execute_schedule(schedule, chain, bindings, datasets, _counting_registry(counts))
+    calls = sum(counts[loop.kernel, "calls"] for loop in chain.loops)
+    tile_loops = sum(1 for t in schedule.executable_tiles()
+                     for lst in t.iteration_lists.values() if len(lst))
+    assert calls == sum(len(steps) for steps in schedule.plan.values())
+    assert calls < tile_loops <= len(schedule.executable_tiles()) * len(chain.loops)
 
 
 def test_stale_schedule_rejected(registry):
@@ -278,22 +298,25 @@ def test_unregistered_kernel_leaves_datasets_unchanged(tiled, mesh_8x4):
 def test_list_changed_without_local_maps_is_stale(registry, mesh_8x4):
     chain, datasets, bindings = global_setup(mesh_8x4, FIG2, depth=3)
     schedule = inspect_chain(chain, 6, ExecMode.SHARED)
-    tile = next(t for t in schedule.executable_tiles()
-                if len(t.iteration_lists[2]))
-    tile.iteration_lists[2] = tile.iteration_lists[2][1:]
-    before = dataset_values(datasets)
-    counts = {}
+    # drop the first iteration of loop 2's first non-empty tile, keep its local maps
+    tiling = schedule.tilings[2]
+    p = int(np.flatnonzero(np.diff(tiling.bounds))[0])
+    bounds = tiling.bounds.copy()
+    bounds[p + 1:] -= 1
+    elements = np.delete(tiling.elements, tiling.bounds[p])
     with pytest.raises(StaleScheduleError, match="local map"):
-        execute_schedule(schedule, chain, bindings, datasets,
-                         _counting_registry(counts))
-    assert counts == {}
-    with pytest.raises(StaleScheduleError, match="local map"):
-        execute_schedule(schedule, chain, bindings, datasets, registry)
-    assert_values_equal(before, dataset_values(datasets))
+        # the plan is compiled with the schedule, so no kernel can run it
+        dataclasses.replace(schedule, tilings=(
+            *schedule.tilings[:2], LoopTiling(elements, bounds, dict(tiling.rows))))
 
     # recomputing the local maps makes the (now incomplete) schedule runnable
-    compute_local_maps(schedule.tiles, chain)
-    execute_schedule(schedule, chain, bindings, datasets, registry)
+    rows = compute_local_maps([*(t.elements for t in schedule.tilings[:2]), elements],
+                              chain)[2]
+    shorter = dataclasses.replace(schedule, tilings=(
+        *schedule.tilings[:2], LoopTiling(elements, bounds, rows)))
+    counts = {}
+    execute_schedule(shorter, chain, bindings, datasets, _counting_registry(counts))
+    assert counts[chain.loops[2].kernel, "rows"] == chain.loops[2].space.total - 1
 
 
 def test_read_views_are_immutable():

@@ -10,8 +10,8 @@ from looptile import inspector
 from looptile.chain import (AccessMode, Descriptor, IterationSpace, Loop,
                             MeshMap, Region, build_chain)
 from looptile.errors import InspectionError
-from looptile.inspector import (NO_TILE, ExecMode, Tile, assign, color_tiles,
-                                compute_local_maps, find_seed_map,
+from looptile.inspector import (NO_TILE, ExecMode, Tile, assign,
+                                build_schedule, color_tiles, find_seed_map,
                                 inspect_chain, partition_seed, project,
                                 seed_adjacency, tile_loop)
 from looptile.mesh import generate_rect_mesh, rcm_renumber
@@ -239,11 +239,15 @@ def test_direct_descriptor_over_untouched_space_is_skipped():
 # -- assignment ---------------------------------------------------------------
 
 def test_assign_splits_space_across_tiles():
-    tiles = [Tile(i, Region.CORE) for i in range(3)]
-    assign(np.array([2, 0, 1, 0, 2, 1, 0, 0, 2]), 2, tiles)
-    assert tiles[0].iteration_lists[2].tolist() == [1, 3, 6, 7]
-    assert tiles[1].iteration_lists[2].tolist() == [2, 5]
-    assert tiles[2].iteration_lists[2].tolist() == [0, 4, 8]
+    sigma = np.array([2, 0, 1, 0, 2, 1, 0, 0, 2])
+
+    def runs(position):
+        elements, bounds = assign(sigma, position)
+        return [elements[a:b].tolist() for a, b in zip(bounds[:-1], bounds[1:])]
+
+    assert runs(np.arange(3)) == [[1, 3, 6, 7], [2, 5], [0, 4, 8]]
+    # tile 2 runs first, then tile 0, then tile 1
+    assert runs(np.array([1, 2, 0])) == [[0, 4, 8], [1, 3, 6, 7], [2, 5]]
 
 
 @given(st.integers(0, 10_000))
@@ -251,13 +255,14 @@ def test_assign_splits_space_across_tiles():
 def test_assign_partitions_whole_space(seed):
     rng = np.random.default_rng(seed)
     n, n_tiles = 40, 6
-    tiles = [Tile(i, Region.CORE) for i in range(n_tiles)]
-    assign(rng.integers(0, n_tiles, size=n), 0, tiles)
-    concatenated = np.concatenate([t.iteration_lists[0] for t in tiles])
-    assert sorted(concatenated.tolist()) == list(range(n))
-    for t in tiles:
-        lst = t.iteration_lists[0].tolist()
+    sigma = rng.integers(0, n_tiles, size=n)
+    position = rng.permutation(n_tiles)
+    elements, bounds = assign(sigma, position)
+    assert sorted(elements.tolist()) == list(range(n))
+    for p in range(n_tiles):
+        lst = elements[bounds[p]:bounds[p + 1]].tolist()
         assert lst == sorted(lst)
+        assert all(position[sigma[e]] == p for e in lst)
 
 
 # -- local maps ---------------------------------------------------------------
@@ -279,12 +284,24 @@ def test_local_map_of_empty_list_is_empty():
     e2v = MeshMap("e2v", space, verts, 2, np.array([0, 1, 1, 2, 2, 3, 3, 0]))
     loop = Loop(0, space, (Descriptor(e2v, AccessMode.INC),), "k")
     chain = build_chain((space, verts), (e2v,), (loop,), depth=1)
-    tiles = [Tile(0, Region.CORE), Tile(1, Region.NONEXEC)]
-    tiles[0].iteration_lists[0] = np.arange(4)
-    tiles[1].iteration_lists[0] = np.empty(0, dtype=np.int64)
-    compute_local_maps(tiles, chain)
-    assert len(tiles[1].local_maps[(0, "e2v")]) == 0
-    assert np.array_equal(tiles[0].local_maps[(0, "e2v")], e2v.values)
+    tiles = [Tile(0, Region.CORE, color=0), Tile(1, Region.NONEXEC, color=1)]
+    schedule = build_schedule(chain, ExecMode.SEQUENTIAL, tiles,
+                              [np.zeros(4, dtype=np.int64)], recolor_rounds=1)
+    assert len(schedule.nonexec_tile.local_maps[(0, "e2v")]) == 0
+    assert np.array_equal(schedule.tiles[0].local_maps[(0, "e2v")], e2v.values)
+
+
+def test_tile_views_are_read_only():
+    chain, _, _ = global_setup(generate_rect_mesh(4, 2), FIG2, depth=3)
+    tile = inspect_chain(chain, 4, ExecMode.SHARED).tiles[0]
+    with pytest.raises(TypeError):
+        tile.iteration_lists[0] = np.arange(2)
+    with pytest.raises(TypeError):
+        tile.local_maps[(0, "e2v")] = np.arange(2)
+    with pytest.raises(ValueError, match="read-only"):
+        tile.iteration_lists[0][0] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        tile.local_maps[(0, "e2v")][0] = 0
 
 
 # -- full inspection ----------------------------------------------------------
@@ -310,20 +327,20 @@ def test_conflict_regression_two_same_colored_tiles_meet():
 
 def test_tiles_are_filled_once_after_the_last_round(monkeypatch):
     # the recoloring rounds pass tile arrays; only the converged round's
-    # arrays become iteration lists, one assign call per loop
+    # arrays become the schedule's tilings, one assign call per loop
     calls = []
     original = inspector.assign
 
-    def counted(sigma, loop_index, tiles):
-        calls.append(loop_index)
-        original(sigma, loop_index, tiles)
+    def counted(sigma, position):
+        calls.append(len(sigma))
+        return original(sigma, position)
 
     monkeypatch.setattr(inspector, "assign", counted)
     mesh = rcm_renumber(generate_rect_mesh(4, 1))
     chain, _, _ = global_setup(mesh, FIG2, depth=3)
     schedule = inspector.inspect_chain(chain, 2, ExecMode.SHARED)
     assert schedule.recolor_rounds >= 2
-    assert calls == list(range(len(chain.loops)))
+    assert calls == [loop.space.total for loop in chain.loops]
 
 
 def test_inspection_is_deterministic():
