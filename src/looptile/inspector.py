@@ -383,8 +383,9 @@ def _project_mapped(inv: InverseMap, sigma: np.ndarray, held: np.ndarray,
     filled = np.flatnonzero(np.diff(inv.offsets))
     if len(filled):
         # one segment maximum over keys ordered by color, then by earliest
-        # position: key = color * size + (size - 1 - position)
-        key = colors[touch] * size
+        # position: key = color * size + (size - 1 - position); a source on
+        # no tile has color -1 and so never wins over one on a tile
+        key = np.where(touch >= 0, colors[touch], -1) * size
         key += np.arange(size - 1, -1, -1)
         best = np.maximum.reduceat(key, inv.offsets[filled])
         best_color[filled] = best // size
@@ -397,8 +398,9 @@ def _project_mapped(inv: InverseMap, sigma: np.ndarray, held: np.ndarray,
         # in segment order) meets every later distinct tile of that color.
         has = np.flatnonzero(held >= 0)
         element = np.repeat(np.arange(n, dtype=np.int64), np.diff(inv.offsets))
-        entry_element = np.concatenate((has, element))
-        entry_tile = np.concatenate((held[has], touch))
+        on_tile = touch >= 0
+        entry_element = np.concatenate((has, element[on_tile]))
+        entry_tile = np.concatenate((held[has], touch[on_tile]))
         low, high = int(colors.min()), int(colors.max())
         key = entry_element * (high - low + 1) + (colors[entry_tile] - low)
         order = np.argsort(key, kind="stable")
@@ -537,14 +539,21 @@ def build_schedule(chain: LoopChain, mode: ExecMode, tiles: list[Tile],
     """Cut one tiling array per loop into the schedule's CSR and compile it.
 
     Every element of every loop's space must sit on one of ``tiles``, which
-    are colored and in id order.  Cutting counts toward
+    are colored and in id order, and no executable element on the last,
+    non-exec tile; otherwise ``InspectionError``.  Cutting counts toward
     ``projection_tiling_s``, local maps and the plan toward ``local_maps_s``.
     """
     stats = stats if stats is not None else InspectionStats()
     t0 = time.perf_counter()
-    for j, sigma in enumerate(sigmas):
+    nonexec = tiles[-1].id
+    for j, (sigma, loop) in enumerate(zip(sigmas, chain.loops)):
         if len(sigma) and (sigma.min() < 0 or sigma.max() >= len(tiles)):
             raise InspectionError(f"loop {j}: an element is on no tile")
+        stranded = np.flatnonzero(sigma[:loop.space.executable_size] == nonexec)
+        if len(stranded):
+            raise InspectionError(
+                f"loop {j}: executable element {int(stranded[0])} of "
+                f"{loop.space.name!r} is on the non-exec tile, which never runs")
     order = execution_order(np.array([t.color for t in tiles], dtype=np.int64))
     position = np.empty_like(order)
     position[order] = np.arange(len(order))
@@ -617,13 +626,14 @@ def inspect_chain(chain: LoopChain, ts: int, mode: ExecMode) -> Schedule:
         shared = len(sorted_distinct(colors)) < len(colors)
         conflicts: set[tuple[int, int]] | None = set() if shared else None
         phi: dict[str, np.ndarray] = {}
-        sigmas = [seed]
+        # non-exec iterations never run on this rank, so they carry no
+        # dependence: each loop is projected with them on no tile
+        sigmas = [np.where(seed == tne_id, NO_TILE, seed)]
         t0 = time.perf_counter()
         for j in range(1, len(loops)):
             project(loops[j - 1], sigmas[-1], phi, colors, conflicts, inverse_maps)
             sigma = tile_loop(loops[j], phi, colors, conflicts)
-            # the non-exec region is never computed by this rank
-            sigma[loops[j].space.executable_size:] = tne_id
+            sigma[loops[j].space.executable_size:] = NO_TILE
             sigmas.append(sigma)
         stats.projection_tiling_s += time.perf_counter() - t0
 
@@ -631,6 +641,8 @@ def inspect_chain(chain: LoopChain, ts: int, mode: ExecMode) -> Schedule:
             break
         fake_connections |= conflicts
 
+    for sigma in sigmas:
+        sigma[sigma == NO_TILE] = tne_id
     schedule = build_schedule(chain, mode, tiles, sigmas, rounds, stats)
     stats.total_s = time.perf_counter() - t_start
     return schedule

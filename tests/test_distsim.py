@@ -5,6 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
+from looptile.chain import AccessMode
 from looptile.distsim import (POISON, HaloEndpoint, check_exchange_symmetry,
                               exchanged_dataset_names, gather, halo_exchange,
                               run_distributed, setup_ranks)
@@ -13,8 +14,8 @@ from looptile.executor import execute_schedule, execute_untiled
 from looptile.inspector import ExecMode, Region, inspect_chain
 from looptile.mesh import generate_rect_mesh, rcm_renumber
 from looptile.partition import partition_for_ranks
-from looptile.problems import (EIGHT_LOOP, FIG2, Problem, global_setup,
-                               local_setup)
+from looptile.problems import (EIGHT_LOOP, FIG2, AccessSpec, DatasetSpec,
+                               LoopSpec, Problem, global_setup, local_setup)
 
 from conftest import dataset_values
 
@@ -257,3 +258,35 @@ def test_dropped_result_frees_without_the_cycle_collector(registry):
     finally:
         gc.enable()
 
+
+
+# an edge loop that reads vertices, then one that increments them: no
+# dependence joins the two, but loop 1 is tiled through loop 0's projection
+STRANDING = Problem(
+    "stranding",
+    (LoopSpec("edges", "edge_read",
+              (AccessSpec(None, AccessMode.WRITE, "edge_mid"),
+               AccessSpec("e2v", AccessMode.READ, "vertex_acc"))),
+     LoopSpec("edges", "edge_inc",
+              (AccessSpec(None, AccessMode.READ, "edge_w"),
+               AccessSpec("e2v", AccessMode.INC, "vertex_acc2")))),
+    (DatasetSpec("edge_w", "edges", 1, "ramp"),
+     DatasetSpec("edge_mid", "edges", 1, "zeros"),
+     DatasetSpec("vertex_acc", "verts", 1, "ramp"),
+     DatasetSpec("vertex_acc2", "verts", 1, "zeros")))
+
+
+@pytest.mark.parametrize("nranks", [2, 3])
+def test_no_executable_iteration_stranded_on_the_nonexec_tile(registry, nranks):
+    # on a 9x1 strip, iterations next to a rank's non-exec halo once
+    # inherited the non-exec tile through the projection and never ran
+    mesh = generate_rect_mesh(9, 1)
+    chain, datasets, bindings = global_setup(mesh, STRANDING, 2)
+    execute_untiled(chain, bindings, datasets, registry)
+    result = run_distributed(mesh, STRANDING, nranks, 4, depth=2, registry=registry)
+    for name, ds in datasets.items():
+        np.testing.assert_array_equal(result.datasets[name], ds.values, err_msg=name)
+    for vr in result.ranks:
+        for j, loop in enumerate(vr.chain.loops):
+            on_nonexec = vr.schedule.nonexec_tile.iteration_lists[j]
+            assert np.all(on_nonexec >= loop.space.executable_size)

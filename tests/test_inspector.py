@@ -455,7 +455,9 @@ def golden_ladder():
                 for mode in (ExecMode.SEQUENTIAL, ExecMode.SHARED):
                     for ts in (1, 16, 64):
                         yield chain, ts, mode
-    # the sub-chains of configs/eight_loop.ini on each of 4 ranks
+    # the sub-chains of configs/eight_loop.ini on each of 4 ranks; before
+    # non-exec iterations were projected on no tile, these stranded
+    # executable iterations on the non-exec tile
     mesh = rcm_renumber(generate_rect_mesh(16, 8))
     for start, stop, ts in ((0, 4, 16), (4, 6, 8), (6, 8, 16)):
         sub = Problem("sub", EIGHT_LOOP.loops[start:stop], EIGHT_LOOP.datasets)
@@ -513,18 +515,18 @@ GOLDEN_DIGESTS = (
     "89229325ca7d24d669e416fcf6c0f33c79c3b2adb6878be72da199c8f1efcbc0",
     "0fd955b4f73d6f88289f1ddb571e625e476ae5a3be8c3cccc42ca37b9ed55c6d",
     "babcf01508d31aaf198c61e90846dd7dd8905fd9683e83dc79a35709e90ca8d1",
-    "6d889464a7c22f02718f4d7b934320dc1e0ce0552d38e970d6f70d34b70acb4c",
-    "5c71e36b41ba4746048478e7b584cb00f88c2831109f9bc8a7f8b97a3a81ade2",
-    "5136de7e9bc1d3773b35b9368d00fc72343e6f2d4a820f082fac0ef867bd1a24",
-    "c3bc6d79ca6651ecdba8a9d90ea35523e3df6c768613f5e82a6564948c5beb08",
-    "13bd602f68f9330b0104441773281dcdebfdc6168620feb53d2d11c0af0eb5a8",
-    "09616ebb6750f2f2d21c9b97710322a355c5323c63de2c00cfc4bd5f0d2b8386",
-    "e4578964bd0a643e5a60b7d7cec2d03b00a07cbb4ab91bf744f441eca7e5af0f",
-    "bd64bc6e26f2fd08cbc82e484643c46cf1b0bea0305bd4da3bcfc6f21b24802d",
-    "1646f60a24435796a3eb7139b35c1839eb4a1cdb25e2d194b831720111f68e72",
-    "0623d3f9b7f794c484f0c4525707637e2fb01940d6aa052768e45f4101eedadb",
-    "d519a8d55e6734d85610a8bd04af14a546465d30a3f57513cb6e51cfaf9e9c54",
-    "c32d6443d0b72046e8bb6960a1e05f399460db87b4486d2cfb08b45d3c3a748f",
+    "b86247d1ea59543b90d33519d82bb3190504ecfe981b22ba34a5b9dc438cacd5",
+    "f44af2e4ebd74008184ba43f6acb08f87bad10a37206858f52b383e622aee6ea",
+    "5b5f3f927ebdff59a2a25aae906929a7bd374f9f7275668cc77c11707e2326cf",
+    "1092104c39b3b86cdfdbfd1b447a1c53b0d1027766cf40e519429f285fc1af00",
+    "1d132a6fc8715998b725841a795a1f1ba8513f4139e1d52c88edfa0b468ee8c6",
+    "cbbe152213bc306d9036477235b6a16ee07609e6bfc9df30f06518d11f9c80d1",
+    "837b2db51fd78cb068327bc7582bfe25052579010dfb58386683e5bbb72c0127",
+    "46d8fb948fe3fe2a0987bfa54ad23ead6836f03c2cfebc24570a151da0867f4c",
+    "9bf0a89f35d1cc8483d26080b43f913133ced0832d5b7bc30010616a9a55c52a",
+    "3bfefeffe20edbb35d41c962e46bcd189f620af19fa97b19f895337e214bc44c",
+    "b616fab69c2df940f05094d880f9432106d61a85c861982f2b8e94b2f37f3055",
+    "e1e46f66c5d105950f83803dc5757f132b6042dda1bd52130ef3bd6cea6be206",
 )
 
 
@@ -532,3 +534,14 @@ def test_schedules_match_golden_digests():
     digests = tuple(hashlib.sha256(inspect_chain(chain, ts, mode).serialize()).hexdigest()
                     for chain, ts, mode in golden_ladder())
     assert digests == GOLDEN_DIGESTS
+
+
+def test_executable_iteration_on_the_nonexec_tile_is_rejected():
+    chain, _, _ = global_setup(generate_rect_mesh(4, 2), FIG2, depth=3)
+    schedule = inspect_chain(chain, 4, ExecMode.SEQUENTIAL)
+    sigmas = [schedule.tile_of(j, loop.space.total)
+              for j, loop in enumerate(chain.loops)]
+    sigmas[1][0] = schedule.nonexec_tile.id
+    with pytest.raises(InspectionError, match="non-exec tile"):
+        build_schedule(chain, schedule.mode, list(schedule.tiles), sigmas,
+                       schedule.recolor_rounds)
