@@ -22,7 +22,8 @@ class ExecutionError(RuntimeError):
 
 
 class StaleScheduleError(ExecutionError):
-    """Schedule fingerprint does not match the chain being executed."""
+    """A schedule does not fit the chain being executed, or its local maps
+    do not fit its iteration lists."""
 
 
 class PartitionBugError(RuntimeError):

@@ -5,9 +5,10 @@ executor calls it once per loop untiled, and once per step of the schedule's
 plan tiled: once per non-empty (region, color, loop), over the joined lists
 of that color's tiles, which are independent of each other.  In sequential
 and distributed modes every tile has its own color, so that is once per
-non-empty (tile, loop).  A kernel gets one array per descriptor: for n iterations and k values per
-element, a direct access arrives as an (n, k) array and a mapped one as
-(n, arity, k).  The access mode alone defines each argument:
+non-empty (tile, loop).  A kernel gets one array per descriptor: for n
+iterations and k values per element, a direct access arrives as an (n, k)
+array and a mapped one as (n, arity, k).  The access mode alone defines each
+argument:
 
 - read: a gathered copy, read-only, so a kernel writing to it raises
   ValueError;

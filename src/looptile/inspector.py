@@ -209,7 +209,8 @@ class Schedule:
 
         # per executable color g and loop j, the run [lo, hi) of j's tiling;
         # nonzero walks (g, j) row-major, so steps go color by color
-        cuts = np.array([t.bounds[edges] for t in self.tilings]).reshape(-1, n_exec + 1)
+        cuts = np.array([tiling.bounds[edges] for tiling in self.tilings]
+                        ).reshape(-1, n_exec + 1)
         lo, hi = cuts[:, :-1].T, cuts[:, 1:].T
         g, j = np.nonzero(lo < hi)
         steps = list(zip(j.tolist(), lo[g, j].tolist(), hi[g, j].tolist()))

@@ -263,7 +263,8 @@ def test_corrupted_schedule_fails_verification(registry, mesh_8x4):
     sigmas[2][hi.iteration_lists[2][0]] = lo.id
     corrupted = build_schedule(chain, schedule.mode, list(schedule.tiles), sigmas,
                                schedule.recolor_rounds)
-    assert len(lo.iteration_lists[2]) + 1 == len(corrupted.tiles[lo.id].iteration_lists[2])
+    moved_to = corrupted.tiles[lo.id].iteration_lists[2]
+    assert len(moved_to) == len(lo.iteration_lists[2]) + 1
     execute_schedule(corrupted, chain, bindings, datasets, registry)
 
     chain2, datasets2, bindings2 = global_setup(mesh_8x4, FIG2, depth=3)
