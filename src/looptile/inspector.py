@@ -17,6 +17,7 @@ import math
 import time
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -41,47 +42,6 @@ class ExecMode(enum.Enum):
         raise ValueError(f"unknown execution mode {token!r}")
 
 
-class _ListViews(Mapping):
-    """A scheduled tile's iteration list per loop index, as read-only views."""
-
-    def __init__(self, tile: "Tile"):
-        self._tile = tile
-
-    def __getitem__(self, j):
-        tilings, p = self._tile.tilings, self._tile.position
-        if j not in range(len(tilings)):
-            raise KeyError(j)
-        t = tilings[j]
-        return t.elements[t.bounds[p]:t.bounds[p + 1]]
-
-    def __iter__(self):
-        return iter(range(len(self._tile.tilings)))
-
-    def __len__(self):
-        return len(self._tile.tilings)
-
-
-class _LocalMapViews(Mapping):
-    """A scheduled tile's local map per (loop index, map name), flat, read-only."""
-
-    def __init__(self, tile: "Tile"):
-        self._tile = tile
-
-    def __getitem__(self, key):
-        tilings, p = self._tile.tilings, self._tile.position
-        j, name = key
-        if j not in range(len(tilings)) or name not in tilings[j].rows:
-            raise KeyError(key)
-        t = tilings[j]
-        return t.rows[name][t.bounds[p]:t.bounds[p + 1]].reshape(-1)
-
-    def __iter__(self):
-        return ((j, name) for j, t in enumerate(self._tile.tilings) for name in t.rows)
-
-    def __len__(self):
-        return sum(len(t.rows) for t in self._tile.tilings)
-
-
 @dataclass(eq=False)
 class Tile:
     """An atomically executed unit: one iteration list per loop, plus a color.
@@ -100,11 +60,16 @@ class Tile:
 
     @property
     def iteration_lists(self) -> Mapping[int, np.ndarray]:
-        return _ListViews(self)
+        p = self.position
+        return MappingProxyType({j: t.elements[t.bounds[p]:t.bounds[p + 1]]
+                                 for j, t in enumerate(self.tilings)})
 
     @property
     def local_maps(self) -> Mapping[tuple[int, str], np.ndarray]:
-        return _LocalMapViews(self)
+        p = self.position
+        return MappingProxyType({
+            (j, name): rows[t.bounds[p]:t.bounds[p + 1]].reshape(-1)
+            for j, t in enumerate(self.tilings) for name, rows in t.rows.items()})
 
 
 @dataclass(frozen=True, eq=False)

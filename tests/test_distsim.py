@@ -259,7 +259,6 @@ def test_dropped_result_frees_without_the_cycle_collector(registry):
         gc.enable()
 
 
-
 # an edge loop that reads vertices, then one that increments them: no
 # dependence joins the two, but loop 1 is tiled through loop 0's projection
 STRANDING = Problem(
@@ -278,8 +277,8 @@ STRANDING = Problem(
 
 @pytest.mark.parametrize("nranks", [2, 3])
 def test_no_executable_iteration_stranded_on_the_nonexec_tile(registry, nranks):
-    # on a 9x1 strip, iterations next to a rank's non-exec halo once
-    # inherited the non-exec tile through the projection and never ran
+    # on a 9x1 strip, iterations next to a rank's non-exec halo must not
+    # inherit the non-exec tile through the projection: it never runs
     mesh = generate_rect_mesh(9, 1)
     chain, datasets, bindings = global_setup(mesh, STRANDING, 2)
     execute_untiled(chain, bindings, datasets, registry)

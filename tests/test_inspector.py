@@ -455,9 +455,7 @@ def golden_ladder():
                 for mode in (ExecMode.SEQUENTIAL, ExecMode.SHARED):
                     for ts in (1, 16, 64):
                         yield chain, ts, mode
-    # the sub-chains of configs/eight_loop.ini on each of 4 ranks; before
-    # non-exec iterations were projected on no tile, these stranded
-    # executable iterations on the non-exec tile
+    # the sub-chains of configs/eight_loop.ini on each of 4 ranks
     mesh = rcm_renumber(generate_rect_mesh(16, 8))
     for start, stop, ts in ((0, 4, 16), (4, 6, 8), (6, 8, 16)):
         sub = Problem("sub", EIGHT_LOOP.loops[start:stop], EIGHT_LOOP.datasets)
