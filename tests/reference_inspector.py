@@ -52,6 +52,8 @@ def project_reference(loop: Loop, sigma: np.ndarray, phi: dict[str, np.ndarray],
                     best, best_color, seen = NO_TILE, -1, {}
                 for f in sources[offsets[e]:offsets[e + 1]]:
                     t = int(sa[f])
+                    if t == NO_TILE:
+                        continue  # a source on no tile touches nothing
                     c = int(colors[t])
                     prior = seen.get(c)
                     if prior is None:

@@ -408,7 +408,7 @@ def projection_inputs(draw):
         return np.array(draw(st.lists(st.integers(low, n_tiles - 1),
                                       min_size=n, max_size=n)), dtype=np.int64)
 
-    sigma = tile_ids(src.total, 0)
+    sigma = tile_ids(src.total, NO_TILE)
     phi = {sp.name: tile_ids(sp.total, NO_TILE)
            for sp in (src, dst) if draw(st.booleans())}
     return loop, sigma, phi, colors
