@@ -17,7 +17,7 @@ import numpy as np
 from .chain import AccessMode, LoopChain
 from .errors import PartitionBugError
 from .executor import (Dataset, ExecutionReport, KernelRegistry,
-                       execute_schedule)
+                       execute_schedule, flat_slots)
 from .inspector import ExecMode, Schedule, inspect_chain
 from .mesh import Mesh
 from .partition import LocalMesh, partition_for_ranks
@@ -66,14 +66,10 @@ class HaloEndpoint:
                 if ds.space.name != space:
                     continue
                 k = ds.values_per_element
-                src = peer[name].values.reshape(-1, k)[incoming[:, 1]]
-                staged.append((name, self._flat_slots(incoming[:, 0], k),
-                               src.ravel().copy()))
+                payload = peer[name].values.take(flat_slots(incoming[:, 1], k))
+                staged.append((name, flat_slots(incoming[:, 0], k).ravel(),
+                               payload.ravel()))
         self._staged = staged
-
-    @staticmethod
-    def _flat_slots(locals_: np.ndarray, k: int) -> np.ndarray:
-        return (locals_[:, None] * k + np.arange(k)[None, :]).ravel()
 
     def end(self) -> None:
         if self._staged is None:

@@ -7,16 +7,24 @@ of that color's tiles, which are independent of each other.  In sequential
 and distributed modes every tile has its own color, so that is once per
 non-empty (tile, loop).  A kernel gets one array per descriptor: for n
 iterations and k values per element, a direct access arrives as an (n, k)
-array and a mapped one as (n, arity, k).  The access mode alone defines each
-argument:
+array and a mapped one as (n, arity, k).
 
-- read: a gathered copy, read-only, so a kernel writing to it raises
+Each execution first binds every argument of every loop to its dataset's
+flat value array and to flat slot indices of the argument's shape: slot
+``e * k + c`` holds value c of element e, for the elements the tiling lists
+(direct) or their local-map targets (mapped).  For k = 1 the slots are a
+view of those ids.  A step then slices the slots of its positions, and the
+access mode alone defines each argument:
+
+- read: ``values.take(slots)``, read-only, so a kernel writing to it raises
   ValueError;
-- write: a gathered copy that the executor stores back with
-  ``values[idx] = buf``;
-- increment: a zeroed buffer that the executor adds back with ``np.add.at``,
-  which adds in index order, so every target sums its contributions in
-  element order.
+- write: ``values.take(slots)``, stored back with ``values[slots] = buf``;
+- increment: a zeroed buffer that the executor adds back with
+  ``np.add.at(values, slots.ravel(), buf.ravel())``, which adds in index
+  order, so every target sums its contributions in element order.  Both
+  operands are 1-D because numpy 2.4's ``ufunc.at`` leaves its fast path
+  for a 2-D table or an n-d index: about 6x slower at 20,000 entries and
+  1.5x at 64.
 
 So a loop that binds ``edge_read``'s output as an increment adds the sum to
 the output instead of overwriting it.  ``check_bindings`` rejects what this
@@ -145,34 +153,55 @@ def check_bindings(chain: LoopChain, bindings, datasets: dict[str, Dataset],
     return bodies
 
 
-def _run_batch(loop: Loop, binding: KernelBinding, body,
-               datasets: dict[str, Dataset], elements: np.ndarray,
-               rows_of: dict[str, np.ndarray], span: slice) -> None:
-    """Run ``body`` once over all of ``elements[span]``.
+def flat_slots(idx: np.ndarray, k: int) -> np.ndarray:
+    """Flat value indices of the elements in ``idx``: its shape plus (k,).
+
+    Element e of a dataset with k values per element holds the values at
+    ``e * k`` to ``e * k + k - 1`` of its flat array.  For k = 1 the result
+    is a view of ``idx``.
+    """
+    if k == 1:
+        return idx[..., None]
+    return idx[..., None] * k + np.arange(k)
+
+
+def _bind(loop: Loop, binding: KernelBinding, datasets: dict[str, Dataset],
+          elements: np.ndarray, rows: dict[str, np.ndarray]) -> list:
+    """Each argument of ``loop`` as (mode, flat values, flat slot indices).
 
     A mapped access takes the targets of the element at position i of
-    ``elements`` from row i of ``rows_of[map name]``, an (n, arity) array.
+    ``elements`` from row i of ``rows[map name]``, an (n, arity) array, so
+    the slots have the kernel's argument shape, (n, k) or (n, arity, k).
     """
-    args, stores = [], []
+    bound = []
     for d, name in zip(loop.descriptors, binding.args):
         ds = datasets[name]
-        table = ds.values.reshape(-1, ds.values_per_element)
-        idx = (elements if d.is_direct else rows_of[d.map.name])[span]
-        if d.mode is AccessMode.INC:
-            buf = np.zeros(idx.shape + (ds.values_per_element,))
+        idx = elements if d.is_direct else rows[d.map.name]
+        bound.append((d.mode, ds.values, flat_slots(idx, ds.values_per_element)))
+    return bound
+
+
+def _run_step(body, bound: list, lo: int, hi: int) -> None:
+    """Run ``body`` once over positions ``lo`` to ``hi`` of the bound slots."""
+    args, stores = [], []
+    for mode, values, slots in bound:
+        idx = slots[lo:hi]
+        if mode is AccessMode.INC:
+            buf = np.zeros(idx.shape)
         else:
-            buf = table[idx]
-        if d.mode is AccessMode.READ:
-            buf.flags.writeable = False
+            buf = values.take(idx)
+        if mode is AccessMode.READ:
+            buf.setflags(write=False)
         else:
-            stores.append((d.mode, table, idx, buf))
+            stores.append((mode, values, idx, buf))
         args.append(buf)
     body(*args)
-    for mode, table, idx, buf in stores:
+    for mode, values, idx, buf in stores:
         if mode is AccessMode.INC:
-            np.add.at(table, idx, buf)
+            # raveled operands keep ufunc.at on its fast 1-D path
+            np.add.at(values, idx.ravel(), buf.ravel())
         else:
-            table[idx] = buf
+            values[idx] = buf
 
 
 def execute_untiled(chain: LoopChain, bindings, datasets: dict[str, Dataset],
@@ -180,10 +209,10 @@ def execute_untiled(chain: LoopChain, bindings, datasets: dict[str, Dataset],
     """The unfused baseline: one kernel call per loop, in chain order."""
     bodies = check_bindings(chain, bindings, datasets, registry)
     for loop, binding, body in zip(chain.loops, bindings, bodies):
-        rows_of = {d.map.name: d.map.values.reshape(-1, d.map.arity)
-                   for d in loop.descriptors if not d.is_direct}
-        _run_batch(loop, binding, body, datasets, np.arange(loop.space.total),
-                   rows_of, slice(0, loop.space.executable_size))
+        rows = {d.map.name: d.map.values.reshape(-1, d.map.arity)
+                for d in loop.descriptors if not d.is_direct}
+        bound = _bind(loop, binding, datasets, np.arange(loop.space.total), rows)
+        _run_step(body, bound, 0, loop.space.executable_size)
 
 
 def execute_schedule(schedule: Schedule, chain: LoopChain, bindings,
@@ -206,11 +235,12 @@ def execute_schedule(schedule: Schedule, chain: LoopChain, bindings,
 
     def run_phase(region):
         for j, lo, hi in schedule.plan[region]:
-            tiling = schedule.tilings[j]
-            _run_batch(chain.loops[j], bindings[j], bodies[j], datasets,
-                       tiling.elements, tiling.rows, slice(lo, hi))
+            _run_step(bodies[j], bound[j], lo, hi)
 
-    t0 = time.perf_counter()
+    t0 = time.perf_counter()  # the core phase also binds every loop
+    bound = [_bind(loop, binding, datasets, tiling.elements, tiling.rows)
+             for loop, binding, tiling in zip(chain.loops, bindings,
+                                              schedule.tilings)]
     run_phase(Region.CORE)
     report.phase_seconds["core"] = time.perf_counter() - t0
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import AccessMode, Descriptor, IterationSpace, Loop, MeshMap, build_chain
-from .executor import Dataset, KernelBinding, KernelRegistry
+from .executor import Dataset, KernelBinding, KernelRegistry, flat_slots
 from .mesh import Mesh, mesh_maps, mesh_spaces
 
 
@@ -85,9 +85,8 @@ def init_values(spec: DatasetSpec, global_ids: np.ndarray) -> np.ndarray:
     """Deterministic integer-valued data as a function of global ids."""
     if spec.init not in INITIALIZERS:
         raise ValueError(f"unknown initializer {spec.init!r}")
-    flat = (global_ids[:, None] * spec.values_per_element
-            + np.arange(spec.values_per_element)[None, :]).ravel()
-    return INITIALIZERS[spec.init](flat)
+    return INITIALIZERS[spec.init](
+        flat_slots(global_ids, spec.values_per_element).ravel())
 
 
 FIG2 = Problem(

@@ -1,5 +1,7 @@
 """Whole-list kernels against the per-element reference executor."""
 
+import dataclasses
+import functools
 import json
 
 import numpy as np
@@ -7,13 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import looptile.executor as executor
-from looptile.cli import main
+from looptile.chain import AccessMode
+from looptile.cli import main, run_config
+from looptile.config import parse_config
 from looptile.distsim import check_exchange_symmetry, gather, run_distributed, setup_ranks
-from looptile.executor import execute_schedule, execute_untiled
+from looptile.executor import KernelRegistry, execute_schedule, execute_untiled
 from looptile.inspector import ExecMode, inspect_chain
 from looptile.mesh import generate_rect_mesh, rcm_renumber
-from looptile.problems import EIGHT_LOOP, FIG2, Problem, default_registry, global_setup
+from looptile.problems import (EIGHT_LOOP, FIG2, AccessSpec, LoopSpec, Problem,
+                               default_registry, global_setup)
 
 from conftest import dataset_values
 from reference_executor import run_per_element
@@ -132,19 +136,120 @@ nranks = 3
 """
 
 
+# kernel id -> the preset kernel it runs; edge_sum is PROBE's fourth loop
+PRESET_OF = {"edge_inc": "edge_inc", "cell_inc": "cell_inc",
+             "edge_read": "edge_read", "edge_sum": "edge_read"}
+
+
+def recording_registry(record):
+    """The preset kernels, each call passed to ``record(kernel_id, args)`` first."""
+    registry = KernelRegistry()
+    for kernel_id, preset in PRESET_OF.items():
+        body, nargs = REGISTRY.get(preset)
+
+        def recorded(*args, kernel_id=kernel_id, body=body):
+            record(kernel_id, args)
+            return body(*args)
+
+        registry.register(kernel_id, recorded, nargs)
+    return registry
+
+
 @pytest.mark.parametrize("mode", ["sequential", "shared", "distributed"])
-def test_three_values_per_element_verify(tmp_path, capsys, monkeypatch, mode):
-    calls = []
-    run_batch = executor._run_batch
-
-    def counted(loop, *args):
-        calls.append(loop.kernel)
-        run_batch(loop, *args)
-
-    monkeypatch.setattr(executor, "_run_batch", counted)
+def test_three_values_per_element_verify(tmp_path, capsys, mode):
     path = tmp_path / "wide.ini"
     path.write_text(WIDE_INI.format(mode=mode))
     assert main(["verify", str(path)]) == 0
     record = json.loads(capsys.readouterr().out.splitlines()[0])
     assert record["verify"] == "pass"
+    # the tiled run alone calls every kernel
+    calls = []
+    run_config(parse_config(str(path)),
+               registry=recording_registry(lambda kernel_id, _: calls.append(kernel_id)))
     assert set(calls) == {"edge_inc", "cell_inc", "edge_read"}
+
+
+WIDE = {"edge_w", "vertex_acc", "edge_out"}
+FIG2_WIDE = Problem("fig2_wide", FIG2.loops, tuple(
+    dataclasses.replace(d, values_per_element=3) if d.name in WIDE else d
+    for d in FIG2.datasets))
+
+
+@st.composite
+def wide_cases(draw):
+    mesh = draw_mesh(draw, min_nx=2, min_ny=2)
+    return (mesh, draw(st.integers(1, 4)), draw(st.integers(1, 24)),
+            draw(st.integers(3, 4)), draw(st.integers(0, 2**32 - 1)))
+
+
+@given(wide_cases())
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_three_values_per_element_bitwise_on_float_data(case):
+    mesh, nranks, ts, depth, seed = case
+    chain, datasets, bindings = global_setup(mesh, FIG2_WIDE, depth)
+    rng = np.random.default_rng(seed)
+    for ds in datasets.values():
+        ds.values[:] = rng.uniform(-1.0, 1.0, len(ds.values))
+    initial = dataset_values(datasets)
+
+    def fresh():
+        return {name: ds.copy() for name, ds in datasets.items()}
+
+    got, ref = fresh(), fresh()
+    execute_untiled(chain, bindings, got, REGISTRY)
+    run_per_element(chain, bindings, ref)
+    assert_bitwise_equal(dataset_values(ref), dataset_values(got))
+    for mode in (ExecMode.SEQUENTIAL, ExecMode.SHARED):
+        schedule = inspect_chain(chain, ts, mode)
+        got, ref = fresh(), fresh()
+        execute_schedule(schedule, chain, bindings, got, REGISTRY)
+        run_per_element(chain, bindings, ref, schedule)
+        assert_bitwise_equal(dataset_values(ref), dataset_values(got))
+    batch = run_distributed(mesh, FIG2_WIDE, nranks, ts, depth, REGISTRY,
+                            initial=initial)
+    per_element = per_element_distributed(mesh, FIG2_WIDE, nranks, ts, depth,
+                                          initial)
+    assert_bitwise_equal(per_element, batch.datasets)
+
+
+R, I = AccessMode.READ, AccessMode.INC
+# FIG2 plus a loop that increments edge_out directly, so every legal pair of
+# mode and access kind reaches a kernel
+PROBE = Problem("probe", FIG2.loops + (
+    LoopSpec("edges", "edge_sum", (AccessSpec(None, I, "edge_out"),
+                                   AccessSpec("e2v", R, "vertex_acc"))),),
+    FIG2.datasets)
+PROBE_WIDE = dataclasses.replace(PROBE, datasets=FIG2_WIDE.datasets)
+
+
+@pytest.mark.parametrize("problem", [PROBE, PROBE_WIDE], ids=["k1", "k3"])
+def test_kernel_arguments_follow_the_contract(problem):
+    mesh = generate_rect_mesh(5, 3)
+    k_of = {d.name: d.values_per_element for d in problem.datasets}
+    arity = {"e2v": 2, "c2v": 3}
+    expected = {spec.kernel: [(a.mode, a.map, k_of[a.dataset]) for a in spec.accesses]
+                for spec in problem.loops}
+
+    depth = len(problem.loops)
+    chain, datasets, bindings = global_setup(mesh, problem, depth)
+    runs = {"untiled": functools.partial(execute_untiled, chain, bindings, datasets),
+            "distributed": functools.partial(run_distributed, mesh, problem, 2, 4, depth)}
+    for mode in (ExecMode.SEQUENTIAL, ExecMode.SHARED):
+        runs[mode.value] = functools.partial(
+            execute_schedule, inspect_chain(chain, 4, mode), chain, bindings, datasets)
+
+    for name, run in runs.items():
+        calls = []
+
+        def probe(kernel_id, args):
+            calls.append(kernel_id)
+            n = len(args[0])
+            for arg, (mode, map_name, k) in zip(args, expected[kernel_id], strict=True):
+                shape = (n, k) if map_name is None else (n, arity[map_name], k)
+                assert arg.shape == shape, (name, kernel_id)
+                assert arg.dtype == np.float64
+                assert arg.flags.c_contiguous
+                assert arg.flags.writeable == (mode is not R), (name, kernel_id, mode)
+
+        run(recording_registry(probe))
+        assert set(calls) == set(expected), name
