@@ -6,7 +6,6 @@ The generator splits every quad of an nx-by-ny grid along the same diagonal
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,51 +120,82 @@ def generate_rect_mesh(nx: int, ny: int) -> Mesh:
     return mesh
 
 
-def vertex_adjacency(mesh: Mesh) -> list[list[int]]:
-    """Neighbor lists over the edge graph, each sorted ascending."""
+def vertex_adjacency(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
+    """The edge graph as an int64 CSR ``(offsets, neighbors)``.
+
+    Row ``v`` is ``neighbors[offsets[v]:offsets[v + 1]]``: the distinct
+    neighbors of vertex ``v``, ascending.
+    """
     nv = mesh.num_vertices
-    pairs = mesh.edges_to_vertices.reshape(-1, 2)
+    pairs = mesh.edges_to_vertices.reshape(-1, 2).astype(np.int64, copy=False)
     src = np.concatenate([pairs[:, 0], pairs[:, 1]])
     dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
     # CSR of (src, dst) keys, sorted and without repeats
     src, dst = np.divmod(sorted_distinct(src * nv + dst), nv)
-    offsets = np.searchsorted(src, np.arange(nv + 1)).tolist()
-    flat = dst.tolist()
-    return [flat[offsets[v]:offsets[v + 1]] for v in range(nv)]
+    offsets = np.searchsorted(src, np.arange(nv + 1))
+    return offsets, dst
 
 
-def adjacency_bandwidth(adjacency: list[list[int]]) -> int:
-    """max |i - j| over connected vertex pairs."""
-    width = 0
-    for v, nbrs in enumerate(adjacency):
-        for w in nbrs:
-            width = max(width, abs(v - w))
-    return width
+def adjacency_bandwidth(adjacency: tuple[np.ndarray, np.ndarray]) -> int:
+    """max |i - j| over connected vertex pairs of a CSR adjacency."""
+    offsets, neighbors = adjacency
+    if not neighbors.size:
+        return 0
+    src = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+    return int(np.abs(src - neighbors).max())
 
 
-def rcm_ordering(adjacency: list[list[int]]) -> np.ndarray:
+def rcm_ordering(adjacency: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Reverse Cuthill-McKee permutation: position k holds the old id placed k-th.
 
-    Deterministic tie-breaks: start from the lowest-id minimum-degree vertex,
-    visit neighbors by (degree, id).  Raises ValueError on a disconnected graph.
+    ``adjacency`` is a CSR as ``vertex_adjacency`` returns it, each row
+    ascending without repeats.  Deterministic tie-breaks: start from the
+    lowest-id minimum-degree vertex, visit neighbors by (degree, id).
+    Raises ValueError on a disconnected graph.
+
+    The breadth-first search runs one level at a time over whole arrays.
+    Every row is sorted by (degree, id) once, up front.  A vertex of level
+    L+1 joins the sequential queue when its first level-L neighbor, in
+    queue order, is dequeued, and that neighbor enqueues its new neighbors
+    in (degree, id) order.  So level L+1 in queue order is the sequence of
+    first occurrences of unseen vertices in the presorted rows of level L,
+    concatenated in queue order, which is what each level computes.
     """
-    n = len(adjacency)
-    degree = [len(a) for a in adjacency]
-    start = min(range(n), key=lambda v: (degree[v], v))
-    order = []
-    seen = [False] * n
-    queue = deque([start])
+    offsets, neighbors = adjacency
+    n = len(offsets) - 1
+    degree = np.diff(offsets)
+    row = np.repeat(np.arange(n), degree)
+    # rows arrive ascending by id, so a stable sort on (row, degree) orders
+    # each row by (degree, id); the key is nearly sorted, which timsort likes
+    key = row * (int(degree.max()) + 1) + degree[neighbors]
+    rows = neighbors[np.argsort(key, kind="stable")]
+
+    start = int(np.argmin(degree))
+    seen = np.zeros(n, dtype=bool)
     seen[start] = True
-    while queue:
-        v = queue.popleft()
-        order.append(v)
-        for w in sorted(adjacency[v], key=lambda u: (degree[u], u)):
-            if not seen[w]:
-                seen[w] = True
-                queue.append(w)
+    first = np.empty(n, dtype=np.int64)
+    frontier = np.array([start], dtype=np.int64)
+    levels = [frontier]
+    while True:
+        # the frontier's rows, concatenated in frontier order
+        counts = degree[frontier]
+        ends = np.cumsum(counts)
+        slots = np.arange(ends[-1]) + np.repeat(offsets[frontier] - ends + counts,
+                                                counts)
+        found = rows[slots]
+        found = found[~seen[found]]
+        if not found.size:
+            break
+        # first occurrences: scattered in reverse, the earliest position lands last
+        pos = np.arange(len(found))
+        first[found[::-1]] = pos[::-1]
+        frontier = found[first[found] == pos]
+        seen[frontier] = True
+        levels.append(frontier)
+    order = np.concatenate(levels)
     if len(order) != n:
         raise ValueError("graph is disconnected; renumbering unsupported")
-    return np.array(order[::-1], dtype=np.int64)
+    return order[::-1]
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,8 @@ from looptile.mesh import (Mesh, adjacency_bandwidth, apply_renumbering,
                            generate_rect_mesh, rcm_ordering, rcm_permutations,
                            rcm_renumber, vertex_adjacency)
 
+from reference_mesh import csr_from_lists, lists_from_pairs, rcm_ordering_reference
+
 
 def test_unit_quad_splits_into_two_triangles():
     mesh = generate_rect_mesh(1, 1)
@@ -53,7 +55,7 @@ def test_zero_dimension_rejected(nx, ny):
 def test_rcm_fixed_point_on_ordered_path_graph():
     # a path already in RCM order relabels to itself
     path = [[1], [0, 2], [1, 3], [2, 4], [3]]
-    order = rcm_ordering(path)
+    order = rcm_ordering(csr_from_lists(path))
     perm = np.empty(len(path), dtype=np.int64)
     perm[order] = np.arange(len(path))
     relabeled = [[] for _ in path]
@@ -90,7 +92,62 @@ def test_renumbering_roundtrip_recovers_connectivity(nx, ny):
 
 def test_disconnected_graph_rejected():
     with pytest.raises(ValueError, match="disconnected"):
-        rcm_ordering([[1], [0], [3], [2]])
+        rcm_ordering(csr_from_lists([[1], [0], [3], [2]]))
+
+
+def test_mesh_with_an_unused_vertex_rejected_as_disconnected():
+    # the extra vertex has degree 0, so the search starts and ends there
+    mesh = generate_rect_mesh(3, 2)
+    padded = Mesh(mesh.num_vertices + 1, mesh.num_cells, mesh.num_edges,
+                  mesh.cells_to_vertices, mesh.edges_to_vertices,
+                  np.vstack([mesh.vertex_coords, [[9.0, 9.0]]]))
+    with pytest.raises(ValueError, match="disconnected"):
+        rcm_renumber(padded)
+
+
+@st.composite
+def relabeled_rect_meshes(draw):
+    """A 1-12 x 1-12 rect mesh with its vertex ids shuffled."""
+    mesh = generate_rect_mesh(draw(st.integers(1, 12)), draw(st.integers(1, 12)))
+    perm = np.array(draw(st.permutations(range(mesh.num_vertices))), dtype=np.int64)
+    return Mesh(mesh.num_vertices, mesh.num_cells, mesh.num_edges,
+                perm[mesh.cells_to_vertices], perm[mesh.edges_to_vertices],
+                mesh.vertex_coords)
+
+
+@given(mesh=relabeled_rect_meshes())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_rcm_ordering_matches_sequential_reference_on_rect_meshes(mesh):
+    pairs = mesh.edges_to_vertices.reshape(-1, 2).tolist()
+    lists = lists_from_pairs(mesh.num_vertices, pairs)
+    adjacency = vertex_adjacency(mesh)
+    for got, want in zip(adjacency, csr_from_lists(lists)):
+        assert np.array_equal(got, want)
+    assert np.array_equal(rcm_ordering(adjacency), rcm_ordering_reference(lists))
+
+
+@st.composite
+def connected_graphs(draw):
+    """(num_vertices, edge pairs): a random spanning tree plus extra edges."""
+    n = draw(st.integers(1, 40))
+    label = draw(st.permutations(range(n)))
+    pairs = [(label[v], label[draw(st.integers(0, v - 1))]) for v in range(1, n)]
+    if n > 1:
+        vertex = st.integers(0, n - 1)
+        extra = draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n))
+        pairs += [(a, b) for a, b in extra if a != b]
+    return n, pairs
+
+
+@given(graph=connected_graphs())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_rcm_ordering_matches_sequential_reference_on_random_graphs(graph):
+    n, pairs = graph
+    lists = lists_from_pairs(n, pairs)
+    adjacency = csr_from_lists(lists)
+    assert np.array_equal(rcm_ordering(adjacency), rcm_ordering_reference(lists))
+    assert adjacency_bandwidth(adjacency) == max(
+        (abs(v - w) for v, nbrs in enumerate(lists) for w in nbrs), default=0)
 
 
 def test_mesh_writes_as_vtk_unstructured_grid(tmp_path):
@@ -138,6 +195,9 @@ GOLDEN_MESH_DIGESTS = {
     ((16, 8), True): "b35c5d791e74e71324ebc371fe73499347f8a150c57a139bb50fa674dd2a1498",
     ((64, 32), False): "fa13c1b30978892fca2ceff459675571b7553e93811dfc553415bf608a32bcd8",
     ((64, 32), True): "59348614dff4793d91a35b36f0460b06e78ce766b66429fd534505f61226ffda",
+    # the fig2-seq-steps benchmark mesh, recorded from the sequential BFS
+    ((128, 64), False): "b2f0839ecb310634d2c8fc9da715d842d0d6c82dd86bf3f8223d4f22bb5e1cc6",
+    ((128, 64), True): "ed5857be39b6c4e66ec936dd133322873463ceb90a591276e11b6846b8a2bda2",
 }
 
 
@@ -156,5 +216,9 @@ def test_vertex_adjacency_lists_sorted_distinct_neighbors():
     doubled = Mesh(mesh.num_vertices, mesh.num_cells, mesh.num_edges + 1,
                    mesh.cells_to_vertices, e2v, mesh.vertex_coords)
     expected = [[1, 3, 4], [0, 2, 4, 5], [1, 5], [0, 4], [0, 1, 3, 5], [1, 2, 4]]
-    assert vertex_adjacency(mesh) == expected
-    assert vertex_adjacency(doubled) == expected
+    expected_offsets, expected_neighbors = csr_from_lists(expected)
+    for m in (mesh, doubled):
+        offsets, neighbors = vertex_adjacency(m)
+        assert offsets.dtype == neighbors.dtype == np.int64
+        assert np.array_equal(offsets, expected_offsets)
+        assert np.array_equal(neighbors, expected_neighbors)
