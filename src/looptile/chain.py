@@ -228,7 +228,9 @@ def chain_fingerprint(chain: LoopChain) -> str:
     """Deterministic digest over the chain's full structure.
 
     Equal chains hash equal; any change to sizes, map values, descriptors,
-    loop order or depth changes the digest.  Used as the schedule cache key.
+    loop order or depth changes the digest.  Used as the schedule cache key,
+    and compared by ``execute_schedule``, which raises ``StaleScheduleError``
+    for a schedule inspected for another chain.
     """
     h = hashlib.sha256()
     for space in sorted(chain.spaces, key=lambda s: s.name):

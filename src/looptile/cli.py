@@ -240,8 +240,7 @@ def sweep_config(cfg: RunConfig, tile_sizes, modes, schemes=None):
             for mode in modes:
                 fusion = parse_fusion(text, len(cfg.problem.loops), ts,
                                       cfg.depth, mode)
-                variant = dataclasses.replace(cfg, tile_size=ts, mode=mode,
-                                              fusion=fusion)
+                variant = dataclasses.replace(cfg, mode=mode, fusion=fusion)
                 try:
                     result, status = verify_config(variant), "pass"
                 except VerificationError:
@@ -267,7 +266,7 @@ def schedule_record(entry: Inspected) -> dict:
         "rank": entry.rank,
         "holds": None if entry.holds is None else {
             space: dataclasses.asdict(sizes) for space, sizes in entry.holds.items()},
-        "tiles": {r.name.lower(): sum(t.region is r for t in schedule.tiles)
+        "tiles": {r.name.lower(): int(np.count_nonzero(schedule.regions == r))
                   for r in Region},
         "colors": len(schedule.color_order),
         "recolor_rounds": schedule.recolor_rounds,
@@ -280,7 +279,7 @@ def schedule_record(entry: Inspected) -> dict:
     if entry.report is not None:
         record["execute"] = dict(entry.report.phase_seconds)
         record["tiles_per_color"] = {str(c): n for c, n in
-                                     sorted(entry.report.tiles_per_color.items())}
+                                     sorted(schedule.tiles_per_color.items())}
         record["bytes_exchanged"] = entry.report.bytes_exchanged
     return record
 

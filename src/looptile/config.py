@@ -60,7 +60,6 @@ class RunConfig:
     problem: Problem
     depth: int
     mode: ExecMode
-    tile_size: int
     nranks: int
     fusion: tuple[SubChain, ...]
     report_path: str | None = None
@@ -168,11 +167,16 @@ def parse_config(path: str) -> RunConfig:
     try:
         nx = parser.getint("mesh", "nx")
         ny = parser.getint("mesh", "ny")
+        for key, value in (("nx", nx), ("ny", ny)):
+            if value < 1:
+                raise ConfigError(f"[mesh] {key} must be >= 1, got {value}")
         renumber = parser.get("mesh", "renumber", fallback="rcm").lower()
         if renumber not in ("rcm", "none"):
             raise ConfigError(f"[mesh] renumber must be rcm or none, got {renumber!r}")
         preset = parser.get("chain", "preset", fallback=None)
         depth = parser.getint("chain", "depth", fallback=1)
+        if depth < 1:
+            raise ConfigError(f"[chain] depth must be >= 1, got {depth}")
         if preset is not None:
             try:
                 problem = PRESETS[preset]
@@ -184,6 +188,9 @@ def parse_config(path: str) -> RunConfig:
         mode = ExecMode.parse(parser.get("run", "mode", fallback="sequential"))
         tile_size = parser.getint("run", "tile_size", fallback=16)
         nranks = parser.getint("run", "nranks", fallback=2)
+        if mode is ExecMode.DISTRIBUTED and not 1 <= nranks <= 2 * nx * ny:
+            raise ConfigError(f"[run] nranks must be from 1 to the {2 * nx * ny} "
+                              f"cells of the mesh, got {nranks}")
         fusion_text = parser.get(
             "run", "fusion", fallback=f"0-{len(problem.loops) - 1}:{tile_size}")
         fusion = parse_fusion(fusion_text, len(problem.loops), tile_size,
@@ -199,7 +206,7 @@ def parse_config(path: str) -> RunConfig:
                           "mode tiles every rank's local mesh instead")
     return RunConfig(
         nx=nx, ny=ny, renumber=(renumber == "rcm"), problem=problem,
-        depth=depth, mode=mode, tile_size=tile_size, nranks=nranks,
+        depth=depth, mode=mode, nranks=nranks,
         fusion=fusion,
         report_path=parser.get("output", "report", fallback=None),
         vtk_path=vtk_path,

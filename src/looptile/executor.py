@@ -99,10 +99,9 @@ class KernelBinding:
 
 @dataclass
 class ExecutionReport:
-    """Per-phase wall times and tile counts for one tiled execution."""
+    """Per-phase wall times and halo bytes of one tiled execution."""
 
     phase_seconds: dict[str, float] = field(default_factory=dict)
-    tiles_per_color: dict[int, int] = field(default_factory=dict)
     bytes_exchanged: int = 0
 
 
@@ -231,7 +230,7 @@ def execute_schedule(schedule: Schedule, chain: LoopChain, bindings,
     if schedule.n_loops != len(chain.loops):
         raise StaleScheduleError("schedule loop count differs from chain")
     bodies = check_bindings(chain, bindings, datasets, registry)
-    report = ExecutionReport(tiles_per_color=dict(schedule.tiles_per_color))
+    report = ExecutionReport()
 
     def run_phase(region):
         for j, lo, hi in schedule.plan[region]:

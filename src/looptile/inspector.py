@@ -11,12 +11,12 @@ compiles its color-batched execution plan.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import math
 import time
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -42,21 +42,20 @@ class ExecMode(enum.Enum):
         raise ValueError(f"unknown execution mode {token!r}")
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Tile:
-    """An atomically executed unit: one iteration list per loop, plus a color.
+    """A read-only view of one tile of a schedule: id, region and color.
 
-    A scheduled tile runs at execution position ``position`` of its
-    schedule's ``tilings``; ``iteration_lists`` (by loop) and ``local_maps``
-    (by (loop, map name), flat) are read-only views into them.  Before
-    scheduling both are empty.
+    The tile runs at execution position ``position`` of the schedule's
+    ``tilings``; ``iteration_lists`` (by loop) and ``local_maps`` (by (loop,
+    map name), flat) are read-only views into them.
     """
 
     id: int
     region: Region
-    color: int = -1
-    tilings: tuple["LoopTiling", ...] = field(default=(), repr=False)
-    position: int = -1
+    color: int
+    tilings: tuple["LoopTiling", ...] = field(repr=False)
+    position: int
 
     @property
     def iteration_lists(self) -> Mapping[int, np.ndarray]:
@@ -117,27 +116,29 @@ class InspectionStats:
         return name, phases[name] / span
 
 
-_REGION_RANK = {Region.CORE: 0, Region.BOUNDARY: 1, Region.NONEXEC: 2}
-
-
 @dataclass(frozen=True, eq=False)
 class Schedule:
-    """Inspector output: the tiles, each loop's tiling and the execution plan.
+    """Inspector output: tile regions and colors, loop tilings and the plan.
 
-    Tiles run in execution order: ascending color, ties in id order.  Core
-    colors lie below boundary colors and the non-exec tile comes last, so
-    the tiles of one (region, color) hold one run of every loop's tiling.
+    Tile t has region ``regions[t]`` (a ``Region`` value) and color
+    ``colors[t]``; ``tiles`` holds a read-only ``Tile`` view of each, in id
+    order, built on first use.  Tiles run in execution order: ascending
+    color, ties in id order.  Core colors lie below boundary colors and the
+    non-exec tile comes last, so the tiles of one (region, color) hold one
+    run of every loop's tiling.
     Construction compiles ``plan``: per executable region, one step
     ``(j, lo, hi)`` per non-empty (color, loop j), color by color and loop by
     loop within a color; the step's iterations are ``tilings[j].elements[lo:hi]``.
     Same-colored tiles are independent, so one kernel call may run all of a
     color's iterations of a loop.  A local map whose length does not match
-    its list raises ``StaleScheduleError`` here, before anything runs.
+    its list raises ``StaleScheduleError`` here, before anything runs.  The
+    region and color arrays are made read-only.
     """
 
     mode: ExecMode
     fingerprint: str
-    tiles: tuple[Tile, ...]
+    regions: np.ndarray
+    colors: np.ndarray
     tilings: tuple[LoopTiling, ...]
     recolor_rounds: int
     stats: InspectionStats = field(compare=False, repr=False,
@@ -147,7 +148,9 @@ class Schedule:
     plan: dict[Region, list[tuple[int, int, int]]] = field(init=False, repr=False)
 
     def __post_init__(self):
-        n = len(self.tiles)
+        n = len(self.colors)
+        if len(self.regions) != n:
+            raise InspectionError(f"{len(self.regions)} tile regions for {n} colors")
         for j, tiling in enumerate(self.tilings):
             if len(tiling.bounds) != n + 1 or tiling.bounds[-1] != len(tiling.elements):
                 raise StaleScheduleError(
@@ -158,11 +161,12 @@ class Schedule:
                     raise StaleScheduleError(
                         f"loop {j}: local map {name!r} has {len(rows)} rows, "
                         f"its list needs {len(tiling.elements)}")
+        self.regions.flags.writeable = False
+        self.colors.flags.writeable = False
 
-        colors = np.array([t.color for t in self.tiles], dtype=np.int64)
-        order = execution_order(colors)
-        ordered = colors[order]
-        rank = np.array([_REGION_RANK[t.region] for t in self.tiles])[order]
+        order = execution_order(self.colors)
+        ordered = self.colors[order]
+        rank = self.regions[order]  # Region values: core 0, boundary 1, non-exec 2
         # runs of one color along the execution order; each lies in one region
         first = np.ones(n, dtype=bool)
         first[1:] = ordered[1:] != ordered[:-1]
@@ -183,18 +187,17 @@ class Schedule:
         plan = {Region.CORE: steps[:split], Region.BOUNDARY: steps[split:]}
         tiles_per_color = dict(zip(ordered[starts[:n_exec]].tolist(),
                                    np.diff(edges).tolist()))
-
-        # bind the tiles to these tilings; another schedule's tiles keep theirs
-        tiles = []
-        for t, p in zip(self.tiles, np.argsort(order).tolist()):
-            if t.tilings:
-                t = dataclasses.replace(t)
-            t.tilings, t.position = self.tilings, p
-            tiles.append(t)
-        object.__setattr__(self, "tiles", tuple(tiles))
         object.__setattr__(self, "execution_order", order)
         object.__setattr__(self, "tiles_per_color", tiles_per_color)
         object.__setattr__(self, "plan", plan)
+
+    @cached_property
+    def tiles(self) -> tuple[Tile, ...]:
+        position = np.empty_like(self.execution_order)
+        position[self.execution_order] = np.arange(len(position))
+        return tuple(Tile(t, Region(r), c, self.tilings, p) for t, (r, c, p) in
+                     enumerate(zip(self.regions.tolist(), self.colors.tolist(),
+                                   position.tolist())))
 
     @property
     def n_loops(self) -> int:
@@ -202,7 +205,7 @@ class Schedule:
 
     @property
     def color_order(self) -> list[int]:
-        return sorted({t.color for t in self.tiles})
+        return sorted_distinct(self.colors).tolist()
 
     @property
     def nonexec_tile(self) -> Tile:
@@ -240,101 +243,96 @@ class Schedule:
 # -- inspection steps ---------------------------------------------------------
 # A tiling array holds a tile id per element of a loop's space; ``phi`` maps a
 # space name to the max-color tile that last touched each element (NO_TILE if
-# none); conflicts are a set of (low, high) tile-id pairs.
+# none).  A pair of tiles low < high is the int64 key low * n_tiles + high;
+# conflicts are collected as a list of key arrays.
 
 
-def partition_seed(space: IterationSpace, ts: int) -> tuple[np.ndarray, list[Tile]]:
+def partition_seed(space: IterationSpace, ts: int) -> tuple[np.ndarray, np.ndarray]:
     """Chunk the seed space into tiles of ts contiguous iterations per region.
 
     Core chunks come first, then boundary chunks, then the single non-exec
     tile covering the non-exec region (created even when that region is empty).
-    Returns the seed loop's tiling array and the (still empty) tiles.
+    Returns the seed loop's tiling array and each tile's ``Region`` value.
     """
     if ts < 1:
         raise ValueError(f"tile size must be >= 1, got {ts}")
     m = math.ceil(space.core_size / ts)
     k = math.ceil(space.boundary_size / ts)
-    tiles = [Tile(id=i, region=Region.CORE) for i in range(m)]
-    tiles += [Tile(id=m + j, region=Region.BOUNDARY) for j in range(k)]
-    tiles.append(Tile(id=m + k, region=Region.NONEXEC))
+    regions = np.repeat(np.array(list(Region), dtype=np.int64), [m, k, 1])
 
     seed = np.empty(space.total, dtype=np.int64)
     seed[:space.core_size] = np.arange(space.core_size) // ts
     seed[space.core_size:space.executable_size] = m + np.arange(space.boundary_size) // ts
     seed[space.executable_size:] = m + k
-    return seed, tiles
+    return seed, regions
 
 
 def seed_adjacency(seed: np.ndarray, n_tiles: int,
-                   seed_map: MeshMap | None) -> dict[int, set[int]]:
-    """Tiles are adjacent iff their seed iterations share a target element."""
-    adjacency: dict[int, set[int]] = {t: set() for t in range(n_tiles)}
+                   seed_map: MeshMap | None) -> np.ndarray:
+    """Sorted keys of the tile pairs whose seed iterations share a target element."""
     if seed_map is None:
-        return adjacency
+        return np.empty(0, dtype=np.int64)
     owner = np.repeat(seed, seed_map.arity)
     # distinct (target, tile) touches, sorted by target then tile
     touches = sorted_distinct(seed_map.values.reshape(-1) * n_tiles + owner)
     target, tile = touches // n_tiles, touches % n_tiles
-    first, second = [], []
+    pairs = [np.empty(0, dtype=np.int64)]
     step = 1
     while step < len(touches):
         same = target[step:] == target[:-step]
         if not same.any():
             break
-        first.append(tile[:-step][same])
-        second.append(tile[step:][same])
+        pairs.append(tile[:-step][same] * n_tiles + tile[step:][same])
         step += 1
-    if first:
-        pairs = sorted_distinct(np.concatenate(first) * n_tiles + np.concatenate(second))
-        for a, b in zip((pairs // n_tiles).tolist(), (pairs % n_tiles).tolist()):
-            adjacency[a].add(b)
-            adjacency[b].add(a)
-    return adjacency
+    return sorted_distinct(np.concatenate(pairs))
 
 
-def color_tiles(tiles: list[Tile], adjacency: dict[int, set[int]],
-                fake_connections: set[tuple[int, int]], mode: ExecMode) -> None:
-    """Assign execution-priority colors.
+def color_tiles(regions: np.ndarray, pairs: np.ndarray, mode: ExecMode) -> np.ndarray:
+    """Execution-priority colors, one per tile.
 
-    Shared mode reuses colors across non-adjacent tiles (greedy first-fit over
-    the seed adjacency plus fake connections); sequential and distributed
-    modes give tile i color i.  Boundary colors always exceed core colors and
-    the non-exec tile gets the highest color.
+    Shared mode reuses colors across tiles of no pair in ``pairs`` (the seed
+    adjacency plus fake connections): first-fit in id order over each
+    region's tiles; sequential and distributed modes give tile i color i.
+    Boundary colors always exceed core colors and the non-exec tile gets the
+    highest color.
     """
+    n = len(regions)
     if mode is not ExecMode.SHARED:
-        for t in tiles:
-            t.color = t.id
-        return
-    neighbours = {t.id: set(adjacency.get(t.id, ())) for t in tiles}
-    for a, b in fake_connections:
-        neighbours[a].add(b)
-        neighbours[b].add(a)
+        return np.arange(n, dtype=np.int64)
+    low, high = np.divmod(pairs, n)
+    tile, neighbour = np.divmod(np.sort(np.concatenate((pairs, high * n + low))), n)
+    offsets = np.searchsorted(tile, np.arange(n + 1)).tolist()
+    neighbour = neighbour.tolist()
+    # an uncolored neighbour holds -1 and a core one a color below the
+    # boundary floor, so neither blocks a color
+    colors = [-1] * n
     floor = 0
     for region in (Region.CORE, Region.BOUNDARY):
-        group = [t for t in tiles if t.region is region]
-        assigned: dict[int, int] = {}
+        group = np.flatnonzero(regions == region).tolist()
         for t in group:
-            used = {assigned[n] for n in neighbours[t.id] if n in assigned}
+            used = {colors[u] for u in neighbour[offsets[t]:offsets[t + 1]]}
             color = floor
             while color in used:
                 color += 1
-            assigned[t.id] = color
-            t.color = color
+            colors[t] = color
         if group:
-            floor = max(t.color for t in group) + 1
-    tiles[-1].color = floor  # non-exec tile above everything
+            floor = max(colors[t] for t in group) + 1
+    colors = np.array(colors, dtype=np.int64)
+    colors[regions == Region.NONEXEC] = floor
+    return colors
 
 
-def _add_conflicts(conflicts: set[tuple[int, int]], a: np.ndarray,
-                   b: np.ndarray) -> None:
-    """Record every pair (a[i], b[i]); a tile never conflicts with itself."""
+def _add_conflicts(conflicts: list[np.ndarray], a: np.ndarray, b: np.ndarray,
+                   n_tiles: int) -> None:
+    """Record the key of each pair (a[i], b[i]); no tile conflicts with itself."""
     distinct = a != b
-    a, b = a[distinct], b[distinct]
-    conflicts.update(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
+    if distinct.any():
+        a, b = a[distinct], b[distinct]
+        conflicts.append(np.minimum(a, b) * n_tiles + np.maximum(a, b))
 
 
 def _project_mapped(inv: InverseMap, sigma: np.ndarray, held: np.ndarray,
-                    colors: np.ndarray, conflicts: set | None) -> np.ndarray:
+                    colors: np.ndarray, conflicts: list[np.ndarray] | None) -> np.ndarray:
     """New projection of a mapped access's target space; see ``project``.
 
     Each target element's segment of the CSR inverse lists its sources in
@@ -373,12 +371,12 @@ def _project_mapped(inv: InverseMap, sigma: np.ndarray, held: np.ndarray,
         key, entry_tile = key[order], entry_tile[order]
         starts = np.flatnonzero(np.diff(key, prepend=-1))  # keys are >= 0
         first = np.repeat(entry_tile[starts], np.diff(np.append(starts, len(key))))
-        _add_conflicts(conflicts, first, entry_tile)
+        _add_conflicts(conflicts, first, entry_tile, len(colors))
     return new
 
 
 def project(loop: Loop, sigma: np.ndarray, phi: dict[str, np.ndarray],
-            colors: np.ndarray, conflicts: set[tuple[int, int]] | None,
+            colors: np.ndarray, conflicts: list[np.ndarray] | None,
             inverse_maps: dict[str, InverseMap]) -> None:
     """Fold loop's tiling array into the per-space projections (updates phi).
 
@@ -394,7 +392,7 @@ def project(loop: Loop, sigma: np.ndarray, phi: dict[str, np.ndarray],
             old = phi.get(loop.space.name)
             if conflicts is not None and old is not None:
                 clash = (old >= 0) & (sigma >= 0) & (colors[old] == colors[sigma])
-                _add_conflicts(conflicts, old[clash], sigma[clash])
+                _add_conflicts(conflicts, old[clash], sigma[clash], len(colors))
             phi[loop.space.name] = sigma
         else:
             if d.map.name not in inverse_maps:
@@ -424,7 +422,7 @@ def _candidate_columns(loop: Loop, phi: dict[str, np.ndarray], n: int):
 
 
 def tile_loop(loop: Loop, phi: dict[str, np.ndarray], colors: np.ndarray,
-              conflicts: set[tuple[int, int]] | None = None) -> np.ndarray:
+              conflicts: list[np.ndarray] | None = None) -> np.ndarray:
     """The loop's tiling array, built from the available projections.
 
     Every element lands on the maximum-color tile reachable through any of the
@@ -464,7 +462,7 @@ def tile_loop(loop: Loop, phi: dict[str, np.ndarray], colors: np.ndarray,
         held_color = held_color[:space.executable_size]
         for candidate in _candidate_columns(loop, phi, space.executable_size):
             clash = (candidate >= 0) & (colors[candidate] == held_color)
-            _add_conflicts(conflicts, held[clash], candidate[clash])
+            _add_conflicts(conflicts, held[clash], candidate[clash], len(colors))
     return sigma
 
 
@@ -499,28 +497,29 @@ def compute_local_maps(elements: list[np.ndarray],
             for lst, loop in zip(elements, chain.loops)]
 
 
-def build_schedule(chain: LoopChain, mode: ExecMode, tiles: list[Tile],
-                   sigmas: list[np.ndarray], recolor_rounds: int,
+def build_schedule(chain: LoopChain, mode: ExecMode, regions: np.ndarray,
+                   colors: np.ndarray, sigmas: list[np.ndarray], recolor_rounds: int,
                    stats: InspectionStats | None = None) -> Schedule:
     """Cut one tiling array per loop into the schedule's CSR and compile it.
 
-    Every element of every loop's space must sit on one of ``tiles``, which
-    are colored and in id order, and no executable element on the last,
-    non-exec tile; otherwise ``InspectionError``.  Cutting counts toward
-    ``projection_tiling_s``, local maps and the plan toward ``local_maps_s``.
+    Tile t has region ``regions[t]`` and color ``colors[t]``.  Every element
+    of every loop's space must sit on a tile, and no executable element on
+    the last, non-exec tile; otherwise ``InspectionError``.  Cutting counts
+    toward ``projection_tiling_s``, local maps and the plan toward
+    ``local_maps_s``.
     """
     stats = stats if stats is not None else InspectionStats()
     t0 = time.perf_counter()
-    nonexec = tiles[-1].id
+    n_tiles = len(colors)
     for j, (sigma, loop) in enumerate(zip(sigmas, chain.loops)):
-        if len(sigma) and (sigma.min() < 0 or sigma.max() >= len(tiles)):
+        if len(sigma) and (sigma.min() < 0 or sigma.max() >= n_tiles):
             raise InspectionError(f"loop {j}: an element is on no tile")
-        stranded = np.flatnonzero(sigma[:loop.space.executable_size] == nonexec)
+        stranded = np.flatnonzero(sigma[:loop.space.executable_size] == n_tiles - 1)
         if len(stranded):
             raise InspectionError(
                 f"loop {j}: executable element {int(stranded[0])} of "
                 f"{loop.space.name!r} is on the non-exec tile, which never runs")
-    order = execution_order(np.array([t.color for t in tiles], dtype=np.int64))
+    order = execution_order(colors)
     position = np.empty_like(order)
     position[order] = np.arange(len(order))
     cut = [assign(sigma, position) for sigma in sigmas]
@@ -529,7 +528,7 @@ def build_schedule(chain: LoopChain, mode: ExecMode, tiles: list[Tile],
     t0 = time.perf_counter()
     rows = compute_local_maps([elements for elements, _ in cut], chain)
     schedule = Schedule(
-        mode=mode, fingerprint=chain.fingerprint, tiles=tuple(tiles),
+        mode=mode, fingerprint=chain.fingerprint, regions=regions, colors=colors,
         tilings=tuple(LoopTiling(elements, bounds, r)
                       for (elements, bounds), r in zip(cut, rows)),
         recolor_rounds=recolor_rounds, stats=stats)
@@ -563,18 +562,18 @@ def inspect_chain(chain: LoopChain, ts: int, mode: ExecMode) -> Schedule:
     loops = chain.loops
 
     t0 = time.perf_counter()
-    seed, tiles = partition_seed(loops[0].space, ts)
+    seed, regions = partition_seed(loops[0].space, ts)
     stats.seed_s += time.perf_counter() - t0
+    n_tiles = len(regions)
 
     t0 = time.perf_counter()
-    adjacency = (seed_adjacency(seed, len(tiles), find_seed_map(chain))
-                 if mode is ExecMode.SHARED else {})
+    pairs = (seed_adjacency(seed, n_tiles, find_seed_map(chain))
+             if mode is ExecMode.SHARED else np.empty(0, dtype=np.int64))
     stats.coloring_s += time.perf_counter() - t0
 
     inverse_maps: dict[str, InverseMap] = {}
-    fake_connections: set[tuple[int, int]] = set()
-    max_rounds = 10 * len(tiles)
-    tne_id = tiles[-1].id
+    max_rounds = 10 * n_tiles
+    tne_id = n_tiles - 1
     rounds = 0
 
     while True:
@@ -583,14 +582,13 @@ def inspect_chain(chain: LoopChain, ts: int, mode: ExecMode) -> Schedule:
             raise ColoringLimitError(
                 f"recoloring did not converge after {max_rounds} rounds")
         t0 = time.perf_counter()
-        color_tiles(tiles, adjacency, fake_connections, mode)
-        colors = np.array([t.color for t in tiles], dtype=np.int64)
+        colors = color_tiles(regions, pairs, mode)
         stats.coloring_s += time.perf_counter() - t0
 
         # only same-colored tiles conflict, so unique colors (always so in
         # sequential and distributed modes) skip the conflict scans
-        shared = len(sorted_distinct(colors)) < len(colors)
-        conflicts: set[tuple[int, int]] | None = set() if shared else None
+        shared = len(sorted_distinct(colors)) < n_tiles
+        conflicts: list[np.ndarray] | None = [] if shared else None
         phi: dict[str, np.ndarray] = {}
         # non-exec iterations never run on this rank, so they carry no
         # dependence: each loop is projected with them on no tile
@@ -605,10 +603,11 @@ def inspect_chain(chain: LoopChain, ts: int, mode: ExecMode) -> Schedule:
 
         if not conflicts:
             break
-        fake_connections |= conflicts
+        # conflicting pairs join the adjacency as fake connections
+        pairs = sorted_distinct(np.concatenate((pairs, *conflicts)))
 
     for sigma in sigmas:
         sigma[sigma == NO_TILE] = tne_id
-    schedule = build_schedule(chain, mode, tiles, sigmas, rounds, stats)
+    schedule = build_schedule(chain, mode, regions, colors, sigmas, rounds, stats)
     stats.total_s = time.perf_counter() - t_start
     return schedule

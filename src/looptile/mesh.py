@@ -198,68 +198,31 @@ def rcm_ordering(adjacency: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     return order[::-1]
 
 
-@dataclass(frozen=True)
-class MeshRenumbering:
-    """Old-to-new index maps for each entity space; all bijections."""
+def rcm_renumber(mesh: Mesh) -> Mesh:
+    """Relabel all entity spaces by reverse Cuthill-McKee over the edge graph.
 
-    vertex_perm: np.ndarray
-    cell_perm: np.ndarray
-    edge_perm: np.ndarray
-
-
-def rcm_permutations(mesh: Mesh) -> MeshRenumbering:
-    """RCM vertex permutation plus induced cell/edge orders.
-
-    Cells and edges are relabeled by the sorted tuple of their new vertex
-    ids, keeping entities with nearby vertices nearby, so chunked seed
-    partitions stay spatially compact.
+    Vertices take their RCM positions.  Cells and edges are then ordered by
+    the sorted tuple of their new vertex ids, keeping entities with nearby
+    vertices nearby, so chunked seed partitions stay spatially compact; the
+    sort is stable, so equal tuples keep their order.  A cell keeps its
+    vertex order; an edge stores its vertices ascending.
     """
     order = rcm_ordering(vertex_adjacency(mesh))
     vertex_perm = np.empty(mesh.num_vertices, dtype=np.int64)  # old -> new
     vertex_perm[order] = np.arange(mesh.num_vertices)
-
-    cell_perm = _sorted_rows_rank(vertex_perm[mesh.cells_to_vertices.reshape(-1, 3)])
-    edge_perm = _sorted_rows_rank(vertex_perm[mesh.edges_to_vertices.reshape(-1, 2)])
-
-    return MeshRenumbering(vertex_perm=vertex_perm, cell_perm=cell_perm,
-                           edge_perm=edge_perm)
-
-
-def _sorted_rows_rank(rows: np.ndarray) -> np.ndarray:
-    """Position of each row once rows are ordered by their sorted vertex tuples.
-
-    ``np.lexsort`` is stable, so equal tuples keep their original order.
-    """
-    keys = np.sort(rows, axis=1)
-    order = np.lexsort(keys.T[::-1])
-    rank = np.empty(len(rows), dtype=np.int64)
-    rank[order] = np.arange(len(rows))
-    return rank
-
-
-def apply_renumbering(mesh: Mesh, renum: MeshRenumbering) -> Mesh:
-    vperm, cperm, eperm = renum.vertex_perm, renum.cell_perm, renum.edge_perm
-    tri = vperm[mesh.cells_to_vertices.reshape(-1, 3)]
-    new_tri = np.empty_like(tri)
-    new_tri[cperm] = tri
-    pairs = np.sort(vperm[mesh.edges_to_vertices.reshape(-1, 2)], axis=1)
-    new_pairs = np.empty_like(pairs)
-    new_pairs[eperm] = pairs
-    coords = np.empty_like(mesh.vertex_coords)
-    coords[vperm] = mesh.vertex_coords
+    tri = vertex_perm[mesh.cells_to_vertices.reshape(-1, 3)]
+    pairs = np.sort(vertex_perm[mesh.edges_to_vertices.reshape(-1, 2)], axis=1)
+    # np.lexsort takes its primary key last
+    cell_order = np.lexsort(np.sort(tri, axis=1).T[::-1])
+    edge_order = np.lexsort(pairs.T[::-1])
     return Mesh(
         num_vertices=mesh.num_vertices,
         num_cells=mesh.num_cells,
         num_edges=mesh.num_edges,
-        cells_to_vertices=new_tri.ravel(),
-        edges_to_vertices=new_pairs.ravel(),
-        vertex_coords=coords,
+        cells_to_vertices=tri[cell_order].ravel(),
+        edges_to_vertices=pairs[edge_order].ravel(),
+        vertex_coords=mesh.vertex_coords[order],
     )
-
-
-def rcm_renumber(mesh: Mesh) -> Mesh:
-    """Relabel all entity spaces by reverse Cuthill-McKee over the edge graph."""
-    return apply_renumbering(mesh, rcm_permutations(mesh))
 
 
 # -- chain-building helpers -------------------------------------------------

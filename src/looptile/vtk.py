@@ -58,9 +58,8 @@ def export_vtk(schedule: Schedule, chain: LoopChain, mesh: Mesh, path: str) -> N
     tile_of = schedule.tile_of(j, mesh.num_cells)
     if np.any(tile_of == NO_TILE):
         raise ValueError("schedule does not cover every cell")
-    colors = np.array([schedule.tiles[t].color for t in tile_of.tolist()],
-                      dtype=np.int64)
-    write_mesh_vtk(mesh, path, cell_data={"tile_id": tile_of, "color": colors},
+    write_mesh_vtk(mesh, path, cell_data={"tile_id": tile_of,
+                                          "color": schedule.colors[tile_of]},
                    title="looptile tiles")
 
 

@@ -204,7 +204,7 @@ def test_criterion_7_determinism(registry):
     assert len(blobs) == 1, "cold inspections differ"
 
     cfg = RunConfig(nx=8, ny=4, renumber=True, problem=FIG2, depth=3,
-                    mode=ExecMode.SHARED, tile_size=8, nranks=2,
+                    mode=ExecMode.SHARED, nranks=2,
                     fusion=(SubChain(0, 2, 8), SubChain(2, 3, 8)))
     cache = ScheduleCache()
     cold = run_config(cfg, cache)

@@ -1,8 +1,14 @@
 """The benchmark's traced rounds run the code its untraced rounds time."""
 
 import importlib.util
+import math
 from pathlib import Path
 
+import looptile.distsim as distsim
+import looptile.executor as executor
+import looptile.inspector as inspector
+import looptile.mesh as mesh_mod
+import looptile.problems as problems
 from looptile.executor import execute_schedule
 from looptile.inspector import ExecMode, inspect_chain
 from looptile.problems import FIG2, default_registry, global_setup
@@ -32,3 +38,25 @@ def test_counting_registry_counts_one_call_per_nonempty_color_loop(mesh_8x4):
     assert tracer.kernel_calls == len({
         (t.region, t.color, j) for t in schedule.executable_tiles()
         for j in range(len(chain.loops)) if len(t.iteration_lists[j])})
+
+
+def test_traced_round_reports_every_metric():
+    # the wrappers replace module attributes, so the round calls through them
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    registry = tracer.counting_registry(default_registry(),
+                                        [spec.kernel for spec in FIG2.loops])
+    tracer.install()
+    try:
+        mesh = mesh_mod.rcm_renumber(mesh_mod.generate_rect_mesh(8, 4))
+        chain, datasets, bindings = problems.global_setup(mesh, FIG2, 3)
+        schedule = inspector.inspect_chain(chain, 8, ExecMode.SHARED)
+        executor.execute_schedule(schedule, chain, bindings, datasets, registry)
+        distsim.run_distributed(mesh, FIG2, 2, 8, 3, registry)
+    finally:
+        tracer.uninstall()
+    metrics = tracing.round_metrics(tracer)
+    assert metrics.keys() == tracing.UNITS.keys()
+    assert all(math.isfinite(value) for value in metrics.values())
+    assert metrics["inspector.tiles"] > 0 and metrics["executor.iterations"] > 0
+    assert metrics["distsim.exchanges"] > 0

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from looptile.chain import AccessMode
+from looptile.chain import AccessMode, Region
 from looptile.cli import (Inspected, ScheduleCache, compare_values, main,
                           reference_values, run_config, schedule_record,
                           verify_config, export_vtk_config, inspect_only,
@@ -261,8 +261,8 @@ def test_corrupted_schedule_fails_verification(registry, mesh_8x4):
     sigmas = [schedule.tile_of(j, loop.space.total)
               for j, loop in enumerate(chain.loops)]
     sigmas[2][hi.iteration_lists[2][0]] = lo.id
-    corrupted = build_schedule(chain, schedule.mode, list(schedule.tiles), sigmas,
-                               schedule.recolor_rounds)
+    corrupted = build_schedule(chain, schedule.mode, schedule.regions,
+                               schedule.colors, sigmas, schedule.recolor_rounds)
     moved_to = corrupted.tiles[lo.id].iteration_lists[2]
     assert len(moved_to) == len(lo.iteration_lists[2]) + 1
     execute_schedule(corrupted, chain, bindings, datasets, registry)
@@ -465,6 +465,24 @@ def test_bad_names_in_explicit_chain_are_config_errors(tmp_path, capsys,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("mode,old,new,where", [
+    ("shared", "nx = 8", "nx = 0", "[mesh] nx"),
+    ("shared", "ny = 4", "ny = -1", "[mesh] ny"),
+    ("shared", "depth = 3", "depth = 0", "[chain] depth"),
+    ("distributed", "nranks = 2", "nranks = 0", "[run] nranks"),
+    ("distributed", "nranks = 2", "nranks = 65", "[run] nranks"),  # 64 cells
+], ids=["nx", "ny", "depth", "no-ranks", "more-ranks-than-cells"])
+def test_out_of_range_values_are_config_errors(tmp_path, capsys, mode, old,
+                                               new, where):
+    body = FIG2_INI.format(mode=mode, ts=8, extra="nranks = 2")
+    assert old in body
+    assert main(["verify", write_config(tmp_path, body.replace(old, new))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {where} ")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_dataset_names_are_case_insensitive(tmp_path, capsys):
     # configparser lowercases [datasets] names; accesses must match them
     body = EXPLICIT_INI.format(loops=GOOD_LOOPS.replace(":edge_w", ":Edge_w"))
@@ -511,10 +529,8 @@ def test_recoloring_guard_trips_on_nonconvergence(monkeypatch, mesh_8x4):
     from looptile import inspector as insp
     from looptile.errors import ColoringLimitError
 
-    def stubborn(tiles, adjacency, fakes, mode):
-        for t in tiles[:-1]:
-            t.color = 0
-        tiles[-1].color = 1
+    def stubborn(regions, pairs, mode):
+        return (regions == Region.NONEXEC).astype(np.int64)
 
     monkeypatch.setattr(insp, "color_tiles", stubborn)
     chain, _, _ = global_setup(mesh_8x4, FIG2, depth=3)

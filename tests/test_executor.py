@@ -166,7 +166,7 @@ def test_tiled_matches_untiled_on_8x4(registry, mesh_8x4):
     report = execute_schedule(schedule, chain2, bindings2, datasets2, registry)
     assert_values_equal(expected, dataset_values(datasets2))
     assert set(report.phase_seconds) == {"core", "exchange_wait", "boundary"}
-    assert sum(report.tiles_per_color.values()) == len(schedule.executable_tiles())
+    assert sum(schedule.tiles_per_color.values()) == len(schedule.executable_tiles())
 
 
 def test_kernel_invocations_match_executable_list_lengths(mesh_8x4):

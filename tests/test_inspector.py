@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import re
 
@@ -10,7 +11,7 @@ from looptile import inspector
 from looptile.chain import (AccessMode, Descriptor, IterationSpace, Loop,
                             MeshMap, Region, build_chain)
 from looptile.errors import InspectionError
-from looptile.inspector import (NO_TILE, ExecMode, Tile, assign,
+from looptile.inspector import (NO_TILE, ExecMode, assign,
                                 build_schedule, color_tiles, find_seed_map,
                                 inspect_chain, partition_seed, project,
                                 seed_adjacency, tile_loop)
@@ -27,17 +28,16 @@ from reference_inspector import project_reference, tile_loop_reference
 
 def test_seed_chunks_of_four():
     space = IterationSpace("s", 10)
-    seed, tiles = partition_seed(space, 4)
-    sizes = [np.count_nonzero(seed == t.id) for t in tiles]
+    seed, regions = partition_seed(space, 4)
+    sizes = [np.count_nonzero(seed == t) for t in range(len(regions))]
     assert sizes == [4, 4, 2, 0]  # last tile is the empty non-exec tile
-    assert [t.region for t in tiles] == [Region.CORE] * 3 + [Region.NONEXEC]
+    assert regions.tolist() == [Region.CORE] * 3 + [Region.NONEXEC]
 
 
 def test_seed_single_chunk_when_ts_covers_everything():
     space = IterationSpace("s", 5, 3, 2)
-    seed, tiles = partition_seed(space, 100)
-    assert [t.region for t in tiles] == [Region.CORE, Region.BOUNDARY,
-                                         Region.NONEXEC]
+    seed, regions = partition_seed(space, 100)
+    assert regions.tolist() == [Region.CORE, Region.BOUNDARY, Region.NONEXEC]
     assert np.count_nonzero(seed == 0) == 5
     assert np.count_nonzero(seed == 1) == 3
     assert np.count_nonzero(seed == 2) == 2
@@ -45,10 +45,9 @@ def test_seed_single_chunk_when_ts_covers_everything():
 
 def test_seed_region_chunking_formula():
     space = IterationSpace("s", 9, 4, 3)
-    seed, tiles = partition_seed(space, 3)
-    regions = [t.region for t in tiles]
-    assert regions == ([Region.CORE] * 3 + [Region.BOUNDARY] * 2
-                       + [Region.NONEXEC])
+    seed, regions = partition_seed(space, 3)
+    assert regions.tolist() == ([Region.CORE] * 3 + [Region.BOUNDARY] * 2
+                                + [Region.NONEXEC])
     for e in range(9):
         assert seed[e] == e // 3
     for e in range(9, 13):
@@ -63,47 +62,49 @@ def test_seed_rejects_zero_tile_size():
 
 # -- coloring -----------------------------------------------------------------
 
+NO_PAIRS = np.empty(0, dtype=np.int64)
+
+
 def test_greedy_coloring_reuses_colors_across_unconnected_tiles():
     # four single-edge tiles; targets arranged so tile 0 and tile 3 never meet
     edges = IterationSpace("edges", 4)
     verts = IterationSpace("verts", 4)
     seed_map = MeshMap("e2v", edges, verts, 2,
                        np.array([0, 1, 0, 2, 1, 2, 2, 3]))
-    seed, tiles = partition_seed(edges, 1)
-    color_tiles(tiles, seed_adjacency(seed, len(tiles), seed_map), set(),
-                ExecMode.SHARED)
-    colors = [t.color for t in tiles[:-1]]
+    seed, regions = partition_seed(edges, 1)
+    colors = color_tiles(regions, seed_adjacency(seed, len(regions), seed_map),
+                         ExecMode.SHARED).tolist()
     assert colors[0] == colors[3]
-    assert len(set(colors)) == 3
-    assert tiles[-1].color > max(colors)
+    assert len(set(colors[:-1])) == 3
+    assert colors[-1] > max(colors[:-1])
 
 
 def test_single_tile_gets_color_zero():
     space = IterationSpace("s", 7)
-    seed, tiles = partition_seed(space, 100)
-    color_tiles(tiles, seed_adjacency(seed, len(tiles), None), set(),
-                ExecMode.SHARED)
-    assert tiles[0].color == 0
+    seed, regions = partition_seed(space, 100)
+    colors = color_tiles(regions, seed_adjacency(seed, len(regions), None),
+                         ExecMode.SHARED)
+    assert colors[0] == 0
 
 
 def test_distributed_colors_follow_region_order():
     space = IterationSpace("s", 8, 8, 3)
-    _, tiles = partition_seed(space, 4)  # 2 core + 2 boundary + T_ne
-    color_tiles(tiles, {}, set(), ExecMode.DISTRIBUTED)
-    assert [t.color for t in tiles] == [0, 1, 2, 3, 4]
-    core_max = max(t.color for t in tiles if t.region is Region.CORE)
-    boundary = [t.color for t in tiles if t.region is Region.BOUNDARY]
-    assert min(boundary) > core_max
-    assert tiles[-1].color > max(boundary)
+    _, regions = partition_seed(space, 4)  # 2 core + 2 boundary + T_ne
+    colors = color_tiles(regions, NO_PAIRS, ExecMode.DISTRIBUTED)
+    assert colors.tolist() == [0, 1, 2, 3, 4]
+    core_max = colors[regions == Region.CORE].max()
+    boundary = colors[regions == Region.BOUNDARY]
+    assert boundary.min() > core_max
+    assert colors[-1] > boundary.max()
 
 
 def test_fake_connections_force_distinct_colors():
     edges = IterationSpace("edges", 4)
-    _, tiles = partition_seed(edges, 1)
-    color_tiles(tiles, {}, set(), ExecMode.SHARED)
-    assert tiles[0].color == tiles[3].color  # no adjacency at all
-    color_tiles(tiles, {}, {(0, 3)}, ExecMode.SHARED)
-    assert tiles[0].color != tiles[3].color
+    _, regions = partition_seed(edges, 1)
+    colors = color_tiles(regions, NO_PAIRS, ExecMode.SHARED)
+    assert colors[0] == colors[3]  # no adjacency at all
+    colors = color_tiles(regions, np.array([3]), ExecMode.SHARED)  # key of (0, 3)
+    assert colors[0] != colors[3]
 
 
 # -- projection ---------------------------------------------------------------
@@ -124,7 +125,7 @@ def degree_seven_vertex():
 
 def test_projection_keeps_last_writing_tile():
     loop, sigma, colors, e2v = degree_seven_vertex()
-    phi, conflicts = {}, set()
+    phi, conflicts = {}, []
     project(loop, sigma, phi, colors, conflicts, {})
     assert phi["verts"][0] == 1  # the higher-priority toucher wins
     assert not conflicts
@@ -133,7 +134,7 @@ def test_projection_keeps_last_writing_tile():
 def test_projection_constant_when_one_tile_touches_everything():
     loop, _, colors, e2v = degree_seven_vertex()
     phi = {}
-    project(loop, np.zeros(7, dtype=np.int64), phi, colors, set(), {})
+    project(loop, np.zeros(7, dtype=np.int64), phi, colors, [], {})
     touched = phi["verts"][phi["verts"] >= 0]
     assert np.all(touched == 0)
 
@@ -150,7 +151,7 @@ def test_projection_matches_bruteforce_max(seed):
     sigma = rng.integers(0, n_tiles, size=30)
     loop = Loop(0, edges, (Descriptor(e2v, AccessMode.INC),), "k")
     phi = {}
-    project(loop, sigma, phi, colors, set(), {})
+    project(loop, sigma, phi, colors, [], {})
     got = phi["verts"]
     for v in range(12):
         touchers = [int(sigma[e]) for e in range(30) if v in e2v.row(e)]
@@ -165,10 +166,10 @@ def test_projection_never_decreases_across_loops():
     # second loop's writers all sit in a lower-color tile; projection keeps max
     loop, sigma, colors, e2v = degree_seven_vertex()
     phi = {}
-    project(loop, sigma, phi, colors, set(), {})
+    project(loop, sigma, phi, colors, [], {})
     before = phi["verts"].copy()
     project(Loop(1, loop.space, loop.descriptors, "k"),
-            np.zeros(7, dtype=np.int64), phi, colors, set(), {})
+            np.zeros(7, dtype=np.int64), phi, colors, [], {})
     after = phi["verts"]
     for v in range(8):
         if before[v] >= 0:
@@ -209,12 +210,12 @@ def test_cell_tiling_matches_bruteforce_on_4x2_mesh():
     # against a direct max-color evaluation over each cell's vertices
     mesh = generate_rect_mesh(4, 2)
     chain, _, _ = global_setup(mesh, FIG2, depth=3)
-    seed, tiles = partition_seed(chain.loops[0].space, 4)
-    color_tiles(tiles, seed_adjacency(seed, len(tiles), find_seed_map(chain)),
-                set(), ExecMode.SHARED)
-    colors = np.array([t.color for t in tiles])
+    seed, regions = partition_seed(chain.loops[0].space, 4)
+    colors = color_tiles(
+        regions, seed_adjacency(seed, len(regions), find_seed_map(chain)),
+        ExecMode.SHARED)
     phi = {}
-    project(chain.loops[0], seed, phi, colors, set(), {})
+    project(chain.loops[0], seed, phi, colors, [], {})
     sigma1 = tile_loop(chain.loops[1], phi, colors)
 
     c2v = next(m for m in chain.maps if m.name == "c2v")
@@ -284,8 +285,8 @@ def test_local_map_of_empty_list_is_empty():
     e2v = MeshMap("e2v", space, verts, 2, np.array([0, 1, 1, 2, 2, 3, 3, 0]))
     loop = Loop(0, space, (Descriptor(e2v, AccessMode.INC),), "k")
     chain = build_chain((space, verts), (e2v,), (loop,), depth=1)
-    tiles = [Tile(0, Region.CORE, color=0), Tile(1, Region.NONEXEC, color=1)]
-    schedule = build_schedule(chain, ExecMode.SEQUENTIAL, tiles,
+    schedule = build_schedule(chain, ExecMode.SEQUENTIAL,
+                              np.array([Region.CORE, Region.NONEXEC]), np.arange(2),
                               [np.zeros(4, dtype=np.int64)], recolor_rounds=1)
     assert len(schedule.nonexec_tile.local_maps[(0, "e2v")]) == 0
     assert np.array_equal(schedule.tiles[0].local_maps[(0, "e2v")], e2v.values)
@@ -294,6 +295,8 @@ def test_local_map_of_empty_list_is_empty():
 def test_tile_views_are_read_only():
     chain, _, _ = global_setup(generate_rect_mesh(4, 2), FIG2, depth=3)
     tile = inspect_chain(chain, 4, ExecMode.SHARED).tiles[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tile.color = 5
     with pytest.raises(TypeError):
         tile.iteration_lists[0] = np.arange(2)
     with pytest.raises(TypeError):
@@ -414,21 +417,28 @@ def projection_inputs(draw):
     return loop, sigma, phi, colors
 
 
+def pair_set(keys: list[np.ndarray], n_tiles: int) -> set[tuple[int, int]]:
+    """The (low, high) tile pairs of a list of conflict key arrays."""
+    low, high = np.divmod(np.concatenate([np.empty(0, dtype=np.int64), *keys]),
+                          n_tiles)
+    return set(zip(low.tolist(), high.tolist()))
+
+
 @given(projection_inputs())
 @settings(max_examples=300, deadline=None)
 def test_vectorized_passes_match_per_element_reference(inputs):
     loop, sigma, phi, colors = inputs
 
     got_phi, want_phi = dict(phi), dict(phi)
-    got_c, want_c = set(), set()
+    got_c, want_c = [], set()
     project(loop, sigma, got_phi, colors, got_c, {})
     project_reference(loop, sigma, want_phi, colors, want_c, {})
     assert got_phi.keys() == want_phi.keys()
     for name in want_phi:
         assert np.array_equal(got_phi[name], want_phi[name])
-    assert got_c == want_c
+    assert pair_set(got_c, len(colors)) == want_c
 
-    got_c, want_c = set(), set()
+    got_c, want_c = [], set()
     try:
         want = tile_loop_reference(loop, phi, colors, want_c)
     except InspectionError as exc:
@@ -437,7 +447,7 @@ def test_vectorized_passes_match_per_element_reference(inputs):
         return
     got = tile_loop(loop, phi, colors, got_c)
     assert np.array_equal(got, want)
-    assert got_c == want_c
+    assert pair_set(got_c, len(colors)) == want_c
 
 
 # -- byte identity of whole schedules -----------------------------------------
@@ -541,5 +551,15 @@ def test_executable_iteration_on_the_nonexec_tile_is_rejected():
               for j, loop in enumerate(chain.loops)]
     sigmas[1][0] = schedule.nonexec_tile.id
     with pytest.raises(InspectionError, match="non-exec tile"):
-        build_schedule(chain, schedule.mode, list(schedule.tiles), sigmas,
-                       schedule.recolor_rounds)
+        build_schedule(chain, schedule.mode, schedule.regions, schedule.colors,
+                       sigmas, schedule.recolor_rounds)
+
+
+def test_regions_and_colors_must_describe_the_same_tiles():
+    chain, _, _ = global_setup(generate_rect_mesh(4, 2), FIG2, depth=3)
+    schedule = inspect_chain(chain, 4, ExecMode.SEQUENTIAL)
+    sigmas = [schedule.tile_of(j, loop.space.total)
+              for j, loop in enumerate(chain.loops)]
+    with pytest.raises(InspectionError, match="tile regions for"):
+        build_schedule(chain, schedule.mode, schedule.regions[1:], schedule.colors,
+                       sigmas, schedule.recolor_rounds)

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from looptile.mesh import (Mesh, adjacency_bandwidth, apply_renumbering,
-                           generate_rect_mesh, rcm_ordering, rcm_permutations,
-                           rcm_renumber, vertex_adjacency)
+from looptile.mesh import (Mesh, adjacency_bandwidth, generate_rect_mesh,
+                           rcm_ordering, rcm_renumber, vertex_adjacency)
 
 from reference_mesh import csr_from_lists, lists_from_pairs, rcm_ordering_reference
 
@@ -75,19 +74,24 @@ def test_rcm_reduces_bandwidth_on_4x4():
 @settings(max_examples=20, deadline=None)
 def test_renumbering_roundtrip_recovers_connectivity(nx, ny):
     mesh = generate_rect_mesh(nx, ny)
-    renum = rcm_permutations(mesh)
-    new = apply_renumbering(mesh, renum)
+    new = rcm_renumber(mesh)
     new.validate()
-    # composing with the inverse permutation recovers the original arrays
-    inv_v = np.argsort(renum.vertex_perm)
-    inv_c = np.argsort(renum.cell_perm)
-    inv_e = np.argsort(renum.edge_perm)
-    tri = inv_v[new.cells_to_vertices.reshape(-1, 3)][renum.cell_perm]
-    assert np.array_equal(np.sort(tri, axis=1),
-                          np.sort(mesh.cells_to_vertices.reshape(-1, 3), axis=1))
-    pairs = inv_v[new.edges_to_vertices.reshape(-1, 2)][renum.edge_perm]
-    assert np.array_equal(np.sort(pairs, axis=1),
-                          np.sort(mesh.edges_to_vertices.reshape(-1, 2), axis=1))
+    # rect mesh coordinates are distinct, so they recover the vertex relabeling
+    old_id = {xy: v for v, xy in enumerate(map(tuple, mesh.vertex_coords.tolist()))}
+    inv_v = np.array([old_id[xy] for xy in map(tuple, new.vertex_coords.tolist())])
+    assert sorted(inv_v.tolist()) == list(range(mesh.num_vertices))
+
+    def rows_in_order(rows):
+        return rows[np.lexsort(rows.T[::-1])]
+
+    # cells keep their vertex order; edges are stored ascending
+    tri = inv_v[new.cells_to_vertices.reshape(-1, 3)]
+    assert np.array_equal(rows_in_order(tri),
+                          rows_in_order(mesh.cells_to_vertices.reshape(-1, 3)))
+    pairs = new.edges_to_vertices.reshape(-1, 2)
+    assert np.all(pairs[:, 0] < pairs[:, 1])
+    assert np.array_equal(rows_in_order(np.sort(inv_v[pairs], axis=1)),
+                          rows_in_order(mesh.edges_to_vertices.reshape(-1, 2)))
 
 
 def test_disconnected_graph_rejected():
