@@ -1,4 +1,4 @@
-"""Command-line driver: run, verify, inspect-only, export-vtk, sweep.
+"""Command-line interface: run, verify, inspect-only, sweep.
 
 Every line that ``run``, ``verify``, ``inspect-only`` and ``sweep`` print,
 and every line of the ``[output] report`` file, is one JSON record with a
@@ -16,10 +16,12 @@ and every line of the ``[output] report`` file, is one JSON record with a
 ``run`` prints its run record, ``verify`` the run record with ``pass``,
 ``inspect-only`` the schedule records, ``sweep`` one run record per variant;
 ``run`` writes the ``[output] report`` file: the schedule records, then
-the run record.
+the run record, and the ``[output] vtk`` tile map of the first sub-chain.
 
-Every distributed run poisons its ranks' halo slots until the exchange
-commits, so a core tile that read one would make ``verify`` fail.
+A distributed run partitions the mesh and sets up every rank once, then
+runs each sub-chain with one halo exchange.  Every exchange poisons the
+ranks' halo slots until it commits, so a core tile that read one would make
+``verify`` fail.
 
 Exit codes: 0 ok, 1 other error (I/O, failed inspection), 2 config error
 (including a binding or kernel the executor rejects), 3 verification failure,
@@ -47,8 +49,8 @@ from .executor import (ExecutionReport, KernelRegistry, execute_schedule,
 from .inspector import ExecMode, Schedule, inspect_chain
 from .mesh import Mesh, generate_rect_mesh, rcm_renumber
 from .partition import RegionSizes
-from .problems import Problem, default_registry, global_setup
-from .distsim import run_distributed, setup_ranks
+from .problems import default_registry, global_setup
+from .distsim import gather, run_subchain, setup_ranks
 from .vtk import export_vtk
 
 
@@ -101,17 +103,14 @@ def build_mesh(cfg: RunConfig) -> Mesh:
     return mesh
 
 
-def _sub_problem(problem: Problem, sc: SubChain) -> Problem:
-    return Problem(f"{problem.name}[{sc.start}:{sc.stop}]",
-                   problem.loops[sc.start:sc.stop], problem.datasets)
-
-
 def run_config(cfg: RunConfig, cache: ScheduleCache | None = None,
                registry: KernelRegistry | None = None) -> RunResult:
     """Execute the configured fusion scheme; unfused trailing loops run untiled.
 
-    The global datasets carry the values from one sub-chain to the next; a
-    distributed sub-chain writes its gathered values back into them.
+    In shared memory the global datasets carry the values from one sub-chain
+    to the next.  In distributed mode the ranks are set up once, before the
+    first sub-chain, and carry them in their own datasets; one gather after
+    the last sub-chain writes them back into the global datasets.
     ``inspect_seconds`` counts the inspections this call ran, so cache hits
     count zero; ``execute_seconds`` is the summed executor phases plus the
     untiled tail.  Partitioning, local set-up and gather count as neither.
@@ -122,19 +121,19 @@ def run_config(cfg: RunConfig, cache: ScheduleCache | None = None,
     n_loops = len(cfg.problem.loops)
     chain, datasets, bindings = global_setup(mesh, cfg.problem, cfg.depth)
     result = RunResult(mesh=mesh, chain=chain, values={})
+    distributed = cfg.mode is ExecMode.DISTRIBUTED
+    if distributed:
+        by_subchain = setup_ranks(mesh, cfg.problem, cfg.nranks, cfg.fusion,
+                                  cfg.depth)
 
-    for sc in cfg.fusion:
-        if cfg.mode is ExecMode.DISTRIBUTED:
-            dist = run_distributed(mesh, _sub_problem(cfg.problem, sc),
-                                   cfg.nranks, sc.tile_size, cfg.depth, registry,
-                                   initial={name: ds.values
-                                            for name, ds in datasets.items()})
-            for name, values in dist.datasets.items():
-                datasets[name].values[:] = values
+    for i, sc in enumerate(cfg.fusion):
+        if distributed:
+            ranks = by_subchain[i]
+            run_subchain(ranks, registry)
             result.inspect_seconds += sum(vr.schedule.stats.total_s
-                                          for vr in dist.ranks)
+                                          for vr in ranks)
             ran = [Inspected(sc, vr.rank, vr.schedule, vr.report,
-                             vr.local_mesh.sizes) for vr in dist.ranks]
+                             vr.local_mesh.sizes) for vr in ranks]
         else:
             sub = chain.subchain(sc.start, sc.stop)
             schedule, inspected = cache.get_or_inspect(sub, sc.tile_size, cfg.mode)
@@ -147,6 +146,9 @@ def run_config(cfg: RunConfig, cache: ScheduleCache | None = None,
                                       for e in ran)
         result.inspected += ran
 
+    if distributed:
+        for name, values in gather(mesh, cfg.problem, by_subchain[-1]).items():
+            datasets[name].values[:] = values
     if cfg.fused_stop < n_loops:
         t0 = time.perf_counter()
         execute_untiled(chain.subchain(cfg.fused_stop, n_loops),
@@ -203,30 +205,14 @@ def inspect_only(cfg: RunConfig) -> list[Inspected]:
     """
     mesh = build_mesh(cfg)
     if cfg.mode is ExecMode.DISTRIBUTED:
+        by_subchain = setup_ranks(mesh, cfg.problem, cfg.nranks, cfg.fusion,
+                                  cfg.depth)
         return [Inspected(sc, vr.rank, vr.schedule, holds=vr.local_mesh.sizes)
-                for sc in cfg.fusion
-                for vr in setup_ranks(mesh, _sub_problem(cfg.problem, sc),
-                                      cfg.nranks, sc.tile_size, cfg.depth)]
+                for sc, ranks in zip(cfg.fusion, by_subchain) for vr in ranks]
     chain, _, _ = global_setup(mesh, cfg.problem, cfg.depth)
     return [Inspected(sc, None, inspect_chain(chain.subchain(sc.start, sc.stop),
                                               sc.tile_size, cfg.mode))
             for sc in cfg.fusion]
-
-
-def export_vtk_config(cfg: RunConfig, path: str | None = None) -> str:
-    """Inspect the first fused sub-chain and write cell tile/color fields."""
-    if cfg.mode is ExecMode.DISTRIBUTED:
-        raise ConfigError("export-vtk draws one global tiling; distributed mode "
-                          "tiles every rank's local mesh instead")
-    path = path or cfg.vtk_path
-    if not path:
-        raise ConfigError("no VTK output path configured")
-    mesh = build_mesh(cfg)
-    chain, _, _ = global_setup(mesh, cfg.problem, cfg.depth)
-    sc = cfg.fusion[0]
-    sub = chain.subchain(sc.start, sc.stop)
-    export_vtk(inspect_chain(sub, sc.tile_size, cfg.mode), sub, mesh, path)
-    return path
 
 
 def sweep_config(cfg: RunConfig, tile_sizes, modes, schemes=None):
@@ -254,9 +240,8 @@ def sweep_config(cfg: RunConfig, tile_sizes, modes, schemes=None):
 def schedule_record(entry: Inspected) -> dict:
     """The record of one inspected schedule, with its run once it has run."""
     schedule, sc = entry.schedule, entry.subchain
-    executable = schedule.executable_tiles()
-    sizes = [[len(t.iteration_lists[j]) for t in executable]
-             for j in range(schedule.n_loops)]
+    # the non-exec tile runs last
+    sizes = [np.diff(tiling.bounds)[:-1].tolist() for tiling in schedule.tilings]
     phase, share = schedule.stats.dominant_phase()
     record = {
         "record": "schedule",
@@ -326,12 +311,9 @@ def _build_argparser() -> argparse.ArgumentParser:
     for name, blurb in (("run", "inspect and execute the configured chain"),
                         ("verify", "run tiled and untiled, diff the outputs"),
                         ("inspect-only", "inspect only, one schedule record each"),
-                        ("export-vtk", "write the tile map as a VTK file"),
                         ("sweep", "verify a grid of tile sizes, modes, schemes")):
         p = sub.add_parser(name, help=blurb)
         p.add_argument("config", help="path to an INI run configuration")
-        if name == "export-vtk":
-            p.add_argument("--out", help="override the configured VTK path")
         if name == "sweep":
             p.add_argument("--tile-sizes", default="4,16,64",
                            help="comma-separated tile sizes")
@@ -354,9 +336,6 @@ def main(argv=None) -> int:
             write_records([run_record(cfg, verify_config(cfg), "pass")], sys.stdout)
         elif args.command == "inspect-only":
             write_records(map(schedule_record, inspect_only(cfg)), sys.stdout)
-        elif args.command == "export-vtk":
-            path = export_vtk_config(cfg, getattr(args, "out", None))
-            print(f"wrote {path}")
         elif args.command == "sweep":
             tile_sizes = [int(t) for t in args.tile_sizes.split(",")]
             modes = [ExecMode.parse(m) for m in args.modes.split(",")]

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import configparser
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .chain import AccessMode
 from .errors import DepthExceededError
@@ -41,8 +42,7 @@ class ConfigError(ValueError):
     """Unusable run configuration; message names the offending section/key."""
 
 
-@dataclass(frozen=True)
-class SubChain:
+class SubChain(NamedTuple):
     start: int
     stop: int  # exclusive
     tile_size: int

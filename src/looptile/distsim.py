@@ -1,15 +1,19 @@
 """Simulated distributed-memory execution: N virtual ranks in one process.
 
-Each rank gets a local mesh, chain, datasets and schedule.  All halo traffic
-for one chain execution happens in a single exchange: staging snapshots every
+A run partitions the mesh once and sets up every rank once: its local mesh
+and datasets, and per fused sub-chain a local chain, schedule and halo
+endpoint.  The rank's sub-chains share its datasets, so values pass from one
+sub-chain to the next on the rank itself.  All halo traffic for one
+sub-chain execution happens in a single exchange: staging snapshots every
 owner's values before any rank computes, and each rank commits its incoming
-buffers between its core and boundary phases.  Until that commit every halo
-slot holds ``POISON``, so a core tile that read one would spread it into the
-gathered values and fail verification.
+buffers between its core and boundary phases.  Staging also fills every halo
+slot with ``POISON``, so a core tile that read one before the commit would
+spread it into the gathered values and fail verification.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +34,9 @@ class HaloEndpoint:
     """One rank's side of the halo exchange.
 
     begin() pulls every neighbor-owned value this rank holds a copy of into
-    staging buffers; end() commits the buffers into the local exec/non-exec
-    slots.  The two calls strictly alternate.
+    staging buffers and poisons every halo slot of the rank's datasets;
+    end() commits the buffers into the local exec/non-exec slots.  The two
+    calls strictly alternate.
     """
 
     def __init__(self, local_mesh: LocalMesh, datasets: dict[str, Dataset],
@@ -54,6 +59,9 @@ class HaloEndpoint:
     def begin(self) -> None:
         if self._staged is not None:
             raise PartitionBugError("begin() called twice without end()")
+        for ds in self.datasets.values():  # peers stage owned slots only
+            owned = self.local_mesh.sizes[ds.space.name].owned_total
+            ds.values[owned * ds.values_per_element:] = POISON
         staged = []
         for (space, nbr), table in sorted(self.local_mesh.exchange_table.items()):
             peer = self.peer_datasets[nbr]
@@ -174,59 +182,66 @@ def gather(mesh: Mesh, problem: Problem, ranks: list[VirtualRank]) -> dict[str, 
     return out
 
 
-def setup_ranks(mesh: Mesh, problem: Problem, nranks: int, ts: int, depth: int,
-                initial: dict[str, np.ndarray] | None = None) -> list[VirtualRank]:
-    """Partition, set up and inspect every rank's local chain; run nothing.
+def setup_ranks(mesh: Mesh, problem: Problem, nranks: int, fusion, depth: int,
+                initial: dict[str, np.ndarray] | None = None) -> list[list[VirtualRank]]:
+    """Partition once, then set up and inspect every rank's sub-chains; run nothing.
 
-    ``initial`` replaces the problem's dataset initializers with given global
-    arrays (for chaining sub-chains).  Every slot past a rank's owned
-    elements then holds ``POISON``.  The endpoints are linked to each other,
-    with no exchange begun.
+    ``fusion`` holds one ``(start, stop, ts)`` per fused sub-chain; the
+    result holds one list of ranks per sub-chain.  A rank's sub-chains share
+    its datasets, which ``initial`` fills from given global arrays in place
+    of the problem's initializers.  Each sub-chain's endpoints are linked to
+    each other and checked for symmetry, with no exchange begun.
     """
     local_meshes = partition_for_ranks(mesh, nranks, depth)
-    exchanged = exchanged_dataset_names(problem)
-
-    ranks: list[VirtualRank] = []
-    endpoints: list[HaloEndpoint] = []
+    subs = [(dataclasses.replace(problem, loops=problem.loops[start:stop]), ts)
+            for start, stop, ts in fusion]
+    by_subchain: list[list[VirtualRank]] = [[] for _ in subs]
     for lm in local_meshes:
-        chain, datasets, bindings = local_setup(lm, problem, depth)
+        datasets = None  # the first sub-chain's, shared by the rest
+        for ranks, (sub, ts) in zip(by_subchain, subs):
+            chain, fresh, bindings = local_setup(lm, sub, depth)
+            datasets = fresh if datasets is None else datasets
+            schedule = inspect_chain(chain, ts, ExecMode.DISTRIBUTED)
+            endpoint = HaloEndpoint(lm, datasets, exchanged_dataset_names(sub))
+            ranks.append(VirtualRank(rank=lm.rank, local_mesh=lm, chain=chain,
+                                     datasets=datasets, bindings=bindings,
+                                     schedule=schedule, endpoint=endpoint))
         if initial is not None:
             for name, ds in datasets.items():
                 k = ds.values_per_element
                 gids = lm.global_ids[ds.space.name]
                 ds.values.reshape(-1, k)[:] = initial[name].reshape(-1, k)[gids]
-        for ds in datasets.values():
-            owned = lm.sizes[ds.space.name].owned_total
-            ds.values[owned * ds.values_per_element:] = POISON
-        schedule = inspect_chain(chain, ts, ExecMode.DISTRIBUTED)
-        endpoint = HaloEndpoint(lm, datasets, exchanged)
-        endpoints.append(endpoint)
-        ranks.append(VirtualRank(rank=lm.rank, local_mesh=lm, chain=chain,
-                                 datasets=datasets, bindings=bindings,
-                                 schedule=schedule, endpoint=endpoint))
 
-    for e in endpoints:
-        e.link(endpoints)
-    return ranks
+    for ranks in by_subchain:
+        endpoints = [vr.endpoint for vr in ranks]
+        for e in endpoints:
+            e.link(endpoints)
+        check_exchange_symmetry(endpoints)
+    return by_subchain
+
+
+def run_subchain(ranks: list[VirtualRank], registry: KernelRegistry) -> None:
+    """Execute one sub-chain on every rank, with one halo exchange.
+
+    Every endpoint begins, snapshotting owners, before any rank computes;
+    each rank commits between its core and boundary phases.
+    """
+    for vr in ranks:
+        vr.endpoint.begin()
+    for vr in ranks:
+        vr.report = execute_schedule(vr.schedule, vr.chain, vr.bindings,
+                                     vr.datasets, registry,
+                                     exchange=vr.endpoint)
 
 
 def run_distributed(mesh: Mesh, problem: Problem, nranks: int, ts: int,
                     depth: int, registry: KernelRegistry,
                     initial: dict[str, np.ndarray] | None = None) -> DistributedResult:
-    """Partition, inspect and execute on N virtual ranks, then gather.
+    """Set up the whole chain as one sub-chain on N virtual ranks, run it, gather.
 
-    One halo exchange serves the whole chain execution: staging precedes all
-    computation, each rank commits between its core and boundary phases.
     ``initial`` is passed to ``setup_ranks``.
     """
-    ranks = setup_ranks(mesh, problem, nranks, ts, depth, initial)
-    endpoints = [vr.endpoint for vr in ranks]
-    check_exchange_symmetry(endpoints)
-    for e in endpoints:
-        e.begin()  # snapshot owners before anything runs
-
-    for vr in ranks:
-        vr.report = execute_schedule(vr.schedule, vr.chain, vr.bindings,
-                                     vr.datasets, registry,
-                                     exchange=vr.endpoint)
+    ranks, = setup_ranks(mesh, problem, nranks, [(0, len(problem.loops), ts)],
+                         depth, initial)
+    run_subchain(ranks, registry)
     return DistributedResult(datasets=gather(mesh, problem, ranks), ranks=ranks)

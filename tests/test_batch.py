@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from looptile.chain import AccessMode
 from looptile.cli import main, run_config
 from looptile.config import parse_config
-from looptile.distsim import check_exchange_symmetry, gather, run_distributed, setup_ranks
+from looptile.distsim import gather, run_distributed, setup_ranks
 from looptile.executor import KernelRegistry, execute_schedule, execute_untiled
 from looptile.inspector import ExecMode, inspect_chain
 from looptile.mesh import generate_rect_mesh, rcm_renumber
@@ -79,11 +79,10 @@ def distributed_cases(draw):
 
 def per_element_distributed(mesh, problem, nranks, ts, depth, initial):
     """``run_distributed`` with every rank's schedule run by the reference."""
-    ranks = setup_ranks(mesh, problem, nranks, ts, depth, initial)
-    endpoints = [vr.endpoint for vr in ranks]
-    check_exchange_symmetry(endpoints)
-    for e in endpoints:
-        e.begin()
+    ranks, = setup_ranks(mesh, problem, nranks, [(0, len(problem.loops), ts)],
+                         depth, initial)
+    for vr in ranks:
+        vr.endpoint.begin()
     for vr in ranks:
         run_per_element(vr.chain, vr.bindings, vr.datasets, vr.schedule,
                         exchange=vr.endpoint)
@@ -102,11 +101,8 @@ def test_distributed_batch_run_matches_per_element_and_oracle(case):
     batch = run_distributed(mesh, problem, nranks, ts, depth, REGISTRY, initial=initial)
     per_element = per_element_distributed(mesh, problem, nranks, ts, depth, initial)
     assert_bitwise_equal(per_element, batch.datasets)
-    # a chain as long as its halo depth strands executable iterations on the
-    # non-exec tile (ROADMAP item 1), so only deeper halos meet the oracle
-    if depth > len(problem.loops):
-        run_per_element(chain, bindings, datasets)
-        assert_bitwise_equal(dataset_values(datasets), batch.datasets)
+    run_per_element(chain, bindings, datasets)
+    assert_bitwise_equal(dataset_values(datasets), batch.datasets)
 
 
 WIDE_INI = """

@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 
 from looptile.chain import AccessMode, Region
-from looptile.cli import (Inspected, ScheduleCache, compare_values, main,
-                          reference_values, run_config, schedule_record,
-                          verify_config, export_vtk_config, inspect_only,
-                          sweep_config)
+from looptile.cli import (Inspected, ScheduleCache, build_mesh, compare_values,
+                          main, reference_values, run_config, schedule_record,
+                          verify_config, inspect_only, sweep_config)
 from looptile.config import ConfigError, SubChain, parse_config
 from looptile.errors import DepthExceededError, VerificationError
 from looptile.executor import execute_schedule
@@ -160,6 +159,12 @@ def test_inspect_only_shows_the_schedules_run_executes(tmp_path, mode):
     assert ([(e.subchain, e.rank) for e in inspected]
             == [(e.subchain, e.rank) for e in ran])
     records = [schedule_record(e) for e in inspected]
+    for entry, record in zip(inspected, records):
+        executable = entry.schedule.executable_tiles()
+        sizes = [[len(t.iteration_lists[j]) for t in executable]
+                 for j in range(entry.schedule.n_loops)]
+        assert record["tile_sizes"] == [
+            {"min": min(s), "mean": sum(s) / len(s), "max": max(s)} for s in sizes]
     if mode == "distributed":
         assert [e.rank for e in inspected] == [0, 1, 2] * 2
         assert all(e.schedule.mode is ExecMode.DISTRIBUTED for e in inspected)
@@ -190,18 +195,17 @@ def test_single_loop_subchains_are_valid(tmp_path):
 
 
 def test_identical_configs_produce_identical_outputs_and_vtk(tmp_path):
-    out1, out2 = tmp_path / "a.vtk", tmp_path / "b.vtk"
-    cfg = parse_config(write_config(tmp_path, FIG2_INI.format(
-        mode="shared", ts=8, extra=f"\n[output]\nvtk = {out1}")))
-    r1 = run_config(cfg)
-    export_vtk_config(cfg, str(out1))
-    cfg2 = parse_config(write_config(tmp_path, FIG2_INI.format(
-        mode="shared", ts=8, extra=f"\n[output]\nvtk = {out2}"), name="b.ini"))
-    r2 = run_config(cfg2)
-    export_vtk_config(cfg2, str(out2))
-    for name in r1.values:
-        np.testing.assert_array_equal(r1.values[name], r2.values[name])
-    assert out1.read_bytes() == out2.read_bytes()
+    results, written = [], []
+    for name in ("a", "b"):
+        out = tmp_path / f"{name}.vtk"
+        path = write_config(tmp_path, FIG2_INI.format(
+            mode="shared", ts=8, extra=f"\n[output]\nvtk = {out}"), name=f"{name}.ini")
+        results.append(run_config(parse_config(path)))
+        assert main(["run", path]) == 0
+        written.append(out.read_bytes())
+    for name in results[0].values:
+        np.testing.assert_array_equal(results[0].values[name], results[1].values[name])
+    assert written[0] == written[1]
 
 
 CELL_SEEDED = Problem(
@@ -236,10 +240,11 @@ def test_vtk_four_tiles_three_colors(tmp_path):
 
 
 def test_vtk_counts_match_mesh_sizes(tmp_path):
-    cfg = parse_config(write_config(tmp_path, FIG2_INI.format(
-        mode="shared", ts=8, extra="")))
     path = str(tmp_path / "tiles.vtk")
-    export_vtk_config(cfg, path)
+    config = write_config(tmp_path, FIG2_INI.format(
+        mode="shared", ts=8, extra=f"\n[output]\nvtk = {path}"))
+    assert main(["run", config]) == 0
+    cfg = parse_config(config)
     parsed = parse_vtk(path)
     mesh = generate_rect_mesh(8, 4)
     assert len(parsed["points"]) == mesh.num_vertices
@@ -506,7 +511,11 @@ def test_run_writes_the_vtk_of_the_schedule_it_executed(tmp_path, monkeypatch):
     config = str(Path(__file__).resolve().parents[1] / "configs" / "fig2.ini")
     assert main(["run", config]) == 0
     assert len(calls) == 1
-    assert main(["export-vtk", config, "--out", "again.vtk"]) == 0
+    cfg = parse_config(config)
+    mesh = build_mesh(cfg)
+    sc = cfg.fusion[0]
+    sub = global_setup(mesh, cfg.problem, cfg.depth)[0].subchain(sc.start, sc.stop)
+    export_vtk(inspect_chain(sub, sc.tile_size, cfg.mode), sub, mesh, "again.vtk")
     written = tmp_path / "out" / "fig2_tiles.vtk"
     assert written.read_bytes() == (tmp_path / "again.vtk").read_bytes()
 
@@ -605,16 +614,6 @@ def test_every_output_line_is_a_record(tmp_path, capsys, mode):
         assert all(r["bytes_exchanged"] > 0 for r in records[:2])
 
 
-def test_export_vtk_rejects_a_distributed_config(tmp_path, capsys):
-    vtk_path = tmp_path / "tiles.vtk"
-    path = write_config(tmp_path, FIG2_INI.format(
-        mode="distributed", ts=8, extra=f"nranks = 2\n[output]\nvtk = {vtk_path}"))
-    assert main(["export-vtk", path]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: ") and len(err.splitlines()) == 1
-    assert not vtk_path.exists()
-
-
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.ini"))
 
 
@@ -641,3 +640,21 @@ def test_committed_configs_verify(tmp_path, monkeypatch, capsys, path):
     monkeypatch.chdir(tmp_path)  # configured outputs land here
     assert main(["verify", str(path)]) == 0
     assert _records(capsys.readouterr().out)[0]["verify"] == "pass"
+
+
+@pytest.mark.parametrize("entry", [run_config, inspect_only])
+def test_a_distributed_config_partitions_once(monkeypatch, entry):
+    import looptile.distsim as distsim
+
+    calls = []
+    original = distsim.partition_for_ranks
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(distsim, "partition_for_ranks", counted)
+    cfg = parse_config(str(next(p for p in CONFIGS if p.name == "eight_loop.ini")))
+    assert cfg.mode is ExecMode.DISTRIBUTED and len(cfg.fusion) == 3
+    entry(cfg)
+    assert len(calls) == 1

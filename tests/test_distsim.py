@@ -8,7 +8,7 @@ import pytest
 from looptile.chain import AccessMode
 from looptile.distsim import (POISON, HaloEndpoint, check_exchange_symmetry,
                               exchanged_dataset_names, gather, halo_exchange,
-                              run_distributed, setup_ranks)
+                              run_distributed, run_subchain, setup_ranks)
 from looptile.errors import DepthExceededError, PartitionBugError
 from looptile.executor import execute_schedule, execute_untiled
 from looptile.inspector import ExecMode, Region, inspect_chain
@@ -79,7 +79,9 @@ def test_every_halo_slot_is_poisoned_before_the_exchange(with_initial):
         _, datasets, _ = global_setup(mesh, problem, 4)
         initial = {name: np.arange(len(ds.values), dtype=float) + 1.0
                    for name, ds in datasets.items()}
-    ranks = setup_ranks(mesh, problem, 4, 8, 4, initial=initial)
+    ranks, = setup_ranks(mesh, problem, 4, [(0, 4, 8)], 4, initial=initial)
+    for vr in ranks:
+        vr.endpoint.begin()
     for vr in ranks:
         for name, ds in vr.datasets.items():
             k = ds.values_per_element
@@ -91,6 +93,44 @@ def test_every_halo_slot_is_poisoned_before_the_exchange(with_initial):
                 gids = vr.local_mesh.global_ids[ds.space.name][:owned // k]
                 np.testing.assert_array_equal(
                     ds.values[:owned], initial[name].reshape(-1, k)[gids].ravel())
+
+
+def test_one_setup_runs_every_subchain_for_several_steps(registry, monkeypatch):
+    # the ranks' datasets carry values from sub-chain to sub-chain and from
+    # step to step; every exchange poisons the halos again before it commits
+    mesh = rcm_renumber(generate_rect_mesh(8, 4))
+    chain, datasets, bindings = global_setup(mesh, EIGHT_LOOP, 4)
+    rng = np.random.default_rng(7)
+    for ds in datasets.values():
+        ds.values[:] = rng.integers(-50, 50, len(ds.values))
+    by_subchain = setup_ranks(mesh, EIGHT_LOOP, 4, [(0, 4, 16), (4, 6, 8), (6, 8, 16)],
+                              4, initial=dataset_values(datasets))
+
+    commits = []  # (halo slots, all POISON) per dataset at each commit
+    end = HaloEndpoint.end
+
+    def checked_end(self):
+        for ds in self.datasets.values():
+            owned = self.local_mesh.sizes[ds.space.name].owned_total
+            halo = ds.values[owned * ds.values_per_element:]
+            commits.append((len(halo), bool(np.all(halo == POISON))))
+        end(self)
+
+    monkeypatch.setattr(HaloEndpoint, "end", checked_end)
+    for _ in range(3):
+        for ranks in by_subchain:
+            run_subchain(ranks, registry)
+        execute_untiled(chain, bindings, datasets, registry)
+
+    # steps x sub-chains x ranks x datasets
+    assert len(commits) == 3 * 3 * 4 * len(EIGHT_LOOP.datasets)
+    assert all(n > 0 and poisoned for n, poisoned in commits)
+    for ranks in by_subchain:
+        assert [vr.endpoint.exchange_count for vr in ranks] == [3] * 4
+    gathered = gather(mesh, EIGHT_LOOP, by_subchain[-1])
+    for name, ds in datasets.items():
+        np.testing.assert_array_equal(gathered[name].view(np.int64),
+                                      ds.values.view(np.int64), err_msg=name)
 
 
 def test_reports_carry_exchange_bytes(registry):

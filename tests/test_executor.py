@@ -211,7 +211,7 @@ def _counting_registry(counts):
 def test_one_batch_call_per_nonempty_region_color_loop(mesh_8x4, mode):
     if mode == "distributed":
         # a rank's schedule, whose non-exec tile holds iterations
-        vr = setup_ranks(mesh_8x4, FIG2, 2, 5, depth=3)[0]
+        vr = setup_ranks(mesh_8x4, FIG2, 2, [(0, 3, 5)], depth=3)[0][0]
         schedule, chain, bindings, datasets = (vr.schedule, vr.chain,
                                                vr.bindings, vr.datasets)
         assert any(len(lst) for lst in schedule.nonexec_tile.iteration_lists.values())
