@@ -10,7 +10,7 @@ from .chain import (AccessMode, Descriptor, InverseMap, IterationSpace, Loop,
                     LoopChain, MeshMap, Region, build_chain, chain_fingerprint,
                     invert_map)
 from .distsim import (DistributedResult, HaloEndpoint, VirtualRank, gather,
-                      halo_exchange, run_distributed, run_subchain, setup_ranks)
+                      run_distributed, run_subchain, setup_ranks)
 from .executor import (Dataset, ExecutionReport, KernelBinding, KernelRegistry,
                        execute_schedule, execute_untiled)
 from .inspector import (ExecMode, LoopTiling, Schedule, Tile, assign,

@@ -64,15 +64,6 @@ class IterationSpace:
     def executable_size(self) -> int:
         return self.core_size + self.boundary_size
 
-    def region_of(self, element: int) -> Region:
-        if element < 0 or element >= self.total:
-            raise IndexError(f"element {element} outside space {self.name!r}")
-        if element < self.core_size:
-            return Region.CORE
-        if element < self.executable_size:
-            return Region.BOUNDARY
-        return Region.NONEXEC
-
 
 @dataclass(frozen=True, eq=False)
 class MeshMap:
@@ -98,9 +89,6 @@ class MeshMap:
         if len(values) and (values.min() < 0 or values.max() >= self.target.total):
             raise InvalidChainError(f"map {self.name!r}: value outside target space")
 
-    def row(self, element: int) -> np.ndarray:
-        return self.values[element * self.arity : (element + 1) * self.arity]
-
 
 @dataclass(frozen=True, eq=False)
 class InverseMap:
@@ -110,9 +98,6 @@ class InverseMap:
     target: IterationSpace  # the original map's source
     offsets: np.ndarray
     values: np.ndarray
-
-    def sources_of(self, element: int) -> np.ndarray:
-        return self.values[self.offsets[element] : self.offsets[element + 1]]
 
 
 def invert_map(mesh_map: MeshMap) -> InverseMap:

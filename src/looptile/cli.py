@@ -8,8 +8,8 @@ and every line of the ``[output] report`` file, is one JSON record with a
   in distributed mode, per rank.  Tiles per region, colors, recolor rounds,
   per-loop tile sizes and the inspection phases; in distributed mode, what
   the rank holds of each space (core, owned, exec and non-exec elements);
-  once the schedule has run, also its executor phases, tiles per color and
-  bytes exchanged.
+  once the schedule has run, also its executor phases, tiles per color,
+  bytes exchanged and backend (``c`` or ``numpy``).
 - ``run``: one per run.  Fusion scheme, mode, ranks, inspect and execute
   seconds, and the verify status (``pass``, ``FAIL`` or null).
 
@@ -25,7 +25,8 @@ ranks' halo slots until it commits, so a core tile that read one would make
 
 Exit codes: 0 ok, 1 other error (I/O, failed inspection), 2 config error
 (including a binding or kernel the executor rejects), 3 verification failure,
-4 depth violation.
+4 depth violation, 5 C compile error (no C compiler, a C body that does not
+compile, or an unusable C cache directory).
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ import numpy as np
 
 from .chain import LoopChain, Region
 from .config import ConfigError, RunConfig, SubChain, parse_config, parse_fusion
-from .errors import (DepthExceededError, ExecutionError, InspectionError,
-                     VerificationError)
+from .errors import (CompileError, DepthExceededError, ExecutionError,
+                     InspectionError, VerificationError)
 from .executor import (ExecutionReport, KernelRegistry, execute_schedule,
                        execute_untiled, integer_valued)
 from .inspector import ExecMode, Schedule, inspect_chain
@@ -260,6 +261,7 @@ def schedule_record(entry: Inspected) -> dict:
         "inspect": dataclasses.asdict(schedule.stats),
         "dominant_phase": phase,
         "dominant_share": share,
+        "backend": None if entry.report is None else entry.report.backend,
     }
     if entry.report is not None:
         record["execute"] = dict(entry.report.phase_seconds)
@@ -347,6 +349,9 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 3
+    except CompileError as exc:
+        print(f"compile error: {exc}", file=sys.stderr)
+        return 5
     except (ConfigError, ExecutionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

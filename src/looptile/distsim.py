@@ -25,7 +25,7 @@ from .executor import (Dataset, ExecutionReport, KernelRegistry,
 from .inspector import ExecMode, Schedule, inspect_chain
 from .mesh import Mesh
 from .partition import LocalMesh, partition_for_ranks
-from .problems import Problem, local_setup
+from .problems import Problem, instantiate_chain, local_setup
 
 POISON = 1e30  # every halo slot's value until the exchange commits
 
@@ -110,15 +110,6 @@ def check_exchange_symmetry(endpoints: list[HaloEndpoint]) -> None:
                     f"between ranks {e.rank} and {nbr}")
 
 
-def halo_exchange(endpoints: list[HaloEndpoint]) -> None:
-    """One synchronous exchange: every owner's values land in all halo copies."""
-    check_exchange_symmetry(endpoints)
-    for e in endpoints:
-        e.begin()
-    for e in endpoints:
-        e.end()
-
-
 @dataclass
 class VirtualRank:
     rank: int
@@ -197,10 +188,15 @@ def setup_ranks(mesh: Mesh, problem: Problem, nranks: int, fusion, depth: int,
             for start, stop, ts in fusion]
     by_subchain: list[list[VirtualRank]] = [[] for _ in subs]
     for lm in local_meshes:
-        datasets = None  # the first sub-chain's, shared by the rest
-        for ranks, (sub, ts) in zip(by_subchain, subs):
-            chain, fresh, bindings = local_setup(lm, sub, depth)
-            datasets = fresh if datasets is None else datasets
+        # one set-up per rank: later sub-chains reuse the first one's
+        # spaces, maps and datasets
+        chain, datasets, bindings = local_setup(lm, subs[0][0], depth)
+        spaces = {s.name: s for s in chain.spaces}
+        maps = {m.name: m for m in chain.maps}
+        for i, (ranks, (sub, ts)) in enumerate(zip(by_subchain, subs)):
+            if i:
+                chain, bindings = instantiate_chain(sub, spaces, maps, depth,
+                                                    distributed=True)
             schedule = inspect_chain(chain, ts, ExecMode.DISTRIBUTED)
             endpoint = HaloEndpoint(lm, datasets, exchanged_dataset_names(sub))
             ranks.append(VirtualRank(rank=lm.rank, local_mesh=lm, chain=chain,

@@ -26,6 +26,10 @@ class StaleScheduleError(ExecutionError):
     do not fit its iteration lists."""
 
 
+class CompileError(RuntimeError):
+    """No C compiler, a C body that does not compile, or an unusable C cache."""
+
+
 class PartitionBugError(RuntimeError):
     """Internal inconsistency in rank-local meshes (asymmetric tables, overlapping owners)."""
 

@@ -33,6 +33,13 @@ targets would race, and a dataset that a loop writes or increments bound to
 a second argument, whose gathered copy would miss the loop's own updates.
 Colors run in ascending order on the calling thread, and a step reads its
 mapped accesses through the slices of the local maps that match its lists.
+
+A kernel may also carry a per-element C body.  When every loop's kernel has
+one, ``execute_schedule`` runs the whole plan through C generated for the
+chain's shape (``looptile.codegen``), with the same contract element by
+element, so the results are equal bit for bit; otherwise it takes the numpy
+steps above.  ``execute_untiled`` always runs the numpy bodies, the oracle
+that ``verify`` compares tiled runs against.
 """
 
 from __future__ import annotations
@@ -42,6 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import codegen
 from .chain import AccessMode, IterationSpace, Loop, LoopChain, Region
 from .errors import ExecutionError, StaleScheduleError
 from .inspector import Schedule
@@ -72,21 +80,33 @@ class Dataset:
 
 
 class KernelRegistry:
-    """Kernel bodies by id; an id registers once."""
+    """Kernel bodies by id; an id registers once.
+
+    ``body`` is the numpy body over whole iteration lists, the checked
+    semantics.  ``c`` is an optional per-element C body of the same kernel
+    (see ``looptile.codegen`` for its arguments); tiled runs use it when
+    every loop's kernel has one.
+    """
 
     def __init__(self):
         self._kernels: dict[str, tuple] = {}
+        self._c: dict[str, str] = {}
 
-    def register(self, kernel_id: str, body, nargs: int) -> None:
+    def register(self, kernel_id: str, body, nargs: int, c: str | None = None) -> None:
         if kernel_id in self._kernels:
             raise ExecutionError(f"kernel {kernel_id!r} already registered")
         self._kernels[kernel_id] = (body, nargs)
+        if c is not None:
+            self._c[kernel_id] = c
 
     def get(self, kernel_id: str):
         try:
             return self._kernels[kernel_id]
         except KeyError:
             raise ExecutionError(f"kernel {kernel_id!r} not registered") from None
+
+    def c_body(self, kernel_id: str) -> str | None:
+        return self._c.get(kernel_id)
 
 
 @dataclass(frozen=True)
@@ -99,10 +119,14 @@ class KernelBinding:
 
 @dataclass
 class ExecutionReport:
-    """Per-phase wall times and halo bytes of one tiled execution."""
+    """Per-phase wall times, halo bytes and backend of one tiled execution.
+
+    ``backend`` is ``"c"`` when the plan ran as generated C, else ``"numpy"``.
+    """
 
     phase_seconds: dict[str, float] = field(default_factory=dict)
     bytes_exchanged: int = 0
+    backend: str = "numpy"
 
 
 def check_bindings(chain: LoopChain, bindings, datasets: dict[str, Dataset],
@@ -150,6 +174,25 @@ def check_bindings(chain: LoopChain, bindings, datasets: dict[str, Dataset],
                 f"has {len(loop.descriptors)} descriptors")
         bodies.append(body)
     return bodies
+
+
+def check_slots(schedule: Schedule, chain: LoopChain, bindings,
+                datasets: dict[str, Dataset]) -> None:
+    """Every argument's slots must lie in ``[0, len(values))`` of its dataset.
+
+    Runs before anything executes: the C backend indexes without bounds
+    checks, and numpy's ``take`` would fail only after earlier steps ran.
+    """
+    for loop, binding, tiling in zip(chain.loops, bindings, schedule.tilings):
+        for i, (d, name) in enumerate(zip(loop.descriptors, binding.args)):
+            span = tiling.index_ranges[None if d.is_direct else d.map.name]
+            ds = datasets[name]
+            if span is not None and (span[0] < 0 or (span[1] + 1)
+                                     * ds.values_per_element > len(ds.values)):
+                raise ExecutionError(
+                    f"loop {loop.index}: argument {i} indexes elements "
+                    f"{span[0]}..{span[1]} of dataset {name!r}, which holds "
+                    f"{len(ds.values) // ds.values_per_element}")
 
 
 def flat_slots(idx: np.ndarray, k: int) -> np.ndarray:
@@ -223,23 +266,33 @@ def execute_schedule(schedule: Schedule, chain: LoopChain, bindings,
     already begun; it must offer end() and a bytes_exchanged attribute, and
     end() runs between the core and boundary phases.  Each plan step, one
     per non-empty (region, color, loop), is one kernel call; the non-exec
-    tile is never executed.
+    tile is never executed.  When every loop's kernel has a C body, the plan
+    runs as generated C (``looptile.codegen``), compiled before the core
+    phase starts; otherwise each step calls the numpy body.
     """
     if schedule.fingerprint != chain.fingerprint:
         raise StaleScheduleError("schedule was inspected for a different chain")
     if schedule.n_loops != len(chain.loops):
         raise StaleScheduleError("schedule loop count differs from chain")
     bodies = check_bindings(chain, bindings, datasets, registry)
-    report = ExecutionReport()
-
-    def run_phase(region):
-        for j, lo, hi in schedule.plan[region]:
-            _run_step(bodies[j], bound[j], lo, hi)
+    check_slots(schedule, chain, bindings, datasets)
+    c_bodies = [registry.c_body(loop.kernel) for loop in chain.loops]
+    fn = None
+    if all(c is not None for c in c_bodies):
+        fn = codegen.runner(chain, bindings, datasets, bodies, c_bodies)
+    report = ExecutionReport(backend="numpy" if fn is None else "c")
 
     t0 = time.perf_counter()  # the core phase also binds every loop
-    bound = [_bind(loop, binding, datasets, tiling.elements, tiling.rows)
-             for loop, binding, tiling in zip(chain.loops, bindings,
-                                              schedule.tilings)]
+    if fn is None:
+        bound = [_bind(loop, binding, datasets, tiling.elements, tiling.rows)
+                 for loop, binding, tiling in zip(chain.loops, bindings,
+                                                  schedule.tilings)]
+
+        def run_phase(region):
+            for j, lo, hi in schedule.plan[region]:
+                _run_step(bodies[j], bound[j], lo, hi)
+    else:
+        run_phase = codegen.bind(fn, schedule, chain, bindings, datasets)
     run_phase(Region.CORE)
     report.phase_seconds["core"] = time.perf_counter() - t0
 

@@ -89,6 +89,14 @@ class LoopTiling:
         for a in (self.elements, self.bounds, *self.rows.values()):
             a.flags.writeable = False
 
+    @cached_property
+    def index_ranges(self) -> dict[str | None, tuple[int, int] | None]:
+        """(min, max) of the elements (key None) and of each map's rows;
+        None for an empty array."""
+        arrays = {None: self.elements, **self.rows}
+        return {key: (int(a.min()), int(a.max())) if a.size else None
+                for key, a in arrays.items()}
+
 
 @dataclass
 class InspectionStats:
@@ -152,7 +160,9 @@ class Schedule:
         if len(self.regions) != n:
             raise InspectionError(f"{len(self.regions)} tile regions for {n} colors")
         for j, tiling in enumerate(self.tilings):
-            if len(tiling.bounds) != n + 1 or tiling.bounds[-1] != len(tiling.elements):
+            if (len(tiling.bounds) != n + 1 or tiling.bounds[0] != 0
+                    or tiling.bounds[-1] != len(tiling.elements)
+                    or np.any(tiling.bounds[1:] < tiling.bounds[:-1])):
                 raise StaleScheduleError(
                     f"loop {j}: tiling bounds do not cut {len(tiling.elements)} "
                     f"elements into {n} tiles")

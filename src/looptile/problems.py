@@ -65,11 +65,41 @@ def _cell_read(out, verts):
     out[:] = verts[:, 0] + verts[:, 1] + verts[:, 2]
 
 
+# the same kernels per element in C (argument i is a<i>, k<i> values per
+# element, m<i> rows; see looptile.codegen), with the numpy bodies'
+# broadcasting of a k = 1 input and the same operations in the same order
+
+_EDGE_INC_C = """\
+    for (int c = 0; c < k1; c++) {
+        a1[c] += a0[k0 == 1 ? 0 : c];
+        a1[k1 + c] += a0[k0 == 1 ? 0 : c];
+    }"""
+
+_CELL_INC_C = """\
+    for (int r = 0; r < m1; r++)
+        for (int c = 0; c < k1; c++)
+            a1[r * k1 + c] += a0[k0 == 1 ? 0 : c];"""
+
+_EDGE_READ_C = """\
+    for (int c = 0; c < k0; c++) {
+        const int s = k1 == 1 ? 0 : c;
+        a0[c] = a1[s] + a1[k1 + s];
+    }"""
+
+_CELL_READ_C = """\
+    for (int c = 0; c < k0; c++) {
+        const int s = k1 == 1 ? 0 : c;
+        a0[c] = a1[s] + a1[k1 + s] + a1[2 * k1 + s];
+    }"""
+
+
 def default_registry() -> KernelRegistry:
     registry = KernelRegistry()
-    for kernel_id, body in (("edge_inc", _edge_inc), ("cell_inc", _cell_inc),
-                            ("edge_read", _edge_read), ("cell_read", _cell_read)):
-        registry.register(kernel_id, body, 2)
+    for kernel_id, body, c in (("edge_inc", _edge_inc, _EDGE_INC_C),
+                               ("cell_inc", _cell_inc, _CELL_INC_C),
+                               ("edge_read", _edge_read, _EDGE_READ_C),
+                               ("cell_read", _cell_read, _CELL_READ_C)):
+        registry.register(kernel_id, body, 2, c=c)
     return registry
 
 
@@ -155,10 +185,10 @@ EIGHT_LOOP = Problem(
 PRESETS: dict[str, Problem] = {FIG2.name: FIG2, EIGHT_LOOP.name: EIGHT_LOOP}
 
 
-def instantiate(problem: Problem, spaces: dict[str, IterationSpace],
-                maps: dict[str, MeshMap], global_ids: dict[str, np.ndarray],
-                depth: int, distributed: bool = False):
-    """Materialize (chain, datasets, bindings) over concrete spaces and maps."""
+def instantiate_chain(problem: Problem, spaces: dict[str, IterationSpace],
+                      maps: dict[str, MeshMap], depth: int,
+                      distributed: bool = False):
+    """Materialize (chain, bindings) over concrete spaces and maps."""
     loops = []
     for index, spec in enumerate(problem.loops):
         descriptors = tuple(
@@ -168,14 +198,22 @@ def instantiate(problem: Problem, spaces: dict[str, IterationSpace],
                           descriptors=descriptors, kernel=spec.kernel))
     chain = build_chain(tuple(spaces.values()), tuple(maps.values()),
                         loops, depth, distributed=distributed)
+    bindings = tuple(
+        KernelBinding(spec.kernel, tuple(a.dataset for a in spec.accesses))
+        for spec in problem.loops)
+    return chain, bindings
+
+
+def instantiate(problem: Problem, spaces: dict[str, IterationSpace],
+                maps: dict[str, MeshMap], global_ids: dict[str, np.ndarray],
+                depth: int, distributed: bool = False):
+    """Materialize (chain, datasets, bindings) over concrete spaces and maps."""
+    chain, bindings = instantiate_chain(problem, spaces, maps, depth, distributed)
     datasets = {
         d.name: Dataset(d.name, spaces[d.space], d.values_per_element,
                         init_values(d, global_ids[d.space]))
         for d in problem.datasets
     }
-    bindings = tuple(
-        KernelBinding(spec.kernel, tuple(a.dataset for a in spec.accesses))
-        for spec in problem.loops)
     return chain, datasets, bindings
 
 

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from looptile.chain import Region
+from looptile.distsim import check_exchange_symmetry
+from looptile.executor import KernelRegistry
 from looptile.mesh import generate_rect_mesh, rcm_renumber
 from looptile.problems import FIG2, default_registry, global_setup
 
@@ -27,3 +30,42 @@ def dataset_values(datasets):
 def assert_values_equal(expected, actual):
     for name in expected:
         np.testing.assert_array_equal(actual[name], expected[name], err_msg=name)
+
+
+def numpy_registry():
+    """The preset kernels without their C bodies: tiled runs take numpy steps."""
+    c_registry = default_registry()
+    registry = KernelRegistry()
+    for kernel_id in ("edge_inc", "cell_inc", "edge_read", "cell_read"):
+        registry.register(kernel_id, *c_registry.get(kernel_id))
+    return registry
+
+
+def region_of(space, element):
+    """The region of one element of an iteration space."""
+    if element < 0 or element >= space.total:
+        raise IndexError(f"element {element} outside space {space.name!r}")
+    if element < space.core_size:
+        return Region.CORE
+    if element < space.executable_size:
+        return Region.BOUNDARY
+    return Region.NONEXEC
+
+
+def map_row(mesh_map, element):
+    """The targets of one source element of a map."""
+    return mesh_map.values[element * mesh_map.arity:(element + 1) * mesh_map.arity]
+
+
+def sources_of(inverse, element):
+    """The sources touching one target element of an inverse map."""
+    return inverse.values[inverse.offsets[element]:inverse.offsets[element + 1]]
+
+
+def halo_exchange(endpoints):
+    """One synchronous exchange: every owner's values land in all halo copies."""
+    check_exchange_symmetry(endpoints)
+    for e in endpoints:
+        e.begin()
+    for e in endpoints:
+        e.end()

@@ -20,6 +20,7 @@ from looptile.mesh import generate_rect_mesh, rcm_renumber
 from looptile.problems import FIG2, default_registry, global_setup
 from looptile.vtk import export_vtk, parse_vtk
 
+from conftest import map_row, sources_of
 from legality import check_legality, count_pairs, footprint_conflicts
 
 MESHES = [(1, 1), (2, 1), (4, 2), (8, 4), (16, 8)]
@@ -188,9 +189,9 @@ def test_criterion_6_structural_invariants(registry):
         tgt = IterationSpace("tgt", nt)
         m = MeshMap("m", src, tgt, arity, rng.integers(0, nt, size=ns * arity))
         inv = invert_map(m)
-        forward = sorted((s, int(t)) for s in range(ns) for t in m.row(s))
+        forward = sorted((s, int(t)) for s in range(ns) for t in map_row(m, s))
         backward = sorted((int(s), t) for t in range(nt)
-                          for s in inv.sources_of(t))
+                          for s in sources_of(inv, t))
         assert forward == backward
     _passed(6, "partition, region confinement, color monotonicity, T_ne "
                "exclusion, and 100 inverse-map roundtrips all hold")

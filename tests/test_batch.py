@@ -12,14 +12,14 @@ from hypothesis import strategies as st
 from looptile.chain import AccessMode
 from looptile.cli import main, run_config
 from looptile.config import parse_config
-from looptile.distsim import gather, run_distributed, setup_ranks
+from looptile.distsim import gather, run_distributed, run_subchain, setup_ranks
 from looptile.executor import KernelRegistry, execute_schedule, execute_untiled
 from looptile.inspector import ExecMode, inspect_chain
 from looptile.mesh import generate_rect_mesh, rcm_renumber
 from looptile.problems import (EIGHT_LOOP, FIG2, AccessSpec, LoopSpec, Problem,
                                default_registry, global_setup)
 
-from conftest import dataset_values
+from conftest import dataset_values, numpy_registry
 from reference_executor import run_per_element
 
 REGISTRY = default_registry()
@@ -77,16 +77,29 @@ def distributed_cases(draw):
             depth, draw(st.integers(0, 2**32 - 1)))
 
 
+def run_ranks(mesh, problem, nranks, fusion, depth, initial, registry=None):
+    """Set up the ranks once, run every sub-chain once, gather.
+
+    Without a registry every rank's schedule runs in the reference; every
+    exchange poisons the halo slots until it commits.
+    """
+    by_subchain = setup_ranks(mesh, problem, nranks, fusion, depth, initial)
+    for ranks in by_subchain:
+        if registry is not None:
+            run_subchain(ranks, registry)
+            continue
+        for vr in ranks:
+            vr.endpoint.begin()
+        for vr in ranks:
+            run_per_element(vr.chain, vr.bindings, vr.datasets, vr.schedule,
+                            exchange=vr.endpoint)
+    return gather(mesh, problem, by_subchain[-1])
+
+
 def per_element_distributed(mesh, problem, nranks, ts, depth, initial):
     """``run_distributed`` with every rank's schedule run by the reference."""
-    ranks, = setup_ranks(mesh, problem, nranks, [(0, len(problem.loops), ts)],
-                         depth, initial)
-    for vr in ranks:
-        vr.endpoint.begin()
-    for vr in ranks:
-        run_per_element(vr.chain, vr.bindings, vr.datasets, vr.schedule,
-                        exchange=vr.endpoint)
-    return gather(mesh, problem, ranks)
+    return run_ranks(mesh, problem, nranks, [(0, len(problem.loops), ts)],
+                     depth, initial)
 
 
 @given(distributed_cases())
@@ -249,3 +262,51 @@ def test_kernel_arguments_follow_the_contract(problem):
 
         run(recording_registry(probe))
         assert set(calls) == set(expected), name
+
+
+NUMPY = numpy_registry()
+EIGHT_WIDE = dataclasses.replace(EIGHT_LOOP, datasets=tuple(
+    d if d.name == "edge_w" else dataclasses.replace(d, values_per_element=3)
+    for d in EIGHT_LOOP.datasets))
+
+
+@st.composite
+def backend_cases(draw):
+    return (draw_mesh(draw, min_nx=2, min_ny=2), draw(st.integers(1, 24)),
+            draw(st.integers(1, 4)), draw(st.integers(0, 2**32 - 1)))
+
+
+@pytest.mark.parametrize("mode", list(ExecMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("problem", [FIG2, FIG2_WIDE, EIGHT_LOOP, EIGHT_WIDE],
+                         ids=["fig2", "fig2-k3", "eight", "eight-k3"])
+@given(case=backend_cases())
+@settings(max_examples=8, deadline=None, derandomize=True)
+def test_c_plan_equals_numpy_plan_and_reference_bitwise(problem, mode, case):
+    # k = 3 runs broadcast a k = 1 input; the data is uniform floats
+    mesh, ts, nranks, seed = case
+    n = len(problem.loops)
+    depth = min(n, 4)
+    chain, datasets, bindings = global_setup(mesh, problem, depth)
+    rng = np.random.default_rng(seed)
+    for ds in datasets.values():
+        ds.values[:] = rng.uniform(-1.0, 1.0, len(ds.values))
+    if mode is ExecMode.DISTRIBUTED:
+        initial = dataset_values(datasets)
+        fusion = [(start, min(start + depth, n), ts) for start in range(0, n, depth)]
+        runs = {backend: run_ranks(mesh, problem, nranks, fusion, depth, initial,
+                                   registry)
+                for backend, registry in (("c", REGISTRY), ("numpy", NUMPY),
+                                          ("reference", None))}
+    else:
+        schedule = inspect_chain(chain, ts, mode)
+        runs = {}
+        for backend, registry in (("c", REGISTRY), ("numpy", NUMPY)):
+            runs[backend] = {name: ds.copy() for name, ds in datasets.items()}
+            report = execute_schedule(schedule, chain, bindings, runs[backend],
+                                      registry)
+            assert report.backend == backend
+            runs[backend] = dataset_values(runs[backend])
+        run_per_element(chain, bindings, datasets, schedule)
+        runs["reference"] = dataset_values(datasets)
+    assert_bitwise_equal(runs["reference"], runs["c"])
+    assert_bitwise_equal(runs["numpy"], runs["c"])

@@ -21,7 +21,7 @@ from looptile.problems import (FIG2, AccessSpec, DatasetSpec, LoopSpec,
                                Problem, global_setup)
 from looptile.vtk import export_vtk, parse_vtk
 
-from conftest import dataset_values
+from conftest import dataset_values, numpy_registry
 
 
 def write_config(tmp_path, body, name="run.ini"):
@@ -576,16 +576,19 @@ def test_schedule_record_carries_the_execution_report(registry):
     mesh = generate_rect_mesh(2, 2)
     chain, datasets, bindings = global_setup(mesh, FIG2, depth=3)
     schedule = inspect_chain(chain, 3, ExecMode.SEQUENTIAL)
-    report = execute_schedule(schedule, chain, bindings, datasets, registry)
-    record = schedule_record(Inspected(SubChain(0, 3, 3), None, schedule, report))
-    assert json.loads(json.dumps(record)) == record
-    assert record["execute"] == report.phase_seconds
-    assert record["bytes_exchanged"] == 0
+    for backend, kernels in (("c", registry), ("numpy", numpy_registry())):
+        report = execute_schedule(schedule, chain, bindings, datasets, kernels)
+        record = schedule_record(Inspected(SubChain(0, 3, 3), None, schedule, report))
+        assert json.loads(json.dumps(record)) == record
+        assert record["execute"] == report.phase_seconds
+        assert record["bytes_exchanged"] == 0
+        assert record["backend"] == report.backend == backend
     assert sum(record["tiles_per_color"].values()) == len(
         schedule.executable_tiles())
     assert record["inspect"]["seed_s"] == schedule.stats.seed_s
-    assert "execute" not in schedule_record(Inspected(SubChain(0, 3, 3), None,
-                                                      schedule))
+    unrun = schedule_record(Inspected(SubChain(0, 3, 3), None, schedule))
+    assert "execute" not in unrun
+    assert unrun["backend"] is None
 
 
 def _records(text):
@@ -605,9 +608,12 @@ def test_every_output_line_is_a_record(tmp_path, capsys, mode):
         records = _records(capsys.readouterr().out)
         kinds = {r["record"] for r in records}
         assert kinds == ({"schedule"} if argv[0] == "inspect-only" else {"run"})
+        if argv[0] == "inspect-only":
+            assert all(r["backend"] is None for r in records)
     records = _records(report.read_text())
     assert [r["record"] for r in records] == ["schedule"] * (
         2 if mode == "distributed" else 1) + ["run"]
+    assert all(r["backend"] == "c" for r in records[:-1])
     if mode == "distributed":
         assert [r["rank"] for r in records[:2]] == [0, 1]
         assert records[-1]["nranks"] == 2

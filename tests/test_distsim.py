@@ -7,7 +7,7 @@ import pytest
 
 from looptile.chain import AccessMode
 from looptile.distsim import (POISON, HaloEndpoint, check_exchange_symmetry,
-                              exchanged_dataset_names, gather, halo_exchange,
+                              exchanged_dataset_names, gather,
                               run_distributed, run_subchain, setup_ranks)
 from looptile.errors import DepthExceededError, PartitionBugError
 from looptile.executor import execute_schedule, execute_untiled
@@ -17,7 +17,7 @@ from looptile.partition import partition_for_ranks
 from looptile.problems import (EIGHT_LOOP, FIG2, AccessSpec, DatasetSpec,
                                LoopSpec, Problem, global_setup, local_setup)
 
-from conftest import dataset_values
+from conftest import dataset_values, halo_exchange
 
 
 def serial_reference(mesh, registry, depth=3):

@@ -20,6 +20,7 @@ from looptile.partition import partition_for_ranks
 from looptile.problems import (EIGHT_LOOP, FIG2, Problem, global_setup,
                                local_setup)
 
+from conftest import map_row
 from legality import check_legality, footprint_conflicts
 from reference_inspector import project_reference, tile_loop_reference
 
@@ -154,7 +155,7 @@ def test_projection_matches_bruteforce_max(seed):
     project(loop, sigma, phi, colors, [], {})
     got = phi["verts"]
     for v in range(12):
-        touchers = [int(sigma[e]) for e in range(30) if v in e2v.row(e)]
+        touchers = [int(sigma[e]) for e in range(30) if v in map_row(e2v, e)]
         if not touchers:
             assert got[v] == NO_TILE
         else:
@@ -221,7 +222,7 @@ def test_cell_tiling_matches_bruteforce_on_4x2_mesh():
     c2v = next(m for m in chain.maps if m.name == "c2v")
     phi_v = phi["verts"]
     for c in range(mesh.num_cells):
-        candidates = [int(phi_v[v]) for v in c2v.row(c)]
+        candidates = [int(phi_v[v]) for v in map_row(c2v, c)]
         best_color = max(colors[t] for t in candidates)
         assert colors[int(sigma1[c])] == best_color
 
