@@ -21,8 +21,8 @@ Row r, value c of a mapped argument is ``a<i>[r * k<i> + c]``.
 ``FLAGS`` keep the arithmetic IEEE: no contraction into fused multiply-adds,
 no fast math and no ``-march``, so a C run equals the numpy run bit for bit.
 Shared objects are cached under ``CACHE_DIR``, named by the sha256 of
-(source, compiler, flags), and each process loads a source once.  A missing
-compiler or a failed compile raises ``CompileError``.
+(source, compiler, flags), and each process loads a chain shape once.  A
+missing compiler or a failed compile raises ``CompileError``.
 """
 
 from __future__ import annotations
@@ -166,20 +166,15 @@ def _private_dir(path: str) -> str:
     return path
 
 
-# shared objects loaded by this process, by source; dlopen is process-wide
-_LIBRARIES: dict[str, ctypes.CDLL] = {}
 _IDENTITIES: dict[str, str] = {}
 
 
-def load(source: str, cache_dir: str | None = None) -> ctypes.CDLL:
-    """The shared object of ``source``, compiled into the cache if missing.
+def load(source: str):
+    """The compiled function of ``source``, compiled into the cache if missing.
 
     Each compile writes a temporary file in the cache directory and renames
     it into place, so concurrent processes never load a partial object.
     """
-    lib = _LIBRARIES.get(source)
-    if lib is not None:
-        return lib
     cc = find_compiler()
     if cc is None:
         raise CompileError("no C compiler: neither cc nor gcc is on PATH")
@@ -187,7 +182,7 @@ def load(source: str, cache_dir: str | None = None) -> ctypes.CDLL:
         _IDENTITIES[cc] = _compiler_identity(cc)
     digest = hashlib.sha256("\0".join(
         (source, _IDENTITIES[cc], " ".join(FLAGS))).encode()).hexdigest()
-    directory = _private_dir(cache_dir or CACHE_DIR)
+    directory = _private_dir(CACHE_DIR)
     path = os.path.join(directory, f"{digest}.so")
     if not os.path.exists(path):
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=f"{digest}.", suffix=".tmp")
@@ -204,19 +199,18 @@ def load(source: str, cache_dir: str | None = None) -> ctypes.CDLL:
             if os.path.exists(tmp):
                 os.unlink(tmp)
     try:
-        lib = ctypes.CDLL(path)
+        fn = getattr(ctypes.CDLL(path), SYMBOL)
     except OSError as exc:
         raise CompileError(f"cannot load {path!r}: {exc}") from None
-    getattr(lib, SYMBOL).argtypes = [ctypes.c_void_p, ctypes.c_void_p,
-                                     ctypes.c_void_p, ctypes.c_int64]
-    getattr(lib, SYMBOL).restype = None
-    _LIBRARIES[source] = lib
-    return lib
+    fn.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64]
+    fn.restype = None
+    return fn
 
 
 # -- running a plan -----------------------------------------------------------
 
-# each compiled shape's runner, by (numpy bodies, C bodies, shape)
+# each compiled shape's function, by (numpy bodies, C bodies, shape); the
+# function keeps its shared object loaded for the life of the process
 _RUNNERS: dict[tuple, object] = {}
 
 
@@ -243,8 +237,7 @@ def runner(chain: LoopChain, bindings, datasets, bodies, c_bodies):
     fn = _RUNNERS.get(key)
     if fn is None:
         _probe(bodies, shape)
-        fn = getattr(load(generate(c_bodies, shape)), SYMBOL)
-        _RUNNERS[key] = fn
+        fn = _RUNNERS[key] = load(generate(c_bodies, shape))
     return fn
 
 

@@ -267,23 +267,25 @@ def execute_schedule(schedule: Schedule, chain: LoopChain, bindings,
     end() runs between the core and boundary phases.  Each plan step, one
     per non-empty (region, color, loop), is one kernel call; the non-exec
     tile is never executed.  When every loop's kernel has a C body, the plan
-    runs as generated C (``looptile.codegen``), compiled before the core
-    phase starts; otherwise each step calls the numpy body.
+    runs as generated C (``looptile.codegen``); otherwise each step calls
+    the numpy body.  The core phase's time includes the slot check and the
+    set-up of either backend, a compile on a cold cache among it.
     """
     if schedule.fingerprint != chain.fingerprint:
         raise StaleScheduleError("schedule was inspected for a different chain")
     if schedule.n_loops != len(chain.loops):
         raise StaleScheduleError("schedule loop count differs from chain")
     bodies = check_bindings(chain, bindings, datasets, registry)
-    check_slots(schedule, chain, bindings, datasets)
     c_bodies = [registry.c_body(loop.kernel) for loop in chain.loops]
-    fn = None
-    if all(c is not None for c in c_bodies):
-        fn = codegen.runner(chain, bindings, datasets, bodies, c_bodies)
-    report = ExecutionReport(backend="numpy" if fn is None else "c")
+    report = ExecutionReport()
 
-    t0 = time.perf_counter()  # the core phase also binds every loop
-    if fn is None:
+    t0 = time.perf_counter()
+    check_slots(schedule, chain, bindings, datasets)
+    if all(c is not None for c in c_bodies):
+        report.backend = "c"
+        fn = codegen.runner(chain, bindings, datasets, bodies, c_bodies)
+        run_phase = codegen.bind(fn, schedule, chain, bindings, datasets)
+    else:
         bound = [_bind(loop, binding, datasets, tiling.elements, tiling.rows)
                  for loop, binding, tiling in zip(chain.loops, bindings,
                                                   schedule.tilings)]
@@ -291,8 +293,6 @@ def execute_schedule(schedule: Schedule, chain: LoopChain, bindings,
         def run_phase(region):
             for j, lo, hi in schedule.plan[region]:
                 _run_step(bodies[j], bound[j], lo, hi)
-    else:
-        run_phase = codegen.bind(fn, schedule, chain, bindings, datasets)
     run_phase(Region.CORE)
     report.phase_seconds["core"] = time.perf_counter() - t0
 

@@ -1,11 +1,20 @@
 import numpy as np
 import pytest
 
+from looptile import codegen
 from looptile.chain import Region
 from looptile.distsim import check_exchange_symmetry
 from looptile.executor import KernelRegistry
 from looptile.mesh import generate_rect_mesh, rcm_renumber
 from looptile.problems import FIG2, default_registry, global_setup
+
+
+@pytest.fixture(scope="session", autouse=True)
+def private_c_cache(tmp_path_factory):
+    """Compile generated C into a cache of the test session's own."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(codegen, "CACHE_DIR", str(tmp_path_factory.mktemp("c-cache")))
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -626,7 +626,7 @@ CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.in
 def test_verify_leaves_numpy_ma_unimported(tmp_path):
     # np.unique imports numpy.ma on first use, which adds to peak RSS
     root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ)
+    env = dict(os.environ, HOME=str(tmp_path))  # an empty C cache of its own
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
     script = ("import sys\n"

@@ -76,7 +76,6 @@ def test_c_body_writing_a_read_argument_is_a_compile_error():
 @pytest.fixture
 def no_loaded_code(monkeypatch):
     """A process that has loaded and cached no generated code yet."""
-    monkeypatch.setattr(codegen, "_LIBRARIES", {})
     monkeypatch.setattr(codegen, "_RUNNERS", {})
 
 
@@ -93,31 +92,32 @@ def test_missing_compiler_is_exit_code_5(tmp_path, monkeypatch, capsys,
     assert "Traceback" not in captured.err
 
 
-def test_cache_directory_must_be_private(tmp_path, no_loaded_code):
+def test_cache_directory_must_be_private(tmp_path, monkeypatch):
     source = preset_sources()[0]
     fresh = tmp_path / "fresh" / "cache"
-    codegen.load(source, str(fresh))
+    monkeypatch.setattr(codegen, "CACHE_DIR", str(fresh))
+    codegen.load(source)
     assert fresh.stat().st_mode & 0o777 == 0o700
     assert [p.suffix for p in fresh.iterdir()] == [".so"]
 
     shared = tmp_path / "shared"
     shared.mkdir()
     shared.chmod(0o775)
-    codegen._LIBRARIES.clear()
+    monkeypatch.setattr(codegen, "CACHE_DIR", str(shared))
     with pytest.raises(CompileError, match="not private"):
-        codegen.load(source, str(shared))
+        codegen.load(source)
 
 
 def test_two_processes_compile_one_source_into_an_empty_cache(tmp_path):
-    cache = tmp_path / "cache"
+    # the cache directory lies under HOME, here an empty one
+    cache = tmp_path / ".cache" / "looptile"
     source = tmp_path / "chain.c"
     source.write_text(preset_sources()[-1])
     script = ("import sys\n"
               "from looptile import codegen\n"
-              "lib = codegen.load(open(sys.argv[1]).read(), sys.argv[2])\n"
-              "getattr(lib, codegen.SYMBOL)(None, None, None, 0)\n")
-    env = dict(os.environ, PYTHONPATH=SRC)
-    procs = [subprocess.Popen([sys.executable, "-c", script, str(source), str(cache)],
+              "codegen.load(open(sys.argv[1]).read())(None, None, None, 0)\n")
+    env = dict(os.environ, PYTHONPATH=SRC, HOME=str(tmp_path))
+    procs = [subprocess.Popen([sys.executable, "-c", script, str(source)],
                               env=env, stderr=subprocess.PIPE, text=True)
              for _ in range(2)]
     for proc in procs:
