@@ -92,12 +92,33 @@ class MeshMap:
 
 @dataclass(frozen=True, eq=False)
 class InverseMap:
-    """CSR-style inverse of a MeshMap: for each target element, the sources touching it."""
+    """CSR-style inverse of a MeshMap: for each target element, the sources touching it.
+
+    The inspector's C projection indexes through it unchecked, so
+    construction checks that ``offsets`` cut ``values`` into one segment per
+    element of ``source`` and that every value is an element of ``target``.
+    """
 
     source: IterationSpace  # the original map's target
     target: IterationSpace  # the original map's source
     offsets: np.ndarray
     values: np.ndarray
+
+    def __post_init__(self):
+        for name in ("offsets", "values"):
+            array = np.ascontiguousarray(getattr(self, name), dtype=np.int64)
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+        offsets, values = self.offsets, self.values
+        if (offsets.ndim != 1 or len(offsets) != self.source.total + 1
+                or offsets[0] != 0 or offsets[-1] != len(values)
+                or np.any(offsets[1:] < offsets[:-1])):
+            raise InvalidChainError(
+                f"inverse map: offsets do not cut {len(values)} values into "
+                f"{self.source.total} segments")
+        if values.ndim != 1 or (len(values) and (
+                values.min() < 0 or values.max() >= self.target.total)):
+            raise InvalidChainError("inverse map: value outside target space")
 
 
 def invert_map(mesh_map: MeshMap) -> InverseMap:
@@ -110,14 +131,11 @@ def invert_map(mesh_map: MeshMap) -> InverseMap:
     counts = np.bincount(mesh_map.values, minlength=n_target)
     offsets = np.zeros(n_target + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
-    # source id of each flat entry, in (target, source) order
-    source_ids = np.repeat(np.arange(mesh_map.source.total, dtype=np.int64), mesh_map.arity)
-    order = np.lexsort((source_ids, mesh_map.values))
-    values = source_ids[order]
-    offsets.setflags(write=False)
-    values.setflags(write=False)
+    # flat entry i belongs to source i // arity, so a stable sort by target
+    # lists each target's sources in ascending order
+    order = np.argsort(mesh_map.values, kind="stable")
     return InverseMap(source=mesh_map.target, target=mesh_map.source,
-                      offsets=offsets, values=values)
+                      offsets=offsets, values=order // mesh_map.arity)
 
 
 @dataclass(frozen=True, eq=False)

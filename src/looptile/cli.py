@@ -25,8 +25,8 @@ ranks' halo slots until it commits, so a core tile that read one would make
 
 Exit codes: 0 ok, 1 other error (I/O, failed inspection), 2 config error
 (including a binding or kernel the executor rejects), 3 verification failure,
-4 depth violation, 5 C compile error (no C compiler, a C body that does not
-compile, or an unusable C cache directory).
+4 depth violation, 5 C compile error (no C compiler, which inspection needs
+too, a C body that does not compile, or an unusable C cache directory).
 """
 
 from __future__ import annotations

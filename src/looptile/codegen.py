@@ -1,4 +1,4 @@
-"""Tiled plans as generated C: one function per chain shape, compiled once.
+"""Compiled C: tiled plans as one function per chain shape, and the cache.
 
 A kernel registered with a per-element C body (``KernelRegistry.register(...,
 c=...)``) can run as C.  For each chain shape, that is each loop's bodies
@@ -18,6 +18,9 @@ Argument i of a C body is ``a<i>``, with ``k<i>`` values per element and
 ``m<i>`` rows: the map's arity for a mapped access, 1 for a direct one.
 Row r, value c of a mapped argument is ``a<i>[r * k<i> + c]``.
 
+``load`` compiles any C source into the cache and returns the loaded
+library; besides the chain-shape sources it compiles the inspector's fixed
+source (``looptile/inspector.c``), whose callers bind their own symbols.
 ``FLAGS`` keep the arithmetic IEEE: no contraction into fused multiply-adds,
 no fast math and no ``-march``, so a C run equals the numpy run bit for bit.
 Shared objects are cached under ``CACHE_DIR``, named by the sha256 of
@@ -35,12 +38,15 @@ import subprocess
 import tempfile
 import weakref
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .chain import AccessMode, LoopChain, Region
 from .errors import CompileError, ExecutionError, StaleScheduleError
-from .inspector import Schedule
+
+if TYPE_CHECKING:
+    from .inspector import Schedule
 
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 CACHE_DIR = os.path.join(os.path.expanduser("~"), ".cache", "looptile")
@@ -169,8 +175,8 @@ def _private_dir(path: str) -> str:
 _IDENTITIES: dict[str, str] = {}
 
 
-def load(source: str):
-    """The compiled function of ``source``, compiled into the cache if missing.
+def load(source: str) -> ctypes.CDLL:
+    """The loaded library of ``source``, compiled into the cache if missing.
 
     Each compile writes a temporary file in the cache directory and renames
     it into place, so concurrent processes never load a partial object.
@@ -199,12 +205,9 @@ def load(source: str):
             if os.path.exists(tmp):
                 os.unlink(tmp)
     try:
-        fn = getattr(ctypes.CDLL(path), SYMBOL)
+        return ctypes.CDLL(path)
     except OSError as exc:
         raise CompileError(f"cannot load {path!r}: {exc}") from None
-    fn.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64]
-    fn.restype = None
-    return fn
 
 
 # -- running a plan -----------------------------------------------------------
@@ -237,7 +240,11 @@ def runner(chain: LoopChain, bindings, datasets, bodies, c_bodies):
     fn = _RUNNERS.get(key)
     if fn is None:
         _probe(bodies, shape)
-        fn = _RUNNERS[key] = load(generate(c_bodies, shape))
+        fn = getattr(load(generate(c_bodies, shape)), SYMBOL)
+        fn.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+                       ctypes.c_int64]
+        fn.restype = None
+        _RUNNERS[key] = fn
     return fn
 
 

@@ -7,20 +7,28 @@ way trigger fake adjacency connections and a recoloring round.  The rounds
 pass plain per-element tile arrays; after the last round each array is cut
 once into a CSR over the tiles in execution order, from which the schedule
 compiles its color-batched execution plan.
+
+Projection, tiling and first-fit coloring run as compiled C, element by
+element (``inspector.c``, compiled once per compiler through
+``looptile.codegen``), so inspection needs a C compiler: without one it
+raises ``CompileError``.
 """
 
 from __future__ import annotations
 
+import ctypes
 import enum
 import math
 import time
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from pathlib import Path
 from types import MappingProxyType
 
 import numpy as np
 
+from . import codegen
 from .chain import (InverseMap, IterationSpace, Loop, LoopChain, MeshMap,
                     Region, invert_map)
 from .errors import ColoringLimitError, InspectionError, StaleScheduleError
@@ -250,6 +258,50 @@ class Schedule:
         return ("\n".join(lines) + "\n").encode()
 
 
+# -- the compiled passes -------------------------------------------------------
+# Projection, tiling and coloring run as C (inspector.c beside this module),
+# compiled once per compiler through codegen's cache and loaded on first use.
+# The C indexes without bounds checks, so every array reaches it checked.
+
+_P, _L = ctypes.c_void_p, ctypes.c_int64
+_C_SIGNATURES = {  # name: (argument types, result type)
+    "looptile_direct_conflicts": ((_P, _P, _L, _P, _L, _P), _L),
+    "looptile_project": ((_P, _P, _P, _P, _L, _P, _L, _P, _P), _L),
+    "looptile_tile": ((_L, _L, _L, _P, _P, _P, _P, _L, _P, _P), _L),
+    "looptile_color": ((_P, _L, _P, _L, _P), ctypes.c_int),
+}
+_LIB: ctypes.CDLL | None = None
+
+
+def _lib() -> ctypes.CDLL:
+    """The compiled passes; a missing compiler raises ``CompileError``."""
+    global _LIB
+    if _LIB is None:
+        lib = codegen.load((Path(__file__).parent / "inspector.c").read_text())
+        for name, (argtypes, restype) in _C_SIGNATURES.items():
+            fn = getattr(lib, name)
+            fn.argtypes, fn.restype = argtypes, restype
+        _LIB = lib
+    return _LIB
+
+
+def _check_array(a: np.ndarray, what: str, length: int | None = None) -> None:
+    """Raise ``InspectionError`` unless ``a`` is a 1-D C-contiguous int64
+    array, of ``length`` entries unless that is None."""
+    if (not isinstance(a, np.ndarray) or a.dtype != np.int64 or a.ndim != 1
+            or not a.flags.c_contiguous):
+        raise InspectionError(f"{what} is not a contiguous 1-D int64 array")
+    if length is not None and len(a) != length:
+        raise InspectionError(f"{what} has {len(a)} entries, not {length}")
+
+
+def _check_tiles(a: np.ndarray, what: str, length: int, n_tiles: int) -> None:
+    """``_check_array``, and every entry a tile id in [NO_TILE, n_tiles)."""
+    _check_array(a, what, length)
+    if length and (a.min() < NO_TILE or a.max() >= n_tiles):
+        raise InspectionError(f"{what} holds a tile id outside [-1, {n_tiles})")
+
+
 # -- inspection steps ---------------------------------------------------------
 # A tiling array holds a tile id per element of a loop's space; ``phi`` maps a
 # space name to the max-color tile that last touched each element (NO_TILE if
@@ -309,80 +361,15 @@ def color_tiles(regions: np.ndarray, pairs: np.ndarray, mode: ExecMode) -> np.nd
     n = len(regions)
     if mode is not ExecMode.SHARED:
         return np.arange(n, dtype=np.int64)
-    low, high = np.divmod(pairs, n)
-    tile, neighbour = np.divmod(np.sort(np.concatenate((pairs, high * n + low))), n)
-    offsets = np.searchsorted(tile, np.arange(n + 1)).tolist()
-    neighbour = neighbour.tolist()
-    # an uncolored neighbour holds -1 and a core one a color below the
-    # boundary floor, so neither blocks a color
-    colors = [-1] * n
-    floor = 0
-    for region in (Region.CORE, Region.BOUNDARY):
-        group = np.flatnonzero(regions == region).tolist()
-        for t in group:
-            used = {colors[u] for u in neighbour[offsets[t]:offsets[t + 1]]}
-            color = floor
-            while color in used:
-                color += 1
-            colors[t] = color
-        if group:
-            floor = max(colors[t] for t in group) + 1
-    colors = np.array(colors, dtype=np.int64)
-    colors[regions == Region.NONEXEC] = floor
+    _check_array(regions, "tile regions")
+    _check_array(pairs, "tile pairs")
+    if len(pairs) and (pairs.min() < 0 or pairs.max() >= n * n):
+        raise InspectionError(f"a tile pair key lies outside [0, {n * n})")
+    colors = np.empty(n, dtype=np.int64)
+    if _lib().looptile_color(regions.ctypes.data, n, pairs.ctypes.data,
+                             len(pairs), colors.ctypes.data):
+        raise MemoryError("no memory to color the tiles")
     return colors
-
-
-def _add_conflicts(conflicts: list[np.ndarray], a: np.ndarray, b: np.ndarray,
-                   n_tiles: int) -> None:
-    """Record the key of each pair (a[i], b[i]); no tile conflicts with itself."""
-    distinct = a != b
-    if distinct.any():
-        a, b = a[distinct], b[distinct]
-        conflicts.append(np.minimum(a, b) * n_tiles + np.maximum(a, b))
-
-
-def _project_mapped(inv: InverseMap, sigma: np.ndarray, held: np.ndarray,
-                    colors: np.ndarray, conflicts: list[np.ndarray] | None) -> np.ndarray:
-    """New projection of a mapped access's target space; see ``project``.
-
-    Each target element's segment of the CSR inverse lists its sources in
-    ascending order.  The held tile survives unless some source's tile has a
-    strictly higher color; otherwise the first source with the segment's
-    maximum color wins.
-    """
-    n, size = len(held), len(inv.values)
-    touch = sigma[inv.values]
-    new = np.full(n, NO_TILE, dtype=np.int64)
-    best_color = np.full(n, -1, dtype=np.int64)
-    filled = np.flatnonzero(np.diff(inv.offsets))
-    if len(filled):
-        # one segment maximum over keys ordered by color, then by earliest
-        # position: key = color * size + (size - 1 - position); a source on
-        # no tile has color -1 and so never wins over one on a tile
-        key = np.where(touch >= 0, colors[touch], -1) * size
-        key += np.arange(size - 1, -1, -1)
-        best = np.maximum.reduceat(key, inv.offsets[filled])
-        best_color[filled] = best // size
-        new[filled] = touch[size - 1 - best % size]
-    keep = (held >= 0) & (colors[held] >= best_color)
-    new[keep] = held[keep]
-
-    if conflicts is not None:
-        # Per (element, color), the first tile seen (held tile, then sources
-        # in segment order) meets every later distinct tile of that color.
-        has = np.flatnonzero(held >= 0)
-        element = np.repeat(np.arange(n, dtype=np.int64), np.diff(inv.offsets))
-        on_tile = touch >= 0
-        entry_element = np.concatenate((has, element[on_tile]))
-        entry_tile = np.concatenate((held[has], touch[on_tile]))
-        low, high = int(colors.min()), int(colors.max())
-        key = entry_element * (high - low + 1) + (colors[entry_tile] - low)
-        order = np.argsort(key, kind="stable")
-        key, entry_tile = key[order], entry_tile[order]
-        starts = np.flatnonzero(np.diff(key, prepend=-1))  # keys are >= 0
-        first = np.repeat(entry_tile[starts], np.diff(np.append(starts, len(key))))
-        _add_conflicts(conflicts, first, entry_tile, len(colors))
-    return new
 
 
 def project(loop: Loop, sigma: np.ndarray, phi: dict[str, np.ndarray],
@@ -392,43 +379,50 @@ def project(loop: Loop, sigma: np.ndarray, phi: dict[str, np.ndarray],
 
     Direct descriptors take sigma wholesale; mapped descriptors take, per
     target element, the maximum-color tile among the held one and the
-    element's sources in the inverse map.  Unless ``conflicts`` is None,
-    per element and color the first tile to touch the element (the held
-    tile, then sources in inverse-map order) is recorded as conflicting with
-    every later distinct tile of that color.
+    element's sources in the inverse map: the held tile survives unless some
+    source's tile has a strictly higher color, else the first source of the
+    highest color wins.  Unless ``conflicts`` is None, per element and color
+    the first tile to touch the element (the held tile, then sources in
+    inverse-map order) is recorded as conflicting with every later distinct
+    tile of that color.
     """
+    lib, n_tiles = _lib(), len(colors)
+    _check_array(colors, "tile colors")
+    _check_tiles(sigma, f"loop {loop.index}'s tiling array", loop.space.total, n_tiles)
     for d in loop.descriptors:
         if d.is_direct:
             old = phi.get(loop.space.name)
             if conflicts is not None and old is not None:
-                clash = (old >= 0) & (sigma >= 0) & (colors[old] == colors[sigma])
-                _add_conflicts(conflicts, old[clash], sigma[clash], len(colors))
+                _check_tiles(old, f"projection of {loop.space.name!r}",
+                             loop.space.total, n_tiles)
+                keys = np.empty(len(sigma), dtype=np.int64)
+                count = lib.looptile_direct_conflicts(
+                    old.ctypes.data, sigma.ctypes.data, len(sigma),
+                    colors.ctypes.data, n_tiles, keys.ctypes.data)
+                if count:
+                    conflicts.append(keys[:count])
             phi[loop.space.name] = sigma
-        else:
-            if d.map.name not in inverse_maps:
-                inverse_maps[d.map.name] = invert_map(d.map)
-            space = d.map.target
-            held = phi.get(space.name)
-            if held is None:
-                held = np.full(space.total, NO_TILE, dtype=np.int64)
-            phi[space.name] = _project_mapped(inverse_maps[d.map.name], sigma,
-                                              held, colors, conflicts)
-
-
-def _candidate_columns(loop: Loop, phi: dict[str, np.ndarray], n: int):
-    """Candidate tiles of the loop's first n elements, one array per
-    (descriptor, map column), in descriptor order."""
-    for d in loop.descriptors:
-        if d.is_direct:
-            proj = phi.get(loop.space.name)
-            if proj is not None:
-                yield proj[:n]
-        else:
-            proj = phi.get(d.map.target.name)
-            if proj is not None:
-                rows = d.map.values.reshape(-1, d.map.arity)[:n]
-                for k in range(d.map.arity):
-                    yield proj[rows[:, k]]
+            continue
+        if d.map.name not in inverse_maps:
+            inverse_maps[d.map.name] = invert_map(d.map)
+        inv, space = inverse_maps[d.map.name], d.map.target
+        if inv.source != space or inv.target != loop.space:
+            raise InspectionError(f"the inverse of map {d.map.name!r} does not "
+                                  f"run from {space.name!r} to {loop.space.name!r}")
+        held = phi.get(space.name)
+        if held is None:
+            held = np.full(space.total, NO_TILE, dtype=np.int64)
+        _check_tiles(held, f"projection of {space.name!r}", space.total, n_tiles)
+        new = np.empty(space.total, dtype=np.int64)
+        # only sources write keys, at most one each
+        keys = None if conflicts is None else np.empty(len(inv.values), dtype=np.int64)
+        count = lib.looptile_project(
+            inv.offsets.ctypes.data, inv.values.ctypes.data, sigma.ctypes.data,
+            held.ctypes.data, space.total, colors.ctypes.data, n_tiles,
+            new.ctypes.data, None if keys is None else keys.ctypes.data)
+        if count:
+            conflicts.append(keys[:count])
+        phi[space.name] = new
 
 
 def tile_loop(loop: Loop, phi: dict[str, np.ndarray], colors: np.ndarray,
@@ -436,43 +430,55 @@ def tile_loop(loop: Loop, phi: dict[str, np.ndarray], colors: np.ndarray,
     """The loop's tiling array, built from the available projections.
 
     Every element lands on the maximum-color tile reachable through any of the
-    loop's descriptors; color ties keep the tile already held.  Descriptors
-    over spaces no earlier loop touched contribute nothing.
+    loop's descriptors, in descriptor order and map column order; color ties
+    keep the tile already held.  Descriptors over spaces no earlier loop
+    touched contribute nothing.
 
-    Unless ``conflicts`` is None, a second sweep compares each executed
-    element's final tile against all its candidates: an equal-colored
-    distinct candidate means the assigned tile will touch data some
-    same-colored tile already touched, which the projections alone cannot see
-    for the last loop in the chain.
+    Unless ``conflicts`` is None, each executed element's final tile is then
+    compared against all its candidates: an equal-colored distinct candidate
+    means the assigned tile will touch data some same-colored tile already
+    touched, which the projections alone cannot see for the last loop in the
+    chain.
     """
-    space = loop.space
-    sigma = np.full(space.total, NO_TILE, dtype=np.int64)
-    held_color = np.full(space.total, -1, dtype=np.int64)
-
-    applied = False
-    for candidate in _candidate_columns(loop, phi, space.total):
-        applied = True
-        color = np.where(candidate >= 0, colors[candidate], -1)
-        better = color > held_color
-        sigma[better] = candidate[better]
-        held_color[better] = color[better]
-
-    if not applied:
+    space, n_tiles = loop.space, len(colors)
+    _check_array(colors, "tile colors")
+    # per descriptor with a projection: its address, its map rows' address
+    # (0 for a direct access) and its candidates per element
+    proj, rows, arity = [], [], []
+    for d in loop.descriptors:
+        target = space if d.is_direct else d.map.target
+        candidate = phi.get(target.name)
+        if candidate is None:
+            continue
+        _check_tiles(candidate, f"projection of {target.name!r}", target.total, n_tiles)
+        if not d.is_direct and d.map.source.total != space.total:
+            raise InspectionError(f"loop {loop.index}: map {d.map.name!r} does not "
+                                  f"run from {space.name!r}")
+        proj.append(candidate.ctypes.data)
+        rows.append(0 if d.is_direct else d.map.values.ctypes.data)
+        arity.append(1 if d.is_direct else d.map.arity)
+    if not proj:
         raise InspectionError(
             f"loop {loop.index} over {space.name!r}: no projection covers any "
             f"accessed space")
-    if np.any(sigma[:space.executable_size] < 0):
-        missing = int(np.flatnonzero(sigma[:space.executable_size] < 0)[0])
+
+    n_exec = space.executable_size
+    sigma = np.empty(space.total, dtype=np.int64)
+    keys = None if conflicts is None else np.empty(n_exec * sum(arity), dtype=np.int64)
+    proj = np.array(proj, dtype=np.uintp)
+    rows = np.array(rows, dtype=np.uintp)
+    arity = np.array(arity, dtype=np.int64)
+    count = _lib().looptile_tile(
+        space.total, n_exec, len(arity), proj.ctypes.data, rows.ctypes.data,
+        arity.ctypes.data, colors.ctypes.data, n_tiles, sigma.ctypes.data,
+        None if keys is None else keys.ctypes.data)
+    if np.any(sigma[:n_exec] < 0):
+        missing = int(np.flatnonzero(sigma[:n_exec] < 0)[0])
         raise InspectionError(
             f"loop {loop.index}: element {missing} of {space.name!r} is not "
             f"reachable through any projection")
-
-    if conflicts is not None:
-        held = sigma[:space.executable_size]
-        held_color = held_color[:space.executable_size]
-        for candidate in _candidate_columns(loop, phi, space.executable_size):
-            clash = (candidate >= 0) & (colors[candidate] == held_color)
-            _add_conflicts(conflicts, held[clash], candidate[clash], len(colors))
+    if count:
+        conflicts.append(keys[:count])
     return sigma
 
 

@@ -2,7 +2,7 @@
 
 These walk every element in Python, one map entry at a time, exactly as the
 inspector once did.  They are slow but easy to read, and serve as the oracle
-that the vectorized passes in ``looptile.inspector`` are checked against:
+that the compiled passes in ``looptile.inspector`` are checked against:
 same projection arrays, same tiling arrays and the same conflict pairs.
 """
 

@@ -1,4 +1,5 @@
-"""Generated C plans: compiling, caching, safety checks and CLI errors."""
+"""Compiled C (generated plans and the inspector's passes): compiling,
+caching, safety checks and CLI errors."""
 
 import dataclasses
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from looptile import codegen
+from looptile import codegen, inspector
 from looptile.cli import main
 from looptile.errors import CompileError, ExecutionError, StaleScheduleError
 from looptile.executor import KernelRegistry, execute_schedule
@@ -52,6 +53,16 @@ def test_every_preset_subchain_compiles_without_warnings(tmp_path):
     assert len(list(tmp_path.glob("*.o"))) == len(sources)
 
 
+def test_inspector_source_compiles_without_warnings(tmp_path):
+    flags = [f for f in codegen.FLAGS if f != "-shared"]
+    source = Path(inspector.__file__).with_name("inspector.c")
+    proc = subprocess.run([codegen.find_compiler(), *flags, "-Wall", "-Wextra",
+                           "-Werror", "-c", str(source), "-o", "inspector.o"],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "inspector.o").exists()
+
+
 def _fig2_run():
     chain, datasets, bindings = global_setup(generate_rect_mesh(4, 3), FIG2, depth=3)
     return inspect_chain(chain, 4, ExecMode.SHARED), chain, bindings, datasets
@@ -75,8 +86,20 @@ def test_c_body_writing_a_read_argument_is_a_compile_error():
 
 @pytest.fixture
 def no_loaded_code(monkeypatch):
-    """A process that has loaded and cached no generated code yet."""
+    """A process that has loaded and cached no compiled code yet."""
     monkeypatch.setattr(codegen, "_RUNNERS", {})
+    monkeypatch.setattr(inspector, "_LIB", None)
+
+
+def test_inspection_compiles_once_per_compiler(tmp_path, monkeypatch, no_loaded_code):
+    cache = tmp_path / "cache"
+    monkeypatch.setattr(codegen, "CACHE_DIR", str(cache))
+    mesh = generate_rect_mesh(4, 2)
+    for problem in (FIG2, EIGHT_LOOP):
+        chain, _, _ = global_setup(mesh, problem, len(problem.loops))
+        for mode in (ExecMode.SEQUENTIAL, ExecMode.SHARED):
+            inspect_chain(chain, 4, mode)
+    assert [p.suffix for p in cache.iterdir()] == [".so"]
 
 
 def test_missing_compiler_is_exit_code_5(tmp_path, monkeypatch, capsys,
@@ -86,6 +109,19 @@ def test_missing_compiler_is_exit_code_5(tmp_path, monkeypatch, capsys,
     path.write_text("[mesh]\nnx = 4\nny = 2\n[chain]\npreset = fig2\ndepth = 3\n"
                     "[run]\nmode = shared\ntile_size = 4\n")
     assert main(["verify", str(path)]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("compile error: no C compiler")
+    assert "Traceback" not in captured.err
+
+
+def test_inspect_only_without_compiler_is_exit_code_5(tmp_path, monkeypatch, capsys,
+                                                      no_loaded_code):
+    monkeypatch.setattr(codegen, "find_compiler", lambda: None)
+    path = tmp_path / "fig2.ini"
+    path.write_text("[mesh]\nnx = 4\nny = 2\n[chain]\npreset = fig2\ndepth = 3\n"
+                    "[run]\nmode = sequential\ntile_size = 4\n")
+    assert main(["inspect-only", str(path)]) == 5
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("compile error: no C compiler")
@@ -113,9 +149,10 @@ def test_two_processes_compile_one_source_into_an_empty_cache(tmp_path):
     cache = tmp_path / ".cache" / "looptile"
     source = tmp_path / "chain.c"
     source.write_text(preset_sources()[-1])
-    script = ("import sys\n"
+    script = ("import ctypes, sys\n"
               "from looptile import codegen\n"
-              "codegen.load(open(sys.argv[1]).read())(None, None, None, 0)\n")
+              "lib = codegen.load(open(sys.argv[1]).read())\n"
+              "getattr(lib, codegen.SYMBOL)(None, None, None, ctypes.c_int64(0))\n")
     env = dict(os.environ, PYTHONPATH=SRC, HOME=str(tmp_path))
     procs = [subprocess.Popen([sys.executable, "-c", script, str(source)],
                               env=env, stderr=subprocess.PIPE, text=True)

@@ -376,7 +376,7 @@ def test_inspection_legality_property(ts, shared):
     assert footprint_conflicts(chain, schedule) == []
 
 
-# -- vectorized passes against the per-element reference ---------------------
+# -- compiled passes against the per-element reference -----------------------
 
 @st.composite
 def projection_inputs(draw):
@@ -449,6 +449,53 @@ def test_vectorized_passes_match_per_element_reference(inputs):
     got = tile_loop(loop, phi, colors, got_c)
     assert np.array_equal(got, want)
     assert pair_set(got_c, len(colors)) == want_c
+
+
+class _NoC:
+    """Stands in for the compiled passes: calling any of them fails."""
+
+    def __getattr__(self, name):
+        def ran(*args):
+            raise AssertionError(f"{name} ran")
+        return ran
+
+
+def _bad_inputs():
+    """(call, message) pairs whose inputs C must never see; each call takes
+    the degree-seven vertex's loop, tiling array and colors."""
+    def verts(values, dtype=np.int64):
+        return {"verts": np.array(values, dtype=dtype)}
+
+    short, high = [0] * 7, [0, 1, 2, 3, 0, 0, 0, 0]  # 8 verts, 3 tiles
+    return {
+        "project-short-phi": (lambda loop, sigma, colors: project(
+            loop, sigma, verts(short), colors, [], {}), "has 7 entries, not 8"),
+        "project-high-phi": (lambda loop, sigma, colors: project(
+            loop, sigma, verts(high), colors, [], {}), r"outside \[-1, 3\)"),
+        "project-high-sigma": (lambda loop, sigma, colors: project(
+            loop, np.where(sigma == 1, 3, sigma), {}, colors, None, {}),
+            r"outside \[-1, 3\)"),
+        "project-int32-sigma": (lambda loop, sigma, colors: project(
+            loop, sigma.astype(np.int32), {}, colors, None, {}), "int64"),
+        "tile-short-phi": (lambda loop, sigma, colors: tile_loop(
+            loop, verts(short), colors, []), "has 7 entries, not 8"),
+        "tile-high-phi": (lambda loop, sigma, colors: tile_loop(
+            loop, verts(high), colors), r"outside \[-1, 3\)"),
+        "tile-strided-phi": (lambda loop, sigma, colors: tile_loop(
+            loop, {"verts": np.zeros(16, dtype=np.int64)[::2]}, colors), "contiguous"),
+        "color-high-pair": (lambda loop, sigma, colors: color_tiles(
+            np.zeros(3, dtype=np.int64), np.array([9]), ExecMode.SHARED),
+            r"outside \[0, 9\)"),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_bad_inputs()))
+def test_bad_arrays_are_rejected_before_any_c_runs(case, monkeypatch):
+    call, message = _bad_inputs()[case]
+    loop, sigma, colors, _ = degree_seven_vertex()
+    monkeypatch.setattr(inspector, "_LIB", _NoC())
+    with pytest.raises(InspectionError, match=message):
+        call(loop, sigma, colors)
 
 
 # -- byte identity of whole schedules -----------------------------------------
