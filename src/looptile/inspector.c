@@ -3,10 +3,11 @@
  * looptile.codegen.load.
  *
  * Every array is C-contiguous int64.  The Python callers check each length
- * and each tile id before calling, so nothing here checks a bound.  A tile
- * id is -1 (no tile) or lies in [0, n_tiles).  A pair of tiles low < high
- * is written as the key low * n_tiles + high; each function that writes
- * keys returns how many it wrote, at most one per candidate it visits.
+ * and each tile id once, when they bind a pass to its arrays, so nothing
+ * here checks a bound.  A tile id is -1 (no tile) or lies in [0, n_tiles).
+ * A pair of tiles low < high is written as the key low * n_tiles + high;
+ * each function that writes keys returns how many it wrote, at most one per
+ * candidate it visits, and writes none when keys is NULL.
  */
 
 #include <stdint.h>
@@ -36,10 +37,12 @@ int64_t looptile_direct_conflicts(const int64_t *old, const int64_t *sigma,
 /* A projection through a map.  Target element e has the sources
  * sources[offsets[e]:offsets[e + 1]], on tiles sigma[source].  It keeps its
  * held tile unless a source's tile has a strictly higher color; then the
- * first source of the highest color wins.  Unless keys is NULL, per element
- * and color the first tile seen (the held one, then the sources in order)
- * meets every later distinct tile of that color.  The held tile is always
- * first of its color, so only sources write keys: at most one each. */
+ * first source of the highest color wins; a NULL held holds no tile.  Unless
+ * keys is NULL, per element and color the first tile seen (the held one,
+ * then the sources in order) meets every later distinct tile of that color.
+ * The held tile is always first of its color, so only sources write keys:
+ * at most one each.  projected may be held itself: element e reads held[e]
+ * before it writes projected[e]. */
 int64_t looptile_project(const int64_t *offsets, const int64_t *sources,
                          const int64_t *sigma, const int64_t *held,
                          const int64_t n, const int64_t *colors,
@@ -48,7 +51,8 @@ int64_t looptile_project(const int64_t *offsets, const int64_t *sources,
 {
     int64_t count = 0;
     for (int64_t e = 0; e < n; e++) {
-        const int64_t h = held[e], lo = offsets[e], hi = offsets[e + 1];
+        const int64_t h = held != NULL ? held[e] : -1;
+        const int64_t lo = offsets[e], hi = offsets[e + 1];
         int64_t best = h, best_color = h >= 0 ? colors[h] : -1;
         for (int64_t q = lo; q < hi; q++) {
             const int64_t t = sigma[sources[q]];
@@ -75,48 +79,60 @@ int64_t looptile_project(const int64_t *offsets, const int64_t *sources,
     return count;
 }
 
-/* Candidate k of element e through descriptor d: the projection proj[d] at
- * the element itself (rows[d] NULL, arity 1) or at row e of its map. */
-static inline int64_t candidate(const int64_t *const *proj,
-                                const int64_t *const *rows,
-                                const int64_t *arity, const int64_t d,
-                                const int64_t e, const int64_t k)
-{
-    return rows[d] ? proj[d][rows[d][e * arity[d] + k]] : proj[d][e];
-}
-
-/* A loop's tiling over n elements from n_desc descriptors' projections.
- * Element e lands on the first candidate of the highest color, over the
- * descriptors in order and each map row's columns in order; with no
- * candidate on a tile it gets -1.  Unless keys is NULL, each executable
- * element (e < n_exec) on a tile meets every distinct candidate of its
- * tile's color. */
+/* A loop's tiling over n elements from n_desc descriptors'
+ * projections.  Element e's candidates are, per descriptor d in order, the
+ * projection proj[d] at the element itself (rows[d] NULL, arity 1) or at
+ * each column of row e of its map, in column order.  Element e lands on the
+ * first candidate of the highest color; with no candidate on a tile it gets
+ * -1.  Unless keys is NULL, each executable element (e < n_exec) on a tile
+ * meets every distinct candidate of its tile's color.  cache has room for
+ * two entries per candidate of one element: their tiles and their colors.
+ * sigma aliases no projection, and n_tiles is at least 1. */
 int64_t looptile_tile(const int64_t n, const int64_t n_exec,
-                      const int64_t n_desc, const int64_t *const *proj,
-                      const int64_t *const *rows, const int64_t *arity,
-                      const int64_t *colors, const int64_t n_tiles,
-                      int64_t *sigma, int64_t *keys)
+                      const int64_t n_desc, const int64_t *const *restrict proj,
+                      const int64_t *const *restrict rows,
+                      const int64_t *restrict arity,
+                      const int64_t *restrict colors, const int64_t n_tiles,
+                      int64_t *restrict cache, int64_t *restrict sigma,
+                      int64_t *restrict keys)
 {
+    int64_t width = 0;
+    for (int64_t d = 0; d < n_desc; d++)
+        width += arity[d];
+    int64_t *restrict tiles = cache;
+    int64_t *restrict tile_colors = cache + width;
     int64_t count = 0;
     for (int64_t e = 0; e < n; e++) {
-        int64_t best = -1, best_color = -1;
-        for (int64_t d = 0; d < n_desc; d++)
-            for (int64_t k = 0; k < arity[d]; k++) {
-                const int64_t t = candidate(proj, rows, arity, d, e, k);
-                if (t >= 0 && colors[t] > best_color) {
-                    best = t;
-                    best_color = colors[t];
-                }
+        int64_t i = 0;
+        for (int64_t d = 0; d < n_desc; d++) {
+            const int64_t *restrict p = proj[d];
+            if (rows[d] == NULL) {
+                tiles[i++] = p[e];
+                continue;
             }
+            const int64_t *restrict row = rows[d] + e * arity[d];
+            for (int64_t k = 0; k < arity[d]; k++)
+                tiles[i++] = p[row[k]];
+        }
+        /* a candidate on no tile counts as color -1 and never beats the
+         * start; a later candidate wins only on a strictly higher color.
+         * The selects compile without branches. */
+        int64_t best = -1, best_color = -1;
+        for (int64_t k = 0; k < width; k++) {
+            const int64_t t = tiles[k];
+            const int64_t loaded = colors[t < 0 ? 0 : t];
+            const int64_t c = t < 0 ? -1 : loaded;
+            const int higher = c > best_color;
+            tile_colors[k] = c;
+            best = higher ? t : best;
+            best_color = higher ? c : best_color;
+        }
         sigma[e] = best;
         if (keys == NULL || e >= n_exec || best < 0)
             continue;
-        for (int64_t d = 0; d < n_desc; d++)
-            for (int64_t k = 0; k < arity[d]; k++) {
-                const int64_t t = candidate(proj, rows, arity, d, e, k);
-                if (t >= 0 && t != best && colors[t] == best_color)
-                    keys[count++] = pair_key(best, t, n_tiles);
-            }
+        for (int64_t k = 0; k < width; k++)
+            if (tile_colors[k] == best_color && tiles[k] != best)
+                keys[count++] = pair_key(best, tiles[k], n_tiles);
     }
     return count;
 }

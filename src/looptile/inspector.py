@@ -11,7 +11,12 @@ compiles its color-batched execution plan.
 Projection, tiling and first-fit coloring run as compiled C, element by
 element (``inspector.c``, compiled once per compiler through
 ``looptile.codegen``), so inspection needs a C compiler: without one it
-raises ``CompileError``.
+raises ``CompileError``.  A round's dataflow is fixed by the chain, so each
+inspection prepares its passes once (``Passes``): it allocates every tiling
+array and projection buffer, checks the arrays from outside, and binds every
+C call's arguments.  A round then colors the tiles, runs the bound calls
+(``project`` and ``tile_loop``, one per pass) and range-checks the arrays
+they wrote; only the colors change between rounds.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import ctypes
 import enum
 import math
 import time
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -267,7 +272,7 @@ _P, _L = ctypes.c_void_p, ctypes.c_int64
 _C_SIGNATURES = {  # name: (argument types, result type)
     "looptile_direct_conflicts": ((_P, _P, _L, _P, _L, _P), _L),
     "looptile_project": ((_P, _P, _P, _P, _L, _P, _L, _P, _P), _L),
-    "looptile_tile": ((_L, _L, _L, _P, _P, _P, _P, _L, _P, _P), _L),
+    "looptile_tile": ((_L, _L, _L, _P, _P, _P, _P, _L, _P, _P, _P), _L),
     "looptile_color": ((_P, _L, _P, _L, _P), ctypes.c_int),
 }
 _LIB: ctypes.CDLL | None = None
@@ -295,10 +300,11 @@ def _check_array(a: np.ndarray, what: str, length: int | None = None) -> None:
         raise InspectionError(f"{what} has {len(a)} entries, not {length}")
 
 
-def _check_tiles(a: np.ndarray, what: str, length: int, n_tiles: int) -> None:
+def _check_tiles(a: np.ndarray, what: str, n_tiles: int,
+                 length: int | None = None) -> None:
     """``_check_array``, and every entry a tile id in [NO_TILE, n_tiles)."""
     _check_array(a, what, length)
-    if length and (a.min() < NO_TILE or a.max() >= n_tiles):
+    if len(a) and (a.min() < NO_TILE or a.max() >= n_tiles):
         raise InspectionError(f"{what} holds a tile id outside [-1, {n_tiles})")
 
 
@@ -306,7 +312,7 @@ def _check_tiles(a: np.ndarray, what: str, length: int, n_tiles: int) -> None:
 # A tiling array holds a tile id per element of a loop's space; ``phi`` maps a
 # space name to the max-color tile that last touched each element (NO_TILE if
 # none).  A pair of tiles low < high is the int64 key low * n_tiles + high;
-# conflicts are collected as a list of key arrays.
+# a round's conflicts are collected in one ``ConflictKeys`` buffer.
 
 
 def partition_seed(space: IterationSpace, ts: int) -> tuple[np.ndarray, np.ndarray]:
@@ -372,114 +378,234 @@ def color_tiles(regions: np.ndarray, pairs: np.ndarray, mode: ExecMode) -> np.nd
     return colors
 
 
-def project(loop: Loop, sigma: np.ndarray, phi: dict[str, np.ndarray],
-            colors: np.ndarray, conflicts: list[np.ndarray] | None,
-            inverse_maps: dict[str, InverseMap]) -> None:
-    """Fold loop's tiling array into the per-space projections (updates phi).
+# -- passes bound once --------------------------------------------------------
+# A round's dataflow is fixed by the chain: which array each projection and
+# tiling reads and writes.  ``Passes`` binds every C call to its arrays once;
+# ``project`` and ``tile_loop`` then run one bound pass, so a round is C calls
+# on the same buffers with only the colors changed.
 
-    Direct descriptors take sigma wholesale; mapped descriptors take, per
-    target element, the maximum-color tile among the held one and the
-    element's sources in the inverse map: the held tile survives unless some
-    source's tile has a strictly higher color, else the first source of the
-    highest color wins.  Unless ``conflicts`` is None, per element and color
-    the first tile to touch the element (the held tile, then sources in
-    inverse-map order) is recorded as conflicting with every later distinct
-    tile of that color.
+
+@dataclass(frozen=True, eq=False)
+class Pass:
+    """One loop's projection or tiling, bound to the arrays it reads and writes.
+
+    ``calls`` are its C calls in order, each (function, every argument but the
+    trailing keys pointer, whether it only scans for conflicts); ``output``
+    is a tiling's tiling array (None for a projection) and ``max_keys``
+    bounds the conflict keys one run writes.  ``arrays`` keeps alive every
+    array an argument points into.
     """
-    lib, n_tiles = _lib(), len(colors)
-    _check_array(colors, "tile colors")
-    _check_tiles(sigma, f"loop {loop.index}'s tiling array", loop.space.total, n_tiles)
-    for d in loop.descriptors:
-        if d.is_direct:
-            old = phi.get(loop.space.name)
-            if conflicts is not None and old is not None:
-                _check_tiles(old, f"projection of {loop.space.name!r}",
-                             loop.space.total, n_tiles)
-                keys = np.empty(len(sigma), dtype=np.int64)
-                count = lib.looptile_direct_conflicts(
-                    old.ctypes.data, sigma.ctypes.data, len(sigma),
-                    colors.ctypes.data, n_tiles, keys.ctypes.data)
-                if count:
-                    conflicts.append(keys[:count])
-            phi[loop.space.name] = sigma
-            continue
-        if d.map.name not in inverse_maps:
-            inverse_maps[d.map.name] = invert_map(d.map)
-        inv, space = inverse_maps[d.map.name], d.map.target
-        if inv.source != space or inv.target != loop.space:
-            raise InspectionError(f"the inverse of map {d.map.name!r} does not "
-                                  f"run from {space.name!r} to {loop.space.name!r}")
-        held = phi.get(space.name)
-        if held is None:
-            held = np.full(space.total, NO_TILE, dtype=np.int64)
-        _check_tiles(held, f"projection of {space.name!r}", space.total, n_tiles)
-        new = np.empty(space.total, dtype=np.int64)
-        # only sources write keys, at most one each
-        keys = None if conflicts is None else np.empty(len(inv.values), dtype=np.int64)
-        count = lib.looptile_project(
-            inv.offsets.ctypes.data, inv.values.ctypes.data, sigma.ctypes.data,
-            held.ctypes.data, space.total, colors.ctypes.data, n_tiles,
-            new.ctypes.data, None if keys is None else keys.ctypes.data)
-        if count:
-            conflicts.append(keys[:count])
-        phi[space.name] = new
+
+    loop: Loop
+    calls: tuple[tuple[Callable[..., int], tuple, bool], ...]
+    output: np.ndarray | None
+    max_keys: int
+    arrays: tuple[np.ndarray, ...] = field(repr=False)
 
 
-def tile_loop(loop: Loop, phi: dict[str, np.ndarray], colors: np.ndarray,
-              conflicts: list[np.ndarray] | None = None) -> np.ndarray:
-    """The loop's tiling array, built from the available projections.
+class ConflictKeys:
+    """The tile-pair keys one run of passes writes, into one buffer sized once.
 
-    Every element lands on the maximum-color tile reachable through any of the
-    loop's descriptors, in descriptor order and map column order; color ties
-    keep the tile already held.  Descriptors over spaces no earlier loop
-    touched contribute nothing.
-
-    Unless ``conflicts`` is None, each executed element's final tile is then
-    compared against all its candidates: an equal-colored distinct candidate
-    means the assigned tile will touch data some same-colored tile already
-    touched, which the projections alone cannot see for the last loop in the
-    chain.
+    A run appends after the ``count`` keys already written; ``written`` is
+    them all.  Reset ``count`` to 0 to reuse the buffer.
     """
-    space, n_tiles = loop.space, len(colors)
-    _check_array(colors, "tile colors")
-    # per descriptor with a projection: its address, its map rows' address
-    # (0 for a direct access) and its candidates per element
-    proj, rows, arity = [], [], []
-    for d in loop.descriptors:
-        target = space if d.is_direct else d.map.target
-        candidate = phi.get(target.name)
-        if candidate is None:
-            continue
-        _check_tiles(candidate, f"projection of {target.name!r}", target.total, n_tiles)
-        if not d.is_direct and d.map.source.total != space.total:
-            raise InspectionError(f"loop {loop.index}: map {d.map.name!r} does not "
-                                  f"run from {space.name!r}")
-        proj.append(candidate.ctypes.data)
-        rows.append(0 if d.is_direct else d.map.values.ctypes.data)
-        arity.append(1 if d.is_direct else d.map.arity)
-    if not proj:
-        raise InspectionError(
-            f"loop {loop.index} over {space.name!r}: no projection covers any "
-            f"accessed space")
 
-    n_exec = space.executable_size
-    sigma = np.empty(space.total, dtype=np.int64)
-    keys = None if conflicts is None else np.empty(n_exec * sum(arity), dtype=np.int64)
-    proj = np.array(proj, dtype=np.uintp)
-    rows = np.array(rows, dtype=np.uintp)
-    arity = np.array(arity, dtype=np.int64)
-    count = _lib().looptile_tile(
-        space.total, n_exec, len(arity), proj.ctypes.data, rows.ctypes.data,
-        arity.ctypes.data, colors.ctypes.data, n_tiles, sigma.ctypes.data,
-        None if keys is None else keys.ctypes.data)
-    if np.any(sigma[:n_exec] < 0):
-        missing = int(np.flatnonzero(sigma[:n_exec] < 0)[0])
+    def __init__(self, capacity: int):
+        self.buffer = np.empty(capacity, dtype=np.int64)
+        self.address = self.buffer.ctypes.data
+        self.count = 0
+
+    def written(self) -> np.ndarray:
+        return self.buffer[:self.count]
+
+
+class Passes:
+    """The projection and tiling passes of one inspection, bound once.
+
+    ``colors`` is the tile colors every pass reads: copy a round's colors
+    into it before running the passes.  ``phi`` maps a space name to the
+    array holding its projection after the passes bound so far: a checked
+    copy of a caller's array, a tiling's output (after a direct access) or
+    the space's projection buffer, which the C rewrites in place on every
+    run.  Arrays from outside are checked and copied as they come in;
+    arrays the passes write are checked by ``check`` after a run.  Run the passes in
+    the order they were bound, each once per run, so every buffer holds, when
+    a pass reads it, what it held when the pass was bound.
+    """
+
+    def __init__(self, colors: np.ndarray,
+                 phi: Mapping[str, np.ndarray] | None = None):
+        _check_array(colors, "tile colors")
+        if not len(colors):
+            raise InspectionError("no tiles to project or tile onto")
+        self.colors = colors.copy()
+        self.n_tiles = len(colors)
+        self.phi: dict[str, np.ndarray] = {}
+        for name, a in (phi or {}).items():
+            _check_tiles(a, f"projection of {name!r}", self.n_tiles)
+            self.phi[name] = a.copy()
+        self._inverse_maps: dict[str, InverseMap] = {}
+        self.max_keys = 0  # over every pass bound
+        self._lib = _lib()
+        self._tilings: list[Pass] = []
+        self._buffers: dict[str, np.ndarray] = {}  # projection buffers by space
+
+    def projection(self, loop: Loop, sigma: np.ndarray) -> Pass:
+        """Bind the fold of loop's tiling array ``sigma`` into ``phi``.
+
+        Direct descriptors take sigma wholesale; mapped descriptors take, per
+        target element, the maximum-color tile among the held one and the
+        element's sources in the inverse map: the held tile survives unless
+        some source's tile has a strictly higher color, else the first source
+        of the highest color wins.  With conflicts, per element and color the
+        first tile to touch the element (the held tile, then sources in
+        inverse-map order) meets every later distinct tile of that color.
+        """
+        space, lib, n = loop.space, self._lib, self.n_tiles
+        what = f"loop {loop.index}'s tiling array"
+        if any(sigma is t.output for t in self._tilings):
+            _check_array(sigma, what, space.total)
+        else:
+            _check_tiles(sigma, what, n, space.total)
+            sigma = sigma.copy()
+        calls, arrays, max_keys = [], [sigma, self.colors], 0
+        colors = self.colors.ctypes.data
+        for d in loop.descriptors:
+            if d.is_direct:
+                old = self.phi.get(space.name)
+                if old is not None:
+                    _check_array(old, f"projection of {space.name!r}", space.total)
+                    calls.append((lib.looptile_direct_conflicts,
+                                  (old.ctypes.data, sigma.ctypes.data, len(sigma),
+                                   colors, n), True))
+                    arrays.append(old)
+                    max_keys += len(sigma)
+                self.phi[space.name] = sigma
+                continue
+            if d.map.name not in self._inverse_maps:
+                self._inverse_maps[d.map.name] = invert_map(d.map)
+            inv, target = self._inverse_maps[d.map.name], d.map.target
+            if inv.source != target or inv.target != space:
+                raise InspectionError(f"the inverse of map {d.map.name!r} does not "
+                                      f"run from {target.name!r} to {space.name!r}")
+            held = self.phi.get(target.name)
+            if held is not None:
+                _check_array(held, f"projection of {target.name!r}", target.total)
+            new = self._buffers.get(target.name)
+            if new is None:
+                new = self._buffers[target.name] = np.empty(target.total, dtype=np.int64)
+            calls.append((lib.looptile_project,
+                          (inv.offsets.ctypes.data, inv.values.ctypes.data,
+                           sigma.ctypes.data, None if held is None else held.ctypes.data,
+                           target.total, colors, n, new.ctypes.data), False))
+            arrays += [inv.offsets, inv.values, new] + ([] if held is None else [held])
+            # only sources write keys, at most one each
+            max_keys += len(inv.values)
+            self.phi[target.name] = new
+        self.max_keys += max_keys
+        return Pass(loop, tuple(calls), None, max_keys, tuple(arrays))
+
+    def tiling(self, loop: Loop) -> Pass:
+        """Bind loop's tiling from the projections in ``phi``.
+
+        Every element lands on the maximum-color tile reachable through any
+        of the loop's descriptors, in descriptor order and map column order;
+        color ties keep the tile already held.  Descriptors over spaces no
+        earlier pass projected contribute nothing.
+
+        With conflicts, each executed element's final tile is then compared
+        against all its candidates: an equal-colored distinct candidate means
+        the assigned tile will touch data some same-colored tile already
+        touched, which the projections alone cannot see for the last loop in
+        the chain.
+        """
+        space = loop.space
+        # per descriptor with a projection: its address, its map rows' address
+        # (0 for a direct access) and its candidates per element
+        proj, rows, arity, arrays = [], [], [], [self.colors]
+        for d in loop.descriptors:
+            target = space if d.is_direct else d.map.target
+            candidate = self.phi.get(target.name)
+            if candidate is None:
+                continue
+            _check_array(candidate, f"projection of {target.name!r}", target.total)
+            if not d.is_direct and d.map.source.total != space.total:
+                raise InspectionError(f"loop {loop.index}: map {d.map.name!r} does not "
+                                      f"run from {space.name!r}")
+            proj.append(candidate.ctypes.data)
+            rows.append(0 if d.is_direct else d.map.values.ctypes.data)
+            arity.append(1 if d.is_direct else d.map.arity)
+            arrays += [candidate] if d.is_direct else [candidate, d.map.values]
+        if not proj:
+            raise InspectionError(
+                f"loop {loop.index} over {space.name!r}: no projection covers any "
+                f"accessed space")
+
+        n_exec = space.executable_size
+        sigma = np.empty(space.total, dtype=np.int64)
+        proj = np.array(proj, dtype=np.uintp)
+        rows = np.array(rows, dtype=np.uintp)
+        arity = np.array(arity, dtype=np.int64)
+        cache = np.empty(2 * int(arity.sum()), dtype=np.int64)
+        args = (space.total, n_exec, len(arity),
+                proj.ctypes.data, rows.ctypes.data, arity.ctypes.data,
+                self.colors.ctypes.data, self.n_tiles, cache.ctypes.data,
+                sigma.ctypes.data)
+        step = Pass(loop, ((self._lib.looptile_tile, args, False),), sigma,
+                    n_exec * len(cache) // 2,
+                    (sigma, proj, rows, arity, cache, *arrays))
+        self._tilings.append(step)
+        self.max_keys += step.max_keys
+        return step
+
+    def check(self) -> None:
+        """Raise ``InspectionError`` unless the last run put every executable
+        element of every tiling on a tile and left only tile ids in
+        [NO_TILE, n_tiles) in every array the passes write."""
+        written = []
+        for t in self._tilings:
+            space, sigma = t.loop.space, t.output
+            executable = sigma[:space.executable_size]
+            if len(executable) and executable.min() < 0:
+                missing = int(np.flatnonzero(executable < 0)[0])
+                raise InspectionError(
+                    f"loop {t.loop.index}: element {missing} of {space.name!r} is "
+                    f"not reachable through any projection")
+            written.append((f"loop {t.loop.index}'s tiling array", sigma))
+        written += [(f"projection of {name!r}", a) for name, a in self._buffers.items()]
+        for what, a in written:
+            if len(a) and (a.min() < NO_TILE or a.max() >= self.n_tiles):
+                raise InspectionError(
+                    f"{what} holds a tile id outside [-1, {self.n_tiles})")
+
+
+def _run(step: Pass, conflicts: ConflictKeys | None) -> None:
+    if conflicts is None:
+        for fn, args, scan_only in step.calls:
+            if not scan_only:
+                fn(*args, None)
+        return
+    if not 0 <= conflicts.count <= len(conflicts.buffer) - step.max_keys:
         raise InspectionError(
-            f"loop {loop.index}: element {missing} of {space.name!r} is not "
-            f"reachable through any projection")
-    if count:
-        conflicts.append(keys[:count])
-    return sigma
+            f"loop {step.loop.index}: {len(conflicts.buffer) - conflicts.count} "
+            f"free conflict keys, the pass may write {step.max_keys}")
+    for fn, args, _ in step.calls:
+        # keys are int64: the next one goes 8 bytes per key written past the start
+        conflicts.count += fn(*args, conflicts.address + 8 * conflicts.count)
+
+
+def project(step: Pass, conflicts: ConflictKeys | None = None) -> None:
+    """Run one loop's bound projection (``Passes.projection``); unless
+    ``conflicts`` is None, append the conflicting tile pairs it finds."""
+    _run(step, conflicts)
+
+
+def tile_loop(step: Pass, conflicts: ConflictKeys | None = None) -> np.ndarray:
+    """Run one loop's bound tiling (``Passes.tiling``) and return its tiling
+    array; unless ``conflicts`` is None, append the conflicting tile pairs
+    it finds.  ``Passes.check`` rejects unreachable elements after the run."""
+    _run(step, conflicts)
+    return step.output
 
 
 def execution_order(colors: np.ndarray) -> np.ndarray:
@@ -505,9 +631,10 @@ def compute_local_maps(elements: list[np.ndarray],
 
     The executor can then index map rows by position in a list instead of
     by global element id.  One gather per (loop, map); each result holds one
-    row of arity targets per element.
+    row of arity targets per element.  ``np.take`` along the rows gathers the
+    same rows as fancy indexing, several times faster.
     """
-    return [{m.name: m.values.reshape(-1, m.arity)[lst]
+    return [{m.name: np.take(m.values.reshape(-1, m.arity), lst, axis=0)
              for m in {d.map.name: d.map for d in loop.descriptors
                        if not d.is_direct}.values()}
             for lst, loop in zip(elements, chain.loops)]
@@ -567,11 +694,12 @@ def find_seed_map(chain: LoopChain) -> MeshMap | None:
 def inspect_chain(chain: LoopChain, ts: int, mode: ExecMode) -> Schedule:
     """Run the full inspection and return a conflict-free schedule.
 
-    Each recoloring round grows one tiling array per loop from the seed
-    partition; ``build_schedule`` cuts the last round's arrays into the
-    schedule's tilings and compiles its plan.  Pure in (chain, ts, mode): repeated calls
-    produce identical schedules.  Raises ColoringLimitError if recoloring
-    fails to converge within 10 * (number of tiles) rounds.
+    The passes are bound once (``Passes``); each recoloring round colors the
+    tiles and runs them, growing one tiling array per loop from the seed
+    partition.  ``build_schedule`` cuts the last round's arrays into the
+    schedule's tilings and compiles its plan.  Pure in (chain, ts, mode):
+    repeated calls produce identical schedules.  Raises ColoringLimitError
+    if recoloring fails to converge within 10 * (number of tiles) rounds.
     """
     t_start = time.perf_counter()
     stats = InspectionStats()
@@ -587,11 +715,22 @@ def inspect_chain(chain: LoopChain, ts: int, mode: ExecMode) -> Schedule:
              if mode is ExecMode.SHARED else np.empty(0, dtype=np.int64))
     stats.coloring_s += time.perf_counter() - t0
 
-    inverse_maps: dict[str, InverseMap] = {}
     max_rounds = 10 * n_tiles
     tne_id = n_tiles - 1
-    rounds = 0
 
+    t0 = time.perf_counter()
+    passes = Passes(np.zeros(n_tiles, dtype=np.int64))
+    # non-exec iterations never run on this rank, so they carry no
+    # dependence: each loop is projected with them on no tile
+    sigma = np.where(seed == tne_id, NO_TILE, seed)
+    steps = []
+    for loop, before in zip(loops[1:], loops):
+        steps.append((passes.projection(before, sigma), passes.tiling(loop)))
+        sigma = steps[-1][1].output
+    stats.projection_tiling_s += time.perf_counter() - t0
+
+    conflicts: ConflictKeys | None = None
+    rounds = 0
     while True:
         rounds += 1
         if rounds > max_rounds:
@@ -599,30 +738,33 @@ def inspect_chain(chain: LoopChain, ts: int, mode: ExecMode) -> Schedule:
                 f"recoloring did not converge after {max_rounds} rounds")
         t0 = time.perf_counter()
         colors = color_tiles(regions, pairs, mode)
+        passes.colors[:] = colors
         stats.coloring_s += time.perf_counter() - t0
 
         # only same-colored tiles conflict, so unique colors (always so in
-        # sequential and distributed modes) skip the conflict scans
-        shared = len(sorted_distinct(colors)) < n_tiles
-        conflicts: list[np.ndarray] | None = [] if shared else None
-        phi: dict[str, np.ndarray] = {}
-        # non-exec iterations never run on this rank, so they carry no
-        # dependence: each loop is projected with them on no tile
-        sigmas = [np.where(seed == tne_id, NO_TILE, seed)]
+        # sequential and distributed modes) skip the conflict scans; the key
+        # buffer is allocated in the first round whose colors repeat
+        keys = None
+        if len(sorted_distinct(colors)) < n_tiles:
+            if conflicts is None:
+                conflicts = ConflictKeys(passes.max_keys)
+            conflicts.count = 0
+            keys = conflicts
         t0 = time.perf_counter()
-        for j in range(1, len(loops)):
-            project(loops[j - 1], sigmas[-1], phi, colors, conflicts, inverse_maps)
-            sigma = tile_loop(loops[j], phi, colors, conflicts)
-            sigma[loops[j].space.executable_size:] = NO_TILE
-            sigmas.append(sigma)
+        for projection, tiling in steps:
+            project(projection, keys)
+            sigma = tile_loop(tiling, keys)
+            sigma[tiling.loop.space.executable_size:] = NO_TILE
+        passes.check()
         stats.projection_tiling_s += time.perf_counter() - t0
 
-        if not conflicts:
+        if keys is None or not keys.count:
             break
         # conflicting pairs join the adjacency as fake connections
-        pairs = sorted_distinct(np.concatenate((pairs, *conflicts)))
+        pairs = sorted_distinct(np.concatenate((pairs, keys.written())))
 
-    for sigma in sigmas:
+    sigmas = [seed] + [tiling.output for _, tiling in steps]
+    for sigma in sigmas[1:]:
         sigma[sigma == NO_TILE] = tne_id
     schedule = build_schedule(chain, mode, regions, colors, sigmas, rounds, stats)
     stats.total_s = time.perf_counter() - t_start

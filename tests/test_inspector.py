@@ -11,10 +11,10 @@ from looptile import inspector
 from looptile.chain import (AccessMode, Descriptor, IterationSpace, Loop,
                             MeshMap, Region, build_chain)
 from looptile.errors import InspectionError
-from looptile.inspector import (NO_TILE, ExecMode, assign,
-                                build_schedule, color_tiles, find_seed_map,
-                                inspect_chain, partition_seed, project,
-                                seed_adjacency, tile_loop)
+from looptile.inspector import (NO_TILE, ConflictKeys, ExecMode, Passes,
+                                assign, build_schedule, color_tiles,
+                                find_seed_map, inspect_chain, partition_seed,
+                                project, seed_adjacency, tile_loop)
 from looptile.mesh import generate_rect_mesh, rcm_renumber
 from looptile.partition import partition_for_ranks
 from looptile.problems import (EIGHT_LOOP, FIG2, Problem, global_setup,
@@ -110,6 +110,28 @@ def test_fake_connections_force_distinct_colors():
 
 # -- projection ---------------------------------------------------------------
 
+def projected(loop, sigma, phi, colors):
+    """The projections after loop's projection of ``sigma`` over (a copy of)
+    ``phi``, bound and run once, and the conflict keys it wrote."""
+    passes = Passes(colors, phi)
+    step = passes.projection(loop, sigma)
+    conflicts = ConflictKeys(step.max_keys)
+    project(step, conflicts)
+    passes.check()
+    return passes.phi, conflicts
+
+
+def tiled(loop, phi, colors):
+    """Loop's tiling array over every element from the projections ``phi``,
+    bound and run once, and the conflict keys it wrote."""
+    passes = Passes(colors, phi)
+    step = passes.tiling(loop)
+    conflicts = ConflictKeys(step.max_keys)
+    sigma = tile_loop(step, conflicts)
+    passes.check()
+    return sigma, conflicts
+
+
 def degree_seven_vertex():
     """Vertex 0 with seven incident edges: two in tile 0, five in tile 1.
 
@@ -126,16 +148,14 @@ def degree_seven_vertex():
 
 def test_projection_keeps_last_writing_tile():
     loop, sigma, colors, e2v = degree_seven_vertex()
-    phi, conflicts = {}, []
-    project(loop, sigma, phi, colors, conflicts, {})
+    phi, conflicts = projected(loop, sigma, {}, colors)
     assert phi["verts"][0] == 1  # the higher-priority toucher wins
-    assert not conflicts
+    assert not conflicts.count
 
 
 def test_projection_constant_when_one_tile_touches_everything():
     loop, _, colors, e2v = degree_seven_vertex()
-    phi = {}
-    project(loop, np.zeros(7, dtype=np.int64), phi, colors, [], {})
+    phi, _ = projected(loop, np.zeros(7, dtype=np.int64), {}, colors)
     touched = phi["verts"][phi["verts"] >= 0]
     assert np.all(touched == 0)
 
@@ -151,9 +171,7 @@ def test_projection_matches_bruteforce_max(seed):
     colors = np.append(rng.integers(0, 4, size=n_tiles), 10)  # + non-exec tile
     sigma = rng.integers(0, n_tiles, size=30)
     loop = Loop(0, edges, (Descriptor(e2v, AccessMode.INC),), "k")
-    phi = {}
-    project(loop, sigma, phi, colors, [], {})
-    got = phi["verts"]
+    got = projected(loop, sigma, {}, colors)[0]["verts"]
     for v in range(12):
         touchers = [int(sigma[e]) for e in range(30) if v in map_row(e2v, e)]
         if not touchers:
@@ -166,12 +184,12 @@ def test_projection_matches_bruteforce_max(seed):
 def test_projection_never_decreases_across_loops():
     # second loop's writers all sit in a lower-color tile; projection keeps max
     loop, sigma, colors, e2v = degree_seven_vertex()
-    phi = {}
-    project(loop, sigma, phi, colors, [], {})
-    before = phi["verts"].copy()
-    project(Loop(1, loop.space, loop.descriptors, "k"),
-            np.zeros(7, dtype=np.int64), phi, colors, [], {})
-    after = phi["verts"]
+    passes = Passes(colors)
+    project(passes.projection(loop, sigma))
+    before = passes.phi["verts"].copy()
+    project(passes.projection(Loop(1, loop.space, loop.descriptors, "k"),
+                              np.zeros(7, dtype=np.int64)))
+    after = passes.phi["verts"]
     for v in range(8):
         if before[v] >= 0:
             assert colors[int(after[v])] >= colors[int(before[v])]
@@ -187,7 +205,7 @@ def test_tiling_takes_max_color_over_footprint():
     colors = np.array([0, 1, 2])
     phi = {"verts": np.array([1, 0, 0])}
     loop = Loop(1, cells, (Descriptor(c2v, AccessMode.INC),), "k")
-    assert tile_loop(loop, phi, colors)[0] == 1
+    assert tiled(loop, phi, colors)[0][0] == 1
 
 
 def test_tiling_is_constant_with_one_tile():
@@ -196,14 +214,14 @@ def test_tiling_is_constant_with_one_tile():
     c2v = MeshMap("c2v", cells, verts, 3, np.zeros(12, dtype=np.int64))
     phi = {"verts": np.zeros(4, dtype=np.int64)}
     loop = Loop(1, cells, (Descriptor(c2v, AccessMode.READ),), "k")
-    assert np.all(tile_loop(loop, phi, np.array([0, 1])) == 0)
+    assert np.all(tiled(loop, phi, np.array([0, 1]))[0] == 0)
 
 
 def test_tiling_without_any_projection_is_an_error():
     cells = IterationSpace("cells", 2)
     loop = Loop(1, cells, (Descriptor(None, AccessMode.READ),), "k")
     with pytest.raises(InspectionError):
-        tile_loop(loop, {}, np.array([0]))
+        tiled(loop, {}, np.array([0]))
 
 
 def test_cell_tiling_matches_bruteforce_on_4x2_mesh():
@@ -215,12 +233,13 @@ def test_cell_tiling_matches_bruteforce_on_4x2_mesh():
     colors = color_tiles(
         regions, seed_adjacency(seed, len(regions), find_seed_map(chain)),
         ExecMode.SHARED)
-    phi = {}
-    project(chain.loops[0], seed, phi, colors, [], {})
-    sigma1 = tile_loop(chain.loops[1], phi, colors)
+    passes = Passes(colors)
+    project(passes.projection(chain.loops[0], seed))
+    sigma1 = tile_loop(passes.tiling(chain.loops[1]))
+    passes.check()
 
     c2v = next(m for m in chain.maps if m.name == "c2v")
-    phi_v = phi["verts"]
+    phi_v = passes.phi["verts"]
     for c in range(mesh.num_cells):
         candidates = [int(phi_v[v]) for v in map_row(c2v, c)]
         best_color = max(colors[t] for t in candidates)
@@ -235,7 +254,7 @@ def test_direct_descriptor_over_untouched_space_is_skipped():
     phi = {"verts": np.zeros(2, dtype=np.int64)}
     loop = Loop(1, cells, (Descriptor(None, AccessMode.READ),
                            Descriptor(c2v, AccessMode.INC)), "k")
-    assert np.all(tile_loop(loop, phi, np.array([0, 1])) == 0)
+    assert np.all(tiled(loop, phi, np.array([0, 1]))[0] == 0)
 
 
 # -- assignment ---------------------------------------------------------------
@@ -347,6 +366,60 @@ def test_tiles_are_filled_once_after_the_last_round(monkeypatch):
     assert calls == [loop.space.total for loop in chain.loops]
 
 
+def test_each_round_projects_and_tiles_every_loop_once(monkeypatch):
+    # the passes are bound once, but every round still runs each projection
+    # and tiling through the module's own names, in chain order
+    calls = []
+    for name in ("project", "tile_loop"):
+        def counted(step, conflicts=None, name=name, original=getattr(inspector, name)):
+            calls.append((name, step.loop.index))
+            return original(step, conflicts)
+        monkeypatch.setattr(inspector, name, counted)
+    mesh = rcm_renumber(generate_rect_mesh(4, 1))
+    chain, _, _ = global_setup(mesh, FIG2, depth=3)
+    schedule = inspector.inspect_chain(chain, 2, ExecMode.SHARED)
+    assert schedule.recolor_rounds >= 2
+    one_round = [call for j in range(1, len(chain.loops))
+                 for call in (("project", j - 1), ("tile_loop", j))]
+    assert calls == one_round * schedule.recolor_rounds
+
+
+class _KeysRecorder:
+    """Wraps the compiled passes and records the keys argument of each
+    projection and tiling call."""
+
+    def __init__(self, lib):
+        self.lib, self.keys = lib, []
+
+    def __getattr__(self, name):
+        fn = getattr(self.lib, name)
+
+        def call(*args):
+            if name != "looptile_color":
+                self.keys.append(args[-1])
+            return fn(*args)
+        return call
+
+
+@pytest.mark.parametrize("mode", list(ExecMode), ids=lambda m: m.value)
+def test_key_buffers_exist_only_where_colors_repeat(mode, monkeypatch):
+    # every tile has its own color in sequential and distributed modes, so
+    # no pass may be handed a conflict key buffer there
+    mesh = rcm_renumber(generate_rect_mesh(8, 4))
+    if mode is ExecMode.DISTRIBUTED:
+        chain, _, _ = local_setup(partition_for_ranks(mesh, 2, 3)[0], FIG2, 3)
+    else:
+        chain, _, _ = global_setup(mesh, FIG2, depth=3)
+    recorder = _KeysRecorder(inspector._lib())
+    monkeypatch.setattr(inspector, "_LIB", recorder)
+    inspect_chain(chain, 4, mode)
+    assert recorder.keys
+    if mode is ExecMode.SHARED:
+        assert all(k is not None for k in recorder.keys)
+    else:
+        assert all(k is None for k in recorder.keys)
+
+
 def test_inspection_is_deterministic():
     mesh = generate_rect_mesh(8, 4)
     chain, _, _ = global_setup(mesh, FIG2, depth=3)
@@ -418,10 +491,9 @@ def projection_inputs(draw):
     return loop, sigma, phi, colors
 
 
-def pair_set(keys: list[np.ndarray], n_tiles: int) -> set[tuple[int, int]]:
-    """The (low, high) tile pairs of a list of conflict key arrays."""
-    low, high = np.divmod(np.concatenate([np.empty(0, dtype=np.int64), *keys]),
-                          n_tiles)
+def pair_set(keys: ConflictKeys, n_tiles: int) -> set[tuple[int, int]]:
+    """The (low, high) tile pairs of the conflict keys written."""
+    low, high = np.divmod(keys.written(), n_tiles)
     return set(zip(low.tolist(), high.tolist()))
 
 
@@ -430,25 +502,62 @@ def pair_set(keys: list[np.ndarray], n_tiles: int) -> set[tuple[int, int]]:
 def test_vectorized_passes_match_per_element_reference(inputs):
     loop, sigma, phi, colors = inputs
 
-    got_phi, want_phi = dict(phi), dict(phi)
-    got_c, want_c = [], set()
-    project(loop, sigma, got_phi, colors, got_c, {})
+    want_phi, want_c = dict(phi), set()
+    got_phi, got_c = projected(loop, sigma, phi, colors)
     project_reference(loop, sigma, want_phi, colors, want_c, {})
     assert got_phi.keys() == want_phi.keys()
     for name in want_phi:
         assert np.array_equal(got_phi[name], want_phi[name])
     assert pair_set(got_c, len(colors)) == want_c
 
-    got_c, want_c = [], set()
+    want_c = set()
     try:
         want = tile_loop_reference(loop, phi, colors, want_c)
     except InspectionError as exc:
         with pytest.raises(InspectionError, match=f"^{re.escape(str(exc))}$"):
-            tile_loop(loop, phi, colors, got_c)
+            tiled(loop, phi, colors)
         return
-    got = tile_loop(loop, phi, colors, got_c)
+    got, got_c = tiled(loop, phi, colors)
     assert np.array_equal(got, want)
     assert pair_set(got_c, len(colors)) == want_c
+
+
+def test_passes_match_reference_past_small_sizes():
+    # sizes the drawn examples never reach: one target element with 320
+    # sources, and a loop with 1 + 3 * 25 candidates per element.  Only
+    # tiles 7 and 8 have the top color, and they come last: through sources
+    # 300-319 and through the last two columns of the last wide map
+    rng = np.random.default_rng(7)
+    src, dst = IterationSpace("src", 300, 12, 8), IterationSpace("dst", 40)
+    n_tiles = 9
+    colors = np.append(rng.integers(0, 2, 7), [2, 2])
+    sigma = np.append(rng.integers(NO_TILE, 7, 300), np.tile([7, 8], 10))
+    star = MeshMap("star", src, dst, 2, np.column_stack(
+        (np.zeros(src.total, dtype=np.int64), rng.integers(1, 40, src.total))).ravel())
+    phi = {"dst": np.append(rng.integers(NO_TILE, 7, 38), [7, 8])}
+
+    loop = Loop(0, src, (Descriptor(None, AccessMode.READ),
+                         Descriptor(star, AccessMode.INC)), "k")
+    want_phi, want_c = dict(phi), set()
+    got_phi, got_c = projected(loop, sigma, phi, colors)
+    project_reference(loop, sigma, want_phi, colors, want_c, {})
+    assert want_phi["dst"][0] == 7
+    for name in want_phi:
+        assert np.array_equal(got_phi[name], want_phi[name])
+    assert pair_set(got_c, n_tiles) == want_c
+
+    columns = [rng.integers(0, 38, (src.total, 25)) for _ in range(3)]
+    columns[2][:, -2:] = [38, 39]
+    wide = [MeshMap(f"wide{i}", src, dst, 25, c.ravel()) for i, c in enumerate(columns)]
+    loop = Loop(1, src, (Descriptor(None, AccessMode.READ),
+                         *(Descriptor(m, AccessMode.READ) for m in wide)), "k")
+    phi["src"] = rng.integers(0, 7, src.total)
+    want_c = set()
+    want = tile_loop_reference(loop, phi, colors, want_c)
+    got, got_c = tiled(loop, phi, colors)
+    assert np.all(want == 7) and want_c == {(7, 8)}
+    assert np.array_equal(got, want)
+    assert pair_set(got_c, n_tiles) == want_c
 
 
 class _NoC:
@@ -468,21 +577,24 @@ def _bad_inputs():
 
     short, high = [0] * 7, [0, 1, 2, 3, 0, 0, 0, 0]  # 8 verts, 3 tiles
     return {
-        "project-short-phi": (lambda loop, sigma, colors: project(
-            loop, sigma, verts(short), colors, [], {}), "has 7 entries, not 8"),
-        "project-high-phi": (lambda loop, sigma, colors: project(
-            loop, sigma, verts(high), colors, [], {}), r"outside \[-1, 3\)"),
-        "project-high-sigma": (lambda loop, sigma, colors: project(
-            loop, np.where(sigma == 1, 3, sigma), {}, colors, None, {}),
+        "project-short-phi": (lambda loop, sigma, colors: projected(
+            loop, sigma, verts(short), colors), "has 7 entries, not 8"),
+        "project-high-phi": (lambda loop, sigma, colors: projected(
+            loop, sigma, verts(high), colors), r"outside \[-1, 3\)"),
+        "project-high-sigma": (lambda loop, sigma, colors: projected(
+            loop, np.where(sigma == 1, 3, sigma), {}, colors),
             r"outside \[-1, 3\)"),
-        "project-int32-sigma": (lambda loop, sigma, colors: project(
-            loop, sigma.astype(np.int32), {}, colors, None, {}), "int64"),
-        "tile-short-phi": (lambda loop, sigma, colors: tile_loop(
-            loop, verts(short), colors, []), "has 7 entries, not 8"),
-        "tile-high-phi": (lambda loop, sigma, colors: tile_loop(
+        "project-int32-sigma": (lambda loop, sigma, colors: projected(
+            loop, sigma.astype(np.int32), {}, colors), "int64"),
+        "tile-short-phi": (lambda loop, sigma, colors: tiled(
+            loop, verts(short), colors), "has 7 entries, not 8"),
+        "tile-high-phi": (lambda loop, sigma, colors: tiled(
             loop, verts(high), colors), r"outside \[-1, 3\)"),
-        "tile-strided-phi": (lambda loop, sigma, colors: tile_loop(
+        "tile-strided-phi": (lambda loop, sigma, colors: tiled(
             loop, {"verts": np.zeros(16, dtype=np.int64)[::2]}, colors), "contiguous"),
+        "tile-small-keys": (lambda loop, sigma, colors: tile_loop(
+            Passes(colors, verts([0] * 8)).tiling(loop), ConflictKeys(13)),
+            "13 free conflict keys, the pass may write 14"),
         "color-high-pair": (lambda loop, sigma, colors: color_tiles(
             np.zeros(3, dtype=np.int64), np.array([9]), ExecMode.SHARED),
             r"outside \[0, 9\)"),
