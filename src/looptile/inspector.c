@@ -1,6 +1,7 @@
-/* The per-element passes of looptile.inspector: projection, tiling and
- * first-fit coloring.  One fixed source, compiled once per compiler through
- * looptile.codegen.load.
+/* The per-element passes of looptile.inspector: projection through a map,
+ * tiling and first-fit coloring.  One fixed source, compiled once per
+ * compiler through looptile.codegen.load.  A direct access needs no pass:
+ * its loop's tiling met, at each element, the held projection it replaces.
  *
  * Every array is C-contiguous int64.  The Python callers check each length
  * and each tile id once, when they bind a pass to its arrays, so nothing
@@ -17,21 +18,6 @@ static inline int64_t pair_key(const int64_t a, const int64_t b,
                                const int64_t n_tiles)
 {
     return a < b ? a * n_tiles + b : b * n_tiles + a;
-}
-
-/* A direct projection's conflicts: each element whose old and new tiles
- * differ but share a color. */
-int64_t looptile_direct_conflicts(const int64_t *old, const int64_t *sigma,
-                                  const int64_t n, const int64_t *colors,
-                                  const int64_t n_tiles, int64_t *keys)
-{
-    int64_t count = 0;
-    for (int64_t e = 0; e < n; e++) {
-        const int64_t a = old[e], b = sigma[e];
-        if (a >= 0 && b >= 0 && a != b && colors[a] == colors[b])
-            keys[count++] = pair_key(a, b, n_tiles);
-    }
-    return count;
 }
 
 /* A projection through a map.  Target element e has the sources
@@ -85,8 +71,9 @@ int64_t looptile_project(const int64_t *offsets, const int64_t *sources,
  * each column of row e of its map, in column order.  Element e lands on the
  * first candidate of the highest color; with no candidate on a tile it gets
  * -1.  Unless keys is NULL, each executable element (e < n_exec) on a tile
- * meets every distinct candidate of its tile's color.  cache has room for
- * two entries per candidate of one element: their tiles and their colors.
+ * meets every distinct candidate of its tile's color, its held projection
+ * through a direct descriptor among them.  cache has room for two entries
+ * per candidate of one element: their tiles and their colors.
  * sigma aliases no projection, and n_tiles is at least 1. */
 int64_t looptile_tile(const int64_t n, const int64_t n_exec,
                       const int64_t n_desc, const int64_t *const *restrict proj,

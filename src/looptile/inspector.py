@@ -3,10 +3,13 @@
 The seed loop's iteration space is chunked into tiles; every later loop is
 scheduled onto those tiles by projecting which tile last touched each element
 and taking per-element color maxima.  Coloring conflicts discovered along the
-way trigger fake adjacency connections and a recoloring round.  The rounds
-pass plain per-element tile arrays; after the last round each array is cut
-once into a CSR over the tiles in execution order, from which the schedule
-compiles its color-batched execution plan.
+way trigger fake adjacency connections and a recoloring round.  A projection
+through a map finds the tiles of one color that touch one element; a tiling
+finds each executable element's candidates of its tile's color.  A direct
+access needs neither, and in shared mode the last loop's mapped writes get a
+projection of their own.  The rounds pass plain per-element tile arrays;
+after the last round each array is cut once into a CSR over the tiles in
+execution order, from which the schedule compiles its color-batched plan.
 
 Projection, tiling and first-fit coloring run as compiled C, element by
 element (``inspector.c``, compiled once per compiler through
@@ -26,7 +29,7 @@ import enum
 import math
 import time
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
@@ -270,7 +273,6 @@ class Schedule:
 
 _P, _L = ctypes.c_void_p, ctypes.c_int64
 _C_SIGNATURES = {  # name: (argument types, result type)
-    "looptile_direct_conflicts": ((_P, _P, _L, _P, _L, _P), _L),
     "looptile_project": ((_P, _P, _P, _P, _L, _P, _L, _P, _P), _L),
     "looptile_tile": ((_L, _L, _L, _P, _P, _P, _P, _L, _P, _P, _P), _L),
     "looptile_color": ((_P, _L, _P, _L, _P), ctypes.c_int),
@@ -390,14 +392,13 @@ class Pass:
     """One loop's projection or tiling, bound to the arrays it reads and writes.
 
     ``calls`` are its C calls in order, each (function, every argument but the
-    trailing keys pointer, whether it only scans for conflicts); ``output``
-    is a tiling's tiling array (None for a projection) and ``max_keys``
-    bounds the conflict keys one run writes.  ``arrays`` keeps alive every
-    array an argument points into.
+    trailing keys pointer); ``output`` is a tiling's tiling array (None for a
+    projection) and ``max_keys`` bounds the conflict keys one run writes.
+    ``arrays`` keeps alive every array an argument points into.
     """
 
     loop: Loop
-    calls: tuple[tuple[Callable[..., int], tuple, bool], ...]
+    calls: tuple[tuple[Callable[..., int], tuple], ...]
     output: np.ndarray | None
     max_keys: int
     arrays: tuple[np.ndarray, ...] = field(repr=False)
@@ -453,13 +454,16 @@ class Passes:
     def projection(self, loop: Loop, sigma: np.ndarray) -> Pass:
         """Bind the fold of loop's tiling array ``sigma`` into ``phi``.
 
-        Direct descriptors take sigma wholesale; mapped descriptors take, per
-        target element, the maximum-color tile among the held one and the
-        element's sources in the inverse map: the held tile survives unless
-        some source's tile has a strictly higher color, else the first source
-        of the highest color wins.  With conflicts, per element and color the
-        first tile to touch the element (the held tile, then sources in
-        inverse-map order) meets every later distinct tile of that color.
+        Direct descriptors come first and take sigma wholesale, with no C
+        call: the loop's tiling met the held projection they replace.  Mapped
+        descriptors follow, so a map into the loop's own space projects over
+        sigma; per target element each takes the maximum-color tile among the
+        held one and the element's sources in the inverse map: the held tile
+        survives unless some source's tile has a strictly higher color, else
+        the first source of the highest color wins.  With conflicts, per
+        element and color the first tile to touch the element (the held tile,
+        then sources in inverse-map order) meets every later distinct tile of
+        that color.
         """
         space, lib, n = loop.space, self._lib, self.n_tiles
         what = f"loop {loop.index}'s tiling array"
@@ -469,18 +473,10 @@ class Passes:
             _check_tiles(sigma, what, n, space.total)
             sigma = sigma.copy()
         calls, arrays, max_keys = [], [sigma, self.colors], 0
-        colors = self.colors.ctypes.data
+        if any(d.is_direct for d in loop.descriptors):
+            self.phi[space.name] = sigma
         for d in loop.descriptors:
             if d.is_direct:
-                old = self.phi.get(space.name)
-                if old is not None:
-                    _check_array(old, f"projection of {space.name!r}", space.total)
-                    calls.append((lib.looptile_direct_conflicts,
-                                  (old.ctypes.data, sigma.ctypes.data, len(sigma),
-                                   colors, n), True))
-                    arrays.append(old)
-                    max_keys += len(sigma)
-                self.phi[space.name] = sigma
                 continue
             if d.map.name not in self._inverse_maps:
                 self._inverse_maps[d.map.name] = invert_map(d.map)
@@ -497,7 +493,8 @@ class Passes:
             calls.append((lib.looptile_project,
                           (inv.offsets.ctypes.data, inv.values.ctypes.data,
                            sigma.ctypes.data, None if held is None else held.ctypes.data,
-                           target.total, colors, n, new.ctypes.data), False))
+                           target.total, self.colors.ctypes.data, n,
+                           new.ctypes.data)))
             arrays += [inv.offsets, inv.values, new] + ([] if held is None else [held])
             # only sources write keys, at most one each
             max_keys += len(inv.values)
@@ -513,11 +510,11 @@ class Passes:
         color ties keep the tile already held.  Descriptors over spaces no
         earlier pass projected contribute nothing.
 
-        With conflicts, each executed element's final tile is then compared
-        against all its candidates: an equal-colored distinct candidate means
-        the assigned tile will touch data some same-colored tile already
-        touched, which the projections alone cannot see for the last loop in
-        the chain.
+        With conflicts, each executable element's tile is then compared
+        against all its candidates, a direct one included: an equal-colored
+        distinct candidate touched data the element's tile will touch.  Two
+        of the loop's tiles that meet only at a target of its mapped writes
+        are the next projection's to find (see ``inspect_chain``).
         """
         space = loop.space
         # per descriptor with a projection: its address, its map rows' address
@@ -551,7 +548,7 @@ class Passes:
                 proj.ctypes.data, rows.ctypes.data, arity.ctypes.data,
                 self.colors.ctypes.data, self.n_tiles, cache.ctypes.data,
                 sigma.ctypes.data)
-        step = Pass(loop, ((self._lib.looptile_tile, args, False),), sigma,
+        step = Pass(loop, ((self._lib.looptile_tile, args),), sigma,
                     n_exec * len(cache) // 2,
                     (sigma, proj, rows, arity, cache, *arrays))
         self._tilings.append(step)
@@ -581,22 +578,21 @@ class Passes:
 
 def _run(step: Pass, conflicts: ConflictKeys | None) -> None:
     if conflicts is None:
-        for fn, args, scan_only in step.calls:
-            if not scan_only:
-                fn(*args, None)
+        for fn, args in step.calls:
+            fn(*args, None)
         return
     if not 0 <= conflicts.count <= len(conflicts.buffer) - step.max_keys:
         raise InspectionError(
             f"loop {step.loop.index}: {len(conflicts.buffer) - conflicts.count} "
             f"free conflict keys, the pass may write {step.max_keys}")
-    for fn, args, _ in step.calls:
+    for fn, args in step.calls:
         # keys are int64: the next one goes 8 bytes per key written past the start
         conflicts.count += fn(*args, conflicts.address + 8 * conflicts.count)
 
 
 def project(step: Pass, conflicts: ConflictKeys | None = None) -> None:
     """Run one loop's bound projection (``Passes.projection``); unless
-    ``conflicts`` is None, append the conflicting tile pairs it finds."""
+    ``conflicts`` is None, append the conflicting tile pairs its maps find."""
     _run(step, conflicts)
 
 
@@ -696,8 +692,9 @@ def inspect_chain(chain: LoopChain, ts: int, mode: ExecMode) -> Schedule:
 
     The passes are bound once (``Passes``); each recoloring round colors the
     tiles and runs them, growing one tiling array per loop from the seed
-    partition.  ``build_schedule`` cuts the last round's arrays into the
-    schedule's tilings and compiles its plan.  Pure in (chain, ts, mode):
+    partition, and in shared mode projects the last loop's mapped writes.
+    ``build_schedule`` cuts the last round's arrays into the schedule's
+    tilings and compiles its plan.  Pure in (chain, ts, mode):
     repeated calls produce identical schedules.  Raises ColoringLimitError
     if recoloring fails to converge within 10 * (number of tiles) rounds.
     """
@@ -727,6 +724,11 @@ def inspect_chain(chain: LoopChain, ts: int, mode: ExecMode) -> Schedule:
     for loop, before in zip(loops[1:], loops):
         steps.append((passes.projection(before, sigma), passes.tiling(loop)))
         sigma = steps[-1][1].output
+    # nothing projects the last loop, so in shared mode a projection of its
+    # mapped writes alone meets two tiles of one color scattering into one target
+    writes = tuple(d for d in loops[-1].descriptors if not d.is_direct and d.mode.writes)
+    scatter = (passes.projection(replace(loops[-1], descriptors=writes), sigma)
+               if mode is ExecMode.SHARED and writes else None)
     stats.projection_tiling_s += time.perf_counter() - t0
 
     conflicts: ConflictKeys | None = None
@@ -755,6 +757,8 @@ def inspect_chain(chain: LoopChain, ts: int, mode: ExecMode) -> Schedule:
             project(projection, keys)
             sigma = tile_loop(tiling, keys)
             sigma[tiling.loop.space.executable_size:] = NO_TILE
+        if scatter is not None:
+            project(scatter, keys)
         passes.check()
         stats.projection_tiling_s += time.perf_counter() - t0
 

@@ -23,18 +23,12 @@ def _add(conflicts: set[tuple[int, int]], a: int, b: int) -> None:
 def project_reference(loop: Loop, sigma: np.ndarray, phi: dict[str, np.ndarray],
                       colors: np.ndarray, conflicts: set[tuple[int, int]],
                       inverse_maps: dict[str, InverseMap]) -> None:
+    # direct accesses fold first and add no pairs: the loop's own tiling
+    # already met the held projection they replace
+    if any(d.is_direct for d in loop.descriptors):
+        phi[loop.space.name] = sigma.copy()
     for d in loop.descriptors:
-        if d.is_direct:
-            space = loop.space
-            old = phi.get(space.name)
-            new = sigma.copy()
-            if old is not None:
-                both = (old >= 0) & (new >= 0) & (old != new)
-                clash = both & (colors[old] == colors[new])
-                for e in np.flatnonzero(clash):
-                    _add(conflicts, int(old[e]), int(new[e]))
-            phi[space.name] = new
-        else:
+        if not d.is_direct:
             if d.map.name not in inverse_maps:
                 inverse_maps[d.map.name] = invert_map(d.map)
             inv = inverse_maps[d.map.name]

@@ -1,24 +1,27 @@
 import dataclasses
+import functools
 import hashlib
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from looptile import inspector
 from looptile.chain import (AccessMode, Descriptor, IterationSpace, Loop,
                             MeshMap, Region, build_chain)
 from looptile.errors import InspectionError
+from looptile.executor import (Dataset, KernelBinding, KernelRegistry,
+                               execute_schedule, execute_untiled)
 from looptile.inspector import (NO_TILE, ConflictKeys, ExecMode, Passes,
                                 assign, build_schedule, color_tiles,
                                 find_seed_map, inspect_chain, partition_seed,
                                 project, seed_adjacency, tile_loop)
 from looptile.mesh import generate_rect_mesh, rcm_renumber
 from looptile.partition import partition_for_ranks
-from looptile.problems import (EIGHT_LOOP, FIG2, Problem, global_setup,
-                               local_setup)
+from looptile.problems import (EIGHT_LOOP, FIG2, PRESETS, Problem,
+                               global_setup, local_setup)
 
 from conftest import map_row
 from legality import check_legality, footprint_conflicts
@@ -366,21 +369,44 @@ def test_tiles_are_filled_once_after_the_last_round(monkeypatch):
     assert calls == [loop.space.total for loop in chain.loops]
 
 
-def test_each_round_projects_and_tiles_every_loop_once(monkeypatch):
-    # the passes are bound once, but every round still runs each projection
-    # and tiling through the module's own names, in chain order
+def counted_passes(monkeypatch):
+    """The (name, loop index) of every ``project`` and ``tile_loop`` call
+    made from now on through the module's own names."""
     calls = []
     for name in ("project", "tile_loop"):
         def counted(step, conflicts=None, name=name, original=getattr(inspector, name)):
             calls.append((name, step.loop.index))
             return original(step, conflicts)
         monkeypatch.setattr(inspector, name, counted)
+    return calls
+
+
+def test_each_round_projects_and_tiles_every_loop_once(monkeypatch):
+    # the passes are bound once, but every round still runs each projection
+    # and tiling through the module's own names, in chain order
+    calls = counted_passes(monkeypatch)
     mesh = rcm_renumber(generate_rect_mesh(4, 1))
     chain, _, _ = global_setup(mesh, FIG2, depth=3)
     schedule = inspector.inspect_chain(chain, 2, ExecMode.SHARED)
     assert schedule.recolor_rounds >= 2
     one_round = [call for j in range(1, len(chain.loops))
                  for call in (("project", j - 1), ("tile_loop", j))]
+    assert calls == one_round * schedule.recolor_rounds
+
+
+@pytest.mark.parametrize("mode", [ExecMode.SEQUENTIAL, ExecMode.SHARED],
+                         ids=lambda m: m.value)
+def test_a_scattering_last_loop_is_projected_every_shared_round(mode, monkeypatch):
+    # FIG2's loop 1 increments vertices through c2v and nothing projects it
+    # after: shared mode projects it once more at the end of every round
+    calls = counted_passes(monkeypatch)
+    mesh = rcm_renumber(generate_rect_mesh(8, 4))
+    chain, _, _ = global_setup(mesh, Problem("sub", FIG2.loops[:2], FIG2.datasets), 2)
+    schedule = inspector.inspect_chain(chain, 4, mode)
+    one_round = [("project", 0), ("tile_loop", 1)]
+    if mode is ExecMode.SHARED:
+        assert schedule.recolor_rounds >= 2
+        one_round.append(("project", 1))
     assert calls == one_round * schedule.recolor_rounds
 
 
@@ -438,15 +464,83 @@ def test_partition_invariant_holds_for_every_loop():
         assert sorted(concatenated.tolist()) == list(range(loop.space.total))
 
 
-@given(ts=st.integers(1, 40), shared=st.booleans())
-@settings(max_examples=20, deadline=None)
-def test_inspection_legality_property(ts, shared):
-    mesh = generate_rect_mesh(4, 2)
-    chain, _, _ = global_setup(mesh, FIG2, depth=3)
+@functools.cache
+def legality_mesh(name):
+    """The meshes the legality property draws from, built once each."""
+    nx, ny, rcm = {"4x2": (4, 2, False), "8x4": (8, 4, False),
+                   "8x4-rcm": (8, 4, True)}[name]
+    mesh = generate_rect_mesh(nx, ny)
+    return rcm_renumber(mesh) if rcm else mesh
+
+
+@st.composite
+def preset_subchains(draw):
+    """(preset name, start, stop): loops [start, stop) of FIG2 or EIGHT_LOOP."""
+    name = draw(st.sampled_from(sorted(PRESETS)))
+    n = len(PRESETS[name].loops)
+    start = draw(st.integers(0, n - 1))
+    return name, start, draw(st.integers(start + 1, n))
+
+
+@given(subchain=preset_subchains(), mesh=st.sampled_from(["4x2", "8x4", "8x4-rcm"]),
+       ts=st.integers(1, 40), shared=st.booleans())
+@example(subchain=("fig2", 0, 3), mesh="4x2", ts=4, shared=True)
+# two same-colored cell tiles increment one vertex in the last loop
+@example(subchain=("fig2", 0, 2), mesh="8x4-rcm", ts=4, shared=True)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_inspection_legality_property(subchain, mesh, ts, shared):
+    name, start, stop = subchain
+    problem = PRESETS[name]
+    sub = Problem(name, problem.loops[start:stop], problem.datasets)
+    chain, _, _ = global_setup(legality_mesh(mesh), sub, depth=stop - start)
     mode = ExecMode.SHARED if shared else ExecMode.SEQUENTIAL
     schedule = inspect_chain(chain, ts, mode)
     assert check_legality(chain, schedule) == []
     assert footprint_conflicts(chain, schedule) == []
+
+
+def self_map_chain():
+    """Loop 0 runs A[nbr(e)] += B[e], its mapped increment listed first, over
+    20 elements with nbr(e) = (e + 7) mod 20; loop 1 copies A to C.
+    Returns the chain, bindings, registry and a maker of fresh datasets."""
+    space = IterationSpace("v", 20)
+    nbr = MeshMap("nbr", space, space, 1, (np.arange(20) + 7) % 20)
+    loops = (Loop(0, space, (Descriptor(nbr, AccessMode.INC),
+                             Descriptor(None, AccessMode.READ)), "scatter"),
+             Loop(1, space, (Descriptor(None, AccessMode.WRITE),
+                             Descriptor(None, AccessMode.READ)), "copy"))
+    chain = build_chain((space,), (nbr,), loops, depth=2)
+    bindings = (KernelBinding("scatter", ("A", "B")), KernelBinding("copy", ("C", "A")))
+
+    def scatter(a, b):
+        a[:, 0] += b
+
+    def copy(c, a):
+        c[:] = a
+
+    registry = KernelRegistry()
+    registry.register("scatter", scatter, 2)
+    registry.register("copy", copy, 2)
+
+    def fresh():
+        return {name: Dataset(name, space, 1, values) for name, values in
+                (("A", np.zeros(20)), ("B", np.arange(20) + 1.0), ("C", np.zeros(20)))}
+    return chain, bindings, registry, fresh
+
+
+@pytest.mark.parametrize("mode", [ExecMode.SEQUENTIAL, ExecMode.SHARED],
+                         ids=lambda m: m.value)
+@pytest.mark.parametrize("ts", [1, 3, 4, 7])
+def test_map_into_its_own_space_projects_over_the_direct_access(mode, ts):
+    # the loop's direct access must not replace what its self map projected:
+    # loop 1 reads A[e] only after the tile of (e - 7) mod 20 increments it
+    chain, bindings, registry, fresh = self_map_chain()
+    want = fresh()
+    execute_untiled(chain, bindings, want, registry)
+    got = fresh()
+    execute_schedule(inspect_chain(chain, ts, mode), chain, bindings, got, registry)
+    for name in want:
+        np.testing.assert_array_equal(got[name].values, want[name].values, err_msg=name)
 
 
 # -- compiled passes against the per-element reference -----------------------
@@ -520,6 +614,16 @@ def test_vectorized_passes_match_per_element_reference(inputs):
     got, got_c = tiled(loop, phi, colors)
     assert np.array_equal(got, want)
     assert pair_set(got_c, len(colors)) == want_c
+
+    # a direct projection replaces the held tiles without a scan: the tiling
+    # must already pair each executable element's held and new tiles that
+    # differ but share a color
+    held = phi.get(loop.space.name)
+    if held is not None and any(d.is_direct for d in loop.descriptors):
+        n_exec, pairs = loop.space.executable_size, pair_set(got_c, len(colors))
+        for a, b in zip(held[:n_exec].tolist(), got[:n_exec].tolist()):
+            if a >= 0 and a != b and colors[a] == colors[b]:
+                assert (min(a, b), max(a, b)) in pairs
 
 
 def test_passes_match_reference_past_small_sizes():

@@ -1,7 +1,10 @@
 """Checks on the package source itself."""
 
 import ast
+import re
 from pathlib import Path
+
+from looptile import inspector
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "looptile"
 
@@ -14,3 +17,11 @@ def test_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in the package: {found}"
+
+
+def test_every_c_entry_point_is_bound():
+    # a looptile_* function in inspector.c without a signature is dead code,
+    # and a signature without a function fails only on first load
+    source = (PACKAGE / "inspector.c").read_text()
+    defined = set(re.findall(r"^\w+ (looptile_\w+)\(", source, re.MULTILINE))
+    assert defined == set(inspector._C_SIGNATURES)
