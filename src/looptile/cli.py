@@ -14,7 +14,8 @@ and every line of the ``[output] report`` file, is one JSON record with a
   seconds, and the verify status (``pass``, ``FAIL`` or null).
 
 ``run`` prints its run record, ``verify`` the run record with ``pass``,
-``inspect-only`` the schedule records, ``sweep`` one run record per variant;
+``inspect-only`` the schedule records, ``sweep`` one run record per variant,
+each compared with one untiled reference that the sweep runs once;
 ``run`` writes the ``[output] report`` file: the schedule records, then
 the run record, and the ``[output] vtk`` tile map of the first sub-chain.
 
@@ -24,7 +25,8 @@ ranks' halo slots until it commits, so a core tile that read one would make
 ``verify`` fail.
 
 Exit codes: 0 ok, 1 other error (I/O, failed inspection), 2 config error
-(including a binding or kernel the executor rejects), 3 verification failure,
+(including a binding or kernel the executor rejects, and a bad sweep flag
+value), 3 verification failure,
 4 depth violation, 5 C compile error (no C compiler, which inspection needs
 too, a C body that does not compile, or an unusable C cache directory).
 """
@@ -55,27 +57,6 @@ from .distsim import gather, run_subchain, setup_ranks
 from .vtk import export_vtk
 
 
-class ScheduleCache:
-    """Software cache mapping (chain fingerprint, ts, mode) to inspections."""
-
-    def __init__(self):
-        self._store: dict[tuple[str, int, str], Schedule] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def get_or_inspect(self, chain: LoopChain, ts: int,
-                       mode: ExecMode) -> tuple[Schedule, bool]:
-        """The schedule, and whether this call inspected it."""
-        key = (chain.fingerprint, ts, mode.value)
-        if key in self._store:
-            self.hits += 1
-            return self._store[key], False
-        self.misses += 1
-        schedule = inspect_chain(chain, ts, mode)
-        self._store[key] = schedule
-        return schedule, True
-
-
 @dataclass
 class Inspected:
     """One inspected schedule, with its execution report once it has run."""
@@ -104,7 +85,7 @@ def build_mesh(cfg: RunConfig) -> Mesh:
     return mesh
 
 
-def run_config(cfg: RunConfig, cache: ScheduleCache | None = None,
+def run_config(cfg: RunConfig, cache: dict | None = None,
                registry: KernelRegistry | None = None) -> RunResult:
     """Execute the configured fusion scheme; unfused trailing loops run untiled.
 
@@ -112,11 +93,13 @@ def run_config(cfg: RunConfig, cache: ScheduleCache | None = None,
     to the next.  In distributed mode the ranks are set up once, before the
     first sub-chain, and carry them in their own datasets; one gather after
     the last sub-chain writes them back into the global datasets.
-    ``inspect_seconds`` counts the inspections this call ran, so cache hits
-    count zero; ``execute_seconds`` is the summed executor phases plus the
-    untiled tail.  Partitioning, local set-up and gather count as neither.
+    ``cache`` maps (chain fingerprint, ts, mode) to the schedules of earlier
+    calls.  ``inspect_seconds`` counts the inspections this call ran, so a
+    reused schedule counts zero; ``execute_seconds`` is the summed executor
+    phases plus the untiled tail.  Partitioning, local set-up and gather
+    count as neither.
     """
-    cache = cache or ScheduleCache()
+    cache = {} if cache is None else cache
     registry = registry or default_registry()
     mesh = build_mesh(cfg)
     n_loops = len(cfg.problem.loops)
@@ -137,9 +120,11 @@ def run_config(cfg: RunConfig, cache: ScheduleCache | None = None,
                              vr.local_mesh.sizes) for vr in ranks]
         else:
             sub = chain.subchain(sc.start, sc.stop)
-            schedule, inspected = cache.get_or_inspect(sub, sc.tile_size, cfg.mode)
-            if inspected:
-                result.inspect_seconds += schedule.stats.total_s
+            key = (sub.fingerprint, sc.tile_size, cfg.mode.value)
+            if key not in cache:
+                cache[key] = inspect_chain(sub, sc.tile_size, cfg.mode)
+                result.inspect_seconds += cache[key].stats.total_s
+            schedule = cache[key]
             report = execute_schedule(schedule, sub, bindings[sc.start:sc.stop],
                                       datasets, registry)
             ran = [Inspected(sc, None, schedule, report)]
@@ -159,36 +144,36 @@ def run_config(cfg: RunConfig, cache: ScheduleCache | None = None,
     return result
 
 
-def reference_values(cfg: RunConfig, mesh: Mesh | None = None,
-                     registry: KernelRegistry | None = None) -> dict[str, np.ndarray]:
-    """The unfused serial run that verify compares against."""
-    registry = registry or default_registry()
-    mesh = mesh if mesh is not None else build_mesh(cfg)
+def reference_values(cfg: RunConfig, mesh: Mesh) -> dict[str, np.ndarray]:
+    """The unfused serial run on ``mesh`` that verify compares against."""
     chain, datasets, bindings = global_setup(mesh, cfg.problem, cfg.depth)
-    execute_untiled(chain, bindings, datasets, registry)
+    execute_untiled(chain, bindings, datasets, default_registry())
     return {name: ds.values.copy() for name, ds in datasets.items()}
 
 
-def compare_values(reference: dict[str, np.ndarray], got: dict[str, np.ndarray],
-                   rtol: float = 1e-12, limit: int = 10) -> list[tuple]:
-    """First mismatches as (dataset, flat index, ref, got); exact on integer data."""
+def compare_values(reference: dict[str, np.ndarray],
+                   got: dict[str, np.ndarray]) -> list[tuple]:
+    """The first 10 mismatches as (dataset, flat index, ref, got).
+
+    Relative tolerance 1e-12; exact on integer data.
+    """
     diffs = []
     for name in sorted(reference):
         ref, cand = reference[name], got[name]
         if integer_valued(ref):
             bad = np.flatnonzero(ref != cand)
         else:
-            bad = np.flatnonzero(~np.isclose(cand, ref, rtol=rtol, atol=0.0))
-        for flat in bad[:limit - len(diffs)]:
+            bad = np.flatnonzero(~np.isclose(cand, ref, rtol=1e-12, atol=0.0))
+        for flat in bad[:10 - len(diffs)]:
             diffs.append((name, int(flat), float(ref[flat]), float(cand[flat])))
-        if len(diffs) >= limit:
+        if len(diffs) >= 10:
             break
     return diffs
 
 
-def verify_config(cfg: RunConfig, cache: ScheduleCache | None = None) -> RunResult:
+def verify_config(cfg: RunConfig) -> RunResult:
     """Run tiled and untiled, raise VerificationError on any mismatch."""
-    result = run_config(cfg, cache)
+    result = run_config(cfg)
     reference = reference_values(cfg, result.mesh)
     diffs = compare_values(reference, result.values)
     if diffs:
@@ -220,7 +205,10 @@ def sweep_config(cfg: RunConfig, tile_sizes, modes, schemes=None):
     """Verify every ts x mode x fusion scheme; yield one run record each.
 
     A scheme without tile sizes, like the configured one, takes the ts.
+    Every variant inspects afresh and is compared with one untiled
+    reference, run on the first variant's mesh after that variant.
     """
+    reference = None
     for scheme in schemes or [None]:
         text = scheme or ",".join(f"{sc.start}-{sc.stop - 1}" for sc in cfg.fusion)
         for ts in tile_sizes:
@@ -228,11 +216,13 @@ def sweep_config(cfg: RunConfig, tile_sizes, modes, schemes=None):
                 fusion = parse_fusion(text, len(cfg.problem.loops), ts,
                                       cfg.depth, mode)
                 variant = dataclasses.replace(cfg, mode=mode, fusion=fusion)
-                try:
-                    result, status = verify_config(variant), "pass"
-                except VerificationError:
-                    result, status = None, "FAIL"
-                yield run_record(variant, result, status)
+                result = run_config(variant)
+                if reference is None:
+                    reference = reference_values(cfg, result.mesh)
+                if compare_values(reference, result.values):
+                    yield run_record(variant, None, "FAIL")
+                else:
+                    yield run_record(variant, result, "pass")
 
 
 # -- records ------------------------------------------------------------------
@@ -326,6 +316,14 @@ def _build_argparser() -> argparse.ArgumentParser:
     return top
 
 
+def _flag_list(flag: str, parse, text: str) -> list:
+    """Each comma-separated value of a sweep flag, parsed."""
+    try:
+        return [parse(t) for t in text.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"{flag}: {exc}") from None
+
+
 def main(argv=None) -> int:
     args = _build_argparser().parse_args(argv)
     try:
@@ -339,8 +337,8 @@ def main(argv=None) -> int:
         elif args.command == "inspect-only":
             write_records(map(schedule_record, inspect_only(cfg)), sys.stdout)
         elif args.command == "sweep":
-            tile_sizes = [int(t) for t in args.tile_sizes.split(",")]
-            modes = [ExecMode.parse(m) for m in args.modes.split(",")]
+            tile_sizes = _flag_list("--tile-sizes", int, args.tile_sizes)
+            modes = _flag_list("--modes", ExecMode.parse, args.modes)
             schemes = args.schemes.split(";") if args.schemes else None
             write_records(sweep_config(cfg, tile_sizes, modes, schemes), sys.stdout)
     except DepthExceededError as exc:

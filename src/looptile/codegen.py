@@ -217,20 +217,27 @@ def load(source: str) -> ctypes.CDLL:
 _RUNNERS: dict[tuple, object] = {}
 
 
-def _probe(bodies, shape) -> None:
+def _probe(chain: LoopChain, bodies, shape) -> None:
     """Call each numpy body once on empty arguments of the bound shapes.
 
     The numpy body is the checked semantics: widths it rejects (a k = 3
-    result from k = 1 inputs, say) raise its own error here, before any C
-    runs, as they would at the numpy path's first step.
+    result from k = 1 inputs, say) raise ``ExecutionError`` here, before any
+    C runs, chained from the body's own error.
     """
-    for body, args in zip(bodies, shape):
+    for loop, body, args in zip(chain.loops, bodies, shape):
         arrays = []
         for a in args:
             buf = np.zeros((0, a.k) if a.arity is None else (0, a.arity, a.k))
             buf.setflags(write=a.mode is not AccessMode.READ)
             arrays.append(buf)
-        body(*arrays)
+        try:
+            body(*arrays)
+        except (ValueError, IndexError, TypeError) as exc:
+            shapes = ", ".join(f"(n, {', '.join(map(str, b.shape[1:]))})"
+                               for b in arrays)
+            raise ExecutionError(
+                f"loop {loop.index}: kernel {loop.kernel!r} rejects arguments "
+                f"of shapes {shapes}: {exc}") from exc
 
 
 def runner(chain: LoopChain, bindings, datasets, bodies, c_bodies):
@@ -239,7 +246,7 @@ def runner(chain: LoopChain, bindings, datasets, bodies, c_bodies):
     key = (tuple(bodies), tuple(c_bodies), shape)
     fn = _RUNNERS.get(key)
     if fn is None:
-        _probe(bodies, shape)
+        _probe(chain, bodies, shape)
         fn = getattr(load(generate(c_bodies, shape)), SYMBOL)
         fn.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
                        ctypes.c_int64]
@@ -250,9 +257,8 @@ def runner(chain: LoopChain, bindings, datasets, bodies, c_bodies):
 
 @dataclass
 class _Plan:
-    """A schedule's plan and index arrays as C sees them."""
+    """A schedule's index arrays as C sees them."""
 
-    steps: dict[Region, np.ndarray]  # (n, 3) int64 per region
     index: np.ndarray  # x[g] addresses, uintp
     keep: list  # the arrays the addresses point into
 
@@ -263,8 +269,6 @@ _PLANS: "weakref.WeakKeyDictionary[Schedule, _Plan]" = weakref.WeakKeyDictionary
 def _plan(schedule: Schedule, chain: LoopChain) -> _Plan:
     plan = _PLANS.get(schedule)
     if plan is None:
-        steps = {region: np.array(schedule.plan[region], dtype=np.int64).reshape(-1, 3)
-                 for region in (Region.CORE, Region.BOUNDARY)}
         keep = []
         for loop, tiling in zip(chain.loops, schedule.tilings):
             for d in loop.descriptors:
@@ -275,7 +279,7 @@ def _plan(schedule: Schedule, chain: LoopChain) -> _Plan:
                         f"not of arity {d.map.arity}")
                 keep.append(np.ascontiguousarray(index, dtype=np.int64))
         index = np.array([a.ctypes.data for a in keep], dtype=np.uintp)
-        plan = _PLANS[schedule] = _Plan(steps, index, keep)
+        plan = _PLANS[schedule] = _Plan(index, keep)
     return plan
 
 
@@ -299,7 +303,7 @@ def bind(fn, schedule: Schedule, chain: LoopChain, bindings, datasets):
     values = np.array(addresses, dtype=np.uintp)
 
     def run(region: Region) -> None:
-        steps = plan.steps[region]
+        steps = schedule.plan[region]
         fn(values.ctypes.data, plan.index.ctypes.data, steps.ctypes.data,
            len(steps))
 

@@ -33,7 +33,7 @@ from typing import NamedTuple
 from .chain import AccessMode
 from .errors import DepthExceededError
 from .inspector import ExecMode
-from .mesh import MAPS, SPACES
+from .mesh import CELLS, MAPS, SPACES
 from .problems import (INITIALIZERS, PRESETS, AccessSpec, DatasetSpec, LoopSpec,
                        Problem)
 
@@ -204,6 +204,12 @@ def parse_config(path: str) -> RunConfig:
     if vtk_path and mode is ExecMode.DISTRIBUTED:
         raise ConfigError("[output] vtk draws one global tiling; distributed "
                           "mode tiles every rank's local mesh instead")
+    first = fusion[0]
+    if vtk_path and all(loop.space != CELLS
+                        for loop in problem.loops[first.start:first.stop]):
+        raise ConfigError(f"[output] vtk draws the cells loop of the first "
+                          f"sub-chain, and sub-chain {first.start}-"
+                          f"{first.stop - 1} has no loop over cells")
     return RunConfig(
         nx=nx, ny=ny, renumber=(renumber == "rcm"), problem=problem,
         depth=depth, mode=mode, nranks=nranks,

@@ -291,7 +291,7 @@ def execute_schedule(schedule: Schedule, chain: LoopChain, bindings,
                                                   schedule.tilings)]
 
         def run_phase(region):
-            for j, lo, hi in schedule.plan[region]:
+            for j, lo, hi in schedule.plan[region].tolist():
                 _run_step(bodies[j], bound[j], lo, hi)
     run_phase(Region.CORE)
     report.phase_seconds["core"] = time.perf_counter() - t0

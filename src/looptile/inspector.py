@@ -150,9 +150,10 @@ class Schedule:
     color, ties in id order.  Core colors lie below boundary colors and the
     non-exec tile comes last, so the tiles of one (region, color) hold one
     run of every loop's tiling.
-    Construction compiles ``plan``: per executable region, one step
-    ``(j, lo, hi)`` per non-empty (color, loop j), color by color and loop by
-    loop within a color; the step's iterations are ``tilings[j].elements[lo:hi]``.
+    Construction compiles ``plan``: per executable region, a read-only
+    (n, 3) int64 table with one step ``(j, lo, hi)`` per non-empty (color,
+    loop j), color by color and loop by loop within a color; the step's
+    iterations are ``tilings[j].elements[lo:hi]``.
     Same-colored tiles are independent, so one kernel call may run all of a
     color's iterations of a loop.  A local map whose length does not match
     its list raises ``StaleScheduleError`` here, before anything runs.  The
@@ -169,7 +170,7 @@ class Schedule:
                                    default_factory=InspectionStats)
     execution_order: np.ndarray = field(init=False, repr=False)
     tiles_per_color: dict[int, int] = field(init=False, repr=False)
-    plan: dict[Region, list[tuple[int, int, int]]] = field(init=False, repr=False)
+    plan: dict[Region, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         n = len(self.colors)
@@ -208,7 +209,8 @@ class Schedule:
                         ).reshape(-1, n_exec + 1)
         lo, hi = cuts[:, :-1].T, cuts[:, 1:].T
         g, j = np.nonzero(lo < hi)
-        steps = list(zip(j.tolist(), lo[g, j].tolist(), hi[g, j].tolist()))
+        steps = np.stack([j, lo[g, j], hi[g, j]], axis=1).astype(np.int64)
+        steps.flags.writeable = False
         split = int(np.searchsorted(g, n_core))
         plan = {Region.CORE: steps[:split], Region.BOUNDARY: steps[split:]}
         tiles_per_color = dict(zip(ordered[starts[:n_exec]].tolist(),

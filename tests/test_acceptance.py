@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from looptile.cli import ScheduleCache, run_config
+from looptile.cli import run_config
 from looptile.config import RunConfig, SubChain
 from looptile.distsim import run_distributed
 from looptile.executor import (KernelRegistry, execute_schedule,
@@ -207,11 +207,13 @@ def test_criterion_7_determinism(registry):
     cfg = RunConfig(nx=8, ny=4, renumber=True, problem=FIG2, depth=3,
                     mode=ExecMode.SHARED, nranks=2,
                     fusion=(SubChain(0, 2, 8), SubChain(2, 3, 8)))
-    cache = ScheduleCache()
+    cache = {}
     cold = run_config(cfg, cache)
-    assert cache.hits == 0
+    assert len(cache) == len(cfg.fusion) and cold.inspect_seconds > 0
     warm = run_config(cfg, cache)
-    assert cache.hits == len(cfg.fusion)
+    assert len(cache) == len(cfg.fusion) and warm.inspect_seconds == 0
+    assert [e.schedule for e in cold.inspected] == [
+        e.schedule for e in warm.inspected]
     for name in cold.values:
         np.testing.assert_array_equal(cold.values[name], warm.values[name])
     _passed(7, "cold inspections serialize byte-identically; cached runs "

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from looptile.chain import AccessMode, Region
-from looptile.cli import (Inspected, ScheduleCache, build_mesh, compare_values,
+from looptile.cli import (Inspected, build_mesh, compare_values,
                           main, reference_values, run_config, schedule_record,
                           verify_config, inspect_only, sweep_config)
 from looptile.config import ConfigError, SubChain, parse_config
@@ -117,12 +117,14 @@ def test_verify_passes_for_fig2(tmp_path, mode):
 def test_two_subchains_hit_the_cache_on_second_run(tmp_path):
     cfg = parse_config(write_config(tmp_path, FIG2_INI.format(
         mode="shared", ts=16, extra="fusion = 0-1:8,2-2:8")))
-    cache = ScheduleCache()
+    cache = {}
     first = run_config(cfg, cache)
-    assert (cache.hits, cache.misses) == (0, 2)
+    assert len(cache) == 2
     second = run_config(cfg, cache)
-    assert (cache.hits, cache.misses) == (2, 2)
+    assert len(cache) == 2
     assert first.inspect_seconds > 0 and second.inspect_seconds == 0
+    assert [e.schedule for e in first.inspected] == [
+        e.schedule for e in second.inspected]
     for name in first.values:
         np.testing.assert_array_equal(first.values[name], second.values[name])
 
@@ -292,6 +294,40 @@ def test_sweep_emits_a_row_per_combination(tmp_path):
     assert all(r["inspect_s"] > 0 and r["execute_s"] > 0 for r in rows)
 
 
+def test_sweep_runs_one_untiled_reference(tmp_path, monkeypatch):
+    import looptile.cli as cli
+
+    calls = []
+    original = cli.reference_values
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cli, "reference_values", counted)
+    cfg = parse_config(write_config(tmp_path, FIG2_INI.format(
+        mode="shared", ts=8, extra="")))
+    rows = list(sweep_config(cfg, tile_sizes=[4, 16],
+                             modes=[ExecMode.SEQUENTIAL, ExecMode.SHARED]))
+    assert len(rows) == 4 and len(calls) == 1
+    assert all(r["verify"] == "pass" for r in rows)
+
+
+@pytest.mark.parametrize("flag,value,reason", [
+    ("--tile-sizes", "x", "invalid literal for int()"),
+    ("--modes", "bogus", "unknown execution mode 'bogus'"),
+], ids=["tile-size", "mode"])
+def test_bad_sweep_flag_values_are_config_errors(tmp_path, capsys, flag, value,
+                                                 reason):
+    path = write_config(tmp_path, FIG2_INI.format(mode="shared", ts=8, extra=""))
+    assert main(["sweep", path, flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {flag}: ")
+    assert reason in err
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 EIGHT_INI = """
 [mesh]
 nx = 4
@@ -380,6 +416,7 @@ depth = 2
 
 [datasets]
 edge_w = edges 1 ramp
+edge_w3 = edges 3 ramp
 cell_w = cells 1 ramp
 vertex_acc = verts 1 zeros
 
@@ -394,6 +431,10 @@ tile_size = 4
     ("0 = edges nosuch r@-:edge_w, i@e2v:vertex_acc", 2, "config error: "),
     # the second loop shares no space with the first: inspection fails
     ("0 = edges edge_inc i@-:edge_w\n1 = cells cell_inc i@-:cell_w", 1, "error: "),
+    # a 3-wide input into a 1-wide increment: the numpy body rejects the widths
+    ("0 = edges edge_inc r@-:edge_w3, i@e2v:vertex_acc", 2,
+     "config error: loop 0: kernel 'edge_inc' rejects arguments of shapes "
+     "(n, 3), (n, 2, 1): "),
 ])
 def test_main_reports_execution_and_inspection_errors(tmp_path, capsys, loops,
                                                       code, prefix):
@@ -531,6 +572,21 @@ def test_vtk_output_in_distributed_mode_is_a_config_error(tmp_path, capsys,
     assert err.startswith("config error: [output] vtk")
     assert len(err.splitlines()) == 1
     assert not (tmp_path / "d.vtk").exists()
+
+
+def test_vtk_output_without_a_cells_loop_is_a_config_error(tmp_path, capsys):
+    # FIG2's first sub-chain 0-0 runs over edges only
+    report, vtk_path = tmp_path / "r.jsonl", tmp_path / "t.vtk"
+    path = write_config(tmp_path, FIG2_INI.format(
+        mode="shared", ts=8, extra=f"fusion = 0-0,1-2\n[output]\n"
+                                   f"report = {report}\nvtk = {vtk_path}"))
+    assert main(["run", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: [output] vtk")
+    assert "sub-chain 0-0" in captured.err
+    assert len(captured.err.splitlines()) == 1
+    assert captured.out == ""
+    assert not report.exists() and not vtk_path.exists()
 
 
 def test_recoloring_guard_trips_on_nonconvergence(monkeypatch, mesh_8x4):
