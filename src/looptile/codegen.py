@@ -1,11 +1,11 @@
-"""Compiled C: tiled plans as one function per chain shape, and the cache.
+"""Compiled C: tiled schedules as one function per chain shape, and the cache.
 
 A kernel registered with a per-element C body (``KernelRegistry.register(...,
 c=...)``) can run as C.  For each chain shape, that is each loop's bodies
 and, per argument, its access mode, map arity and values per element, this
-module writes one C function.  The function runs a slice of a schedule's
-plan, steps ``(j, lo, hi)`` of int64, element by element in plan order,
-with the same contract as the numpy step (see ``looptile.executor``):
+module writes one C function.  The function runs a schedule's color runs,
+each loop in chain order over its part of a run, element by element, with
+the same contract as the numpy step (see ``looptile.executor``):
 
 - read and write arguments of a direct access point at the element's own
   values; a mapped read gathers the targets' values into a buffer;
@@ -37,8 +37,7 @@ import shutil
 import subprocess
 import tempfile
 import weakref
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -73,8 +72,7 @@ static inline void add_back(double *v, const int64_t *rows, const double *buf,
 """
 
 
-@dataclass(frozen=True)
-class Arg:
+class Arg(NamedTuple):
     """One kernel argument as the generated code sees it."""
 
     mode: AccessMode
@@ -94,10 +92,11 @@ def chain_shape(chain: LoopChain, bindings, datasets) -> tuple[tuple[Arg, ...], 
 def generate(c_bodies, shape) -> str:
     """The C source of one chain shape: a static function per loop, one runner.
 
-    ``looptile_run(v, x, steps, n)`` runs the n plan steps at ``steps``;
-    ``v[g]`` is the flat values and ``x[g]`` the index array (the tiling's
-    elements, or its local map rows) of the g-th argument of the chain,
-    counted loop by loop.
+    ``looptile_run(v, x, b, e, n)`` runs n color runs: in run r, each loop j
+    in turn over positions ``b[j][e[r]]`` to ``b[j][e[r + 1]]`` of its tiling,
+    with ``b[j]`` its bounds and ``e`` a region's ``Schedule.runs``.  ``v[g]``
+    is the flat values and ``x[g]`` the index array (the tiling's elements,
+    or its local map rows) of the g-th argument, counted loop by loop.
     """
     out = [PREAMBLE]
     for j, (body, args) in enumerate(zip(c_bodies, shape)):
@@ -109,7 +108,7 @@ def generate(c_bodies, shape) -> str:
         out.append(f"static inline void loop{j}(\n        {params})\n"
                    f"{{\n    {unused}\n{body}\n}}\n")
 
-    cases, g = [], 0
+    runs, g = [], 0
     for j, args in enumerate(shape):
         lines, after, call = [], [], []
         for i, a in enumerate(args):
@@ -127,17 +126,15 @@ def generate(c_bodies, shape) -> str:
             call.append(f"a{i}, {a.k}, {m}")
             g += 1
         lines.append(f"loop{j}({', '.join(call)});")
-        inner = "\n".join("                " + s for s in lines + after)
-        cases.append(f"        case {j}:\n"
-                     f"            for (int64_t p = lo; p < hi; p++) {{\n"
-                     f"{inner}\n            }}\n            break;")
+        inner = "\n".join("            " + s for s in lines + after)
+        runs.append(f"        for (int64_t p = b[{j}][e[r]]; p < b[{j}][e[r + 1]];"
+                    f" p++) {{\n{inner}\n        }}")
     out.append(
         f"void {SYMBOL}(double *const *v, const int64_t *const *x,\n"
-        f"                  const int64_t *steps, const int64_t n)\n{{\n"
-        f"    for (int64_t s = 0; s < n; s++) {{\n"
-        f"        const int64_t lo = steps[3 * s + 1], hi = steps[3 * s + 2];\n"
-        f"        switch (steps[3 * s]) {{\n" + "\n".join(cases) + "\n"
-        f"        }}\n    }}\n}}\n")
+        f"                  const int64_t *const *b, const int64_t *e,\n"
+        f"                  const int64_t n)\n{{\n"
+        f"    for (int64_t r = 0; r < n; r++) {{\n" + "\n".join(runs) + "\n"
+        f"    }}\n}}\n")
     return "\n".join(out)
 
 
@@ -210,65 +207,33 @@ def load(source: str) -> ctypes.CDLL:
         raise CompileError(f"cannot load {path!r}: {exc}") from None
 
 
-# -- running a plan -----------------------------------------------------------
+# -- running a schedule -------------------------------------------------------
 
-# each compiled shape's function, by (numpy bodies, C bodies, shape); the
-# function keeps its shared object loaded for the life of the process
+RUNNER_ARGTYPES = (ctypes.c_void_p,) * 4 + (ctypes.c_int64,)  # (v, x, b, e, n)
+
+# each compiled shape's function, by (C bodies, shape); the function keeps
+# its shared object loaded for the life of the process
 _RUNNERS: dict[tuple, object] = {}
 
 
-def _probe(chain: LoopChain, bodies, shape) -> None:
-    """Call each numpy body once on empty arguments of the bound shapes.
-
-    The numpy body is the checked semantics: widths it rejects (a k = 3
-    result from k = 1 inputs, say) raise ``ExecutionError`` here, before any
-    C runs, chained from the body's own error.
-    """
-    for loop, body, args in zip(chain.loops, bodies, shape):
-        arrays = []
-        for a in args:
-            buf = np.zeros((0, a.k) if a.arity is None else (0, a.arity, a.k))
-            buf.setflags(write=a.mode is not AccessMode.READ)
-            arrays.append(buf)
-        try:
-            body(*arrays)
-        except (ValueError, IndexError, TypeError) as exc:
-            shapes = ", ".join(f"(n, {', '.join(map(str, b.shape[1:]))})"
-                               for b in arrays)
-            raise ExecutionError(
-                f"loop {loop.index}: kernel {loop.kernel!r} rejects arguments "
-                f"of shapes {shapes}: {exc}") from exc
-
-
-def runner(chain: LoopChain, bindings, datasets, bodies, c_bodies):
-    """The compiled function of this chain's shape; compiles on first use."""
-    shape = chain_shape(chain, bindings, datasets)
-    key = (tuple(bodies), tuple(c_bodies), shape)
+def runner(c_bodies, shape):
+    """The compiled function of a chain shape; compiles on first use."""
+    key = (tuple(c_bodies), shape)
     fn = _RUNNERS.get(key)
     if fn is None:
-        _probe(chain, bodies, shape)
         fn = getattr(load(generate(c_bodies, shape)), SYMBOL)
-        fn.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-                       ctypes.c_int64]
-        fn.restype = None
+        fn.argtypes, fn.restype = RUNNER_ARGTYPES, None
         _RUNNERS[key] = fn
     return fn
 
 
-@dataclass
-class _Plan:
-    """A schedule's index arrays as C sees them."""
-
-    index: np.ndarray  # x[g] addresses, uintp
-    keep: list  # the arrays the addresses point into
+# per schedule: the addresses of x and b, and the arrays they point into
+_POINTERS: "weakref.WeakKeyDictionary[Schedule, tuple]" = weakref.WeakKeyDictionary()
 
 
-_PLANS: "weakref.WeakKeyDictionary[Schedule, _Plan]" = weakref.WeakKeyDictionary()
-
-
-def _plan(schedule: Schedule, chain: LoopChain) -> _Plan:
-    plan = _PLANS.get(schedule)
-    if plan is None:
+def _pointers(schedule: Schedule, chain: LoopChain) -> tuple:
+    pointers = _POINTERS.get(schedule)
+    if pointers is None:
         keep = []
         for loop, tiling in zip(chain.loops, schedule.tilings):
             for d in loop.descriptors:
@@ -278,18 +243,21 @@ def _plan(schedule: Schedule, chain: LoopChain) -> _Plan:
                         f"loop {loop.index}: local map {d.map.name!r} rows are "
                         f"not of arity {d.map.arity}")
                 keep.append(np.ascontiguousarray(index, dtype=np.int64))
-        index = np.array([a.ctypes.data for a in keep], dtype=np.uintp)
-        plan = _PLANS[schedule] = _Plan(index, keep)
-    return plan
+        g = len(keep)
+        keep += [np.ascontiguousarray(t.bounds, dtype=np.int64) for t in schedule.tilings]
+        table = np.array([a.ctypes.data for a in keep], dtype=np.uintp)
+        x = table.ctypes.data  # x is table[:g] and b is table[g:]
+        pointers = _POINTERS[schedule] = (x, x + g * table.itemsize, keep + [table])
+    return pointers
 
 
 def bind(fn, schedule: Schedule, chain: LoopChain, bindings, datasets):
-    """A callable that runs one region of the schedule's plan through ``fn``.
+    """A callable that runs one region's color runs of the schedule through ``fn``.
 
     The caller has checked that every slot lies inside its dataset; here
     each dataset must be a C-contiguous float64 array, writable if written.
     """
-    plan = _plan(schedule, chain)
+    x, b, _ = _pointers(schedule, chain)
     addresses = []
     for loop, binding in zip(chain.loops, bindings):
         for d, name in zip(loop.descriptors, binding.args):
@@ -303,8 +271,7 @@ def bind(fn, schedule: Schedule, chain: LoopChain, bindings, datasets):
     values = np.array(addresses, dtype=np.uintp)
 
     def run(region: Region) -> None:
-        steps = schedule.plan[region]
-        fn(values.ctypes.data, plan.index.ctypes.data, steps.ctypes.data,
-           len(steps))
+        edges = schedule.runs[region]
+        fn(values.ctypes.data, x, b, edges.ctypes.data, len(edges) - 1)
 
     return run

@@ -181,7 +181,7 @@ def setup_ranks(mesh: Mesh, problem: Problem, nranks: int, fusion, depth: int,
     result holds one list of ranks per sub-chain.  A rank's sub-chains share
     its datasets, which ``initial`` fills from given global arrays in place
     of the problem's initializers.  Each sub-chain's endpoints are linked to
-    each other and checked for symmetry, with no exchange begun.
+    each other, with no exchange begun; their shared tables are checked once.
     """
     local_meshes = partition_for_ranks(mesh, nranks, depth)
     subs = [(dataclasses.replace(problem, loops=problem.loops[start:stop]), ts)
@@ -212,7 +212,7 @@ def setup_ranks(mesh: Mesh, problem: Problem, nranks: int, fusion, depth: int,
         endpoints = [vr.endpoint for vr in ranks]
         for e in endpoints:
             e.link(endpoints)
-        check_exchange_symmetry(endpoints)
+    check_exchange_symmetry(endpoints)  # every sub-chain's tables are the partition's
     return by_subchain
 
 

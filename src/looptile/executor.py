@@ -1,8 +1,8 @@
 """Execute loop chains: the unfused executor and the tiled one.
 
 A kernel is one user-registered callable over whole iteration lists.  The
-executor calls it once per loop untiled, and once per step of the schedule's
-plan tiled: once per non-empty (region, color, loop), over the joined lists
+executor calls it once per loop untiled, and once per color run and loop
+tiled: once per non-empty (region, color, loop), over the joined lists
 of that color's tiles, which are independent of each other.  In sequential
 and distributed modes every tile has its own color, so that is once per
 non-empty (tile, loop).  A kernel gets one array per descriptor: for n
@@ -17,7 +17,7 @@ view of those ids.  A step then slices the slots of its positions, and the
 access mode alone defines each argument:
 
 - read: ``values.take(slots)``, read-only, so a kernel writing to it raises
-  ValueError;
+  ``ExecutionError``;
 - write: ``values.take(slots)``, stored back with ``values[slots] = buf``;
 - increment: a zeroed buffer that the executor adds back with
   ``np.add.at(values, slots.ravel(), buf.ravel())``, which adds in index
@@ -33,18 +33,23 @@ targets would race, and a dataset that a loop writes or increments bound to
 a second argument, whose gathered copy would miss the loop's own updates.
 Colors run in ascending order on the calling thread, and a step reads its
 mapped accesses through the slices of the local maps that match its lists.
+A body's ``ValueError``, ``IndexError`` or ``TypeError`` raises
+``ExecutionError``; until the registry has accepted the key ``check_bindings``
+returns, a run that raises puts back the datasets it wrote first.
 
 A kernel may also carry a per-element C body.  When every loop's kernel has
-one, ``execute_schedule`` runs the whole plan through C generated for the
+one, ``execute_schedule`` runs the color runs through C generated for the
 chain's shape (``looptile.codegen``), with the same contract element by
-element, so the results are equal bit for bit; otherwise it takes the numpy
-steps above.  ``execute_untiled`` always runs the numpy bodies, the oracle
-that ``verify`` compares tiled runs against.
+element, so the results are equal bit for bit; C checks no widths, so for a
+new key each numpy body first runs on empty arguments of its bound shapes.
+Otherwise it takes the numpy steps above.  ``execute_untiled`` always runs
+the numpy bodies, the oracle that ``verify`` compares tiled runs against.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,6 +96,7 @@ class KernelRegistry:
     def __init__(self):
         self._kernels: dict[str, tuple] = {}
         self._c: dict[str, str] = {}
+        self._accepted: set[tuple] = set()  # check_bindings keys run without error
 
     def register(self, kernel_id: str, body, nargs: int, c: str | None = None) -> None:
         if kernel_id in self._kernels:
@@ -121,7 +127,7 @@ class KernelBinding:
 class ExecutionReport:
     """Per-phase wall times, halo bytes and backend of one tiled execution.
 
-    ``backend`` is ``"c"`` when the plan ran as generated C, else ``"numpy"``.
+    ``backend`` is ``"c"`` when the runs ran as generated C, else ``"numpy"``.
     """
 
     phase_seconds: dict[str, float] = field(default_factory=dict)
@@ -130,8 +136,9 @@ class ExecutionReport:
 
 
 def check_bindings(chain: LoopChain, bindings, datasets: dict[str, Dataset],
-                   registry: KernelRegistry) -> list:
-    """Validate bindings against the chain; return each loop's kernel body.
+                   registry: KernelRegistry) -> tuple[list, tuple]:
+    """Validate bindings against the chain; return each loop's kernel body and
+    the key of their widths: chain fingerprint, values per element per argument.
 
     Runs before anything executes, so a bad binding, an unregistered kernel,
     a mapped write or an aliased written dataset (see the module docstring)
@@ -140,7 +147,7 @@ def check_bindings(chain: LoopChain, bindings, datasets: dict[str, Dataset],
     if len(bindings) != len(chain.loops):
         raise ExecutionError(
             f"{len(bindings)} bindings for {len(chain.loops)} loops")
-    bodies = []
+    bodies, widths = [], []
     for loop, binding in zip(chain.loops, bindings):
         if binding.kernel != loop.kernel:
             raise ExecutionError(
@@ -154,6 +161,7 @@ def check_bindings(chain: LoopChain, bindings, datasets: dict[str, Dataset],
             if name not in datasets:
                 raise ExecutionError(f"loop {loop.index}: dataset {name!r} missing")
             ds = datasets[name]
+            widths.append(ds.values_per_element)
             wanted = loop.space if d.is_direct else d.map.target
             if ds.space is not wanted and ds.space.name != wanted.name:
                 raise ExecutionError(
@@ -173,7 +181,7 @@ def check_bindings(chain: LoopChain, bindings, datasets: dict[str, Dataset],
                 f"kernel {loop.kernel!r} takes {nargs} args, loop {loop.index} "
                 f"has {len(loop.descriptors)} descriptors")
         bodies.append(body)
-    return bodies
+    return bodies, (chain.fingerprint, tuple(widths))
 
 
 def check_slots(schedule: Schedule, chain: LoopChain, bindings,
@@ -223,7 +231,21 @@ def _bind(loop: Loop, binding: KernelBinding, datasets: dict[str, Dataset],
     return bound
 
 
-def _run_step(body, bound: list, lo: int, hi: int) -> None:
+@contextmanager
+def _undoing(chain: LoopChain, bindings, datasets: dict[str, Dataset]):
+    """Put back every dataset the chain writes if a numpy body raises."""
+    saved = {name: datasets[name].values.copy() for name in {
+        name for loop, binding in zip(chain.loops, bindings)
+        for d, name in zip(loop.descriptors, binding.args) if d.mode.writes}}
+    try:
+        yield
+    except ExecutionError:
+        for name, values in saved.items():
+            datasets[name].values[:] = values
+        raise
+
+
+def _run_step(loop: Loop, body, bound: list, lo: int, hi: int) -> None:
     """Run ``body`` once over positions ``lo`` to ``hi`` of the bound slots."""
     args, stores = [], []
     for mode, values, slots in bound:
@@ -237,7 +259,12 @@ def _run_step(body, bound: list, lo: int, hi: int) -> None:
         else:
             stores.append((mode, values, idx, buf))
         args.append(buf)
-    body(*args)
+    try:
+        body(*args)
+    except (ValueError, IndexError, TypeError) as exc:
+        shapes = ", ".join(f"(n, {', '.join(map(str, a.shape[1:]))})" for a in args)
+        raise ExecutionError(f"loop {loop.index}: kernel {loop.kernel!r} rejects "
+                             f"arguments of shapes {shapes}: {exc}") from exc
     for mode, values, idx, buf in stores:
         if mode is AccessMode.INC:
             # raveled operands keep ufunc.at on its fast 1-D path
@@ -249,33 +276,35 @@ def _run_step(body, bound: list, lo: int, hi: int) -> None:
 def execute_untiled(chain: LoopChain, bindings, datasets: dict[str, Dataset],
                     registry: KernelRegistry) -> None:
     """The unfused baseline: one kernel call per loop, in chain order."""
-    bodies = check_bindings(chain, bindings, datasets, registry)
-    for loop, binding, body in zip(chain.loops, bindings, bodies):
-        rows = {d.map.name: d.map.values.reshape(-1, d.map.arity)
-                for d in loop.descriptors if not d.is_direct}
-        bound = _bind(loop, binding, datasets, np.arange(loop.space.total), rows)
-        _run_step(body, bound, 0, loop.space.executable_size)
+    bodies, key = check_bindings(chain, bindings, datasets, registry)
+    with nullcontext() if key in registry._accepted else _undoing(chain, bindings, datasets):
+        for loop, binding, body in zip(chain.loops, bindings, bodies):
+            rows = {d.map.name: d.map.values.reshape(-1, d.map.arity)
+                    for d in loop.descriptors if not d.is_direct}
+            bound = _bind(loop, binding, datasets, np.arange(loop.space.total), rows)
+            _run_step(loop, body, bound, 0, loop.space.executable_size)
+    registry._accepted.add(key)
 
 
 def execute_schedule(schedule: Schedule, chain: LoopChain, bindings,
                      datasets: dict[str, Dataset], registry: KernelRegistry,
                      exchange=None) -> ExecutionReport:
-    """Run the schedule's plan: core colors, halo wait, boundary colors.
+    """Run the schedule's color runs: core colors, halo wait, boundary colors.
 
     ``exchange`` is an optional endpoint whose exchange the caller has
     already begun; it must offer end() and a bytes_exchanged attribute, and
-    end() runs between the core and boundary phases.  Each plan step, one
-    per non-empty (region, color, loop), is one kernel call; the non-exec
-    tile is never executed.  When every loop's kernel has a C body, the plan
-    runs as generated C (``looptile.codegen``); otherwise each step calls
-    the numpy body.  The core phase's time includes the slot check and the
-    set-up of either backend, a compile on a cold cache among it.
+    end() runs between the core and boundary phases.  Each non-empty (color
+    run, loop), one per non-empty (region, color, loop), is one kernel call;
+    the non-exec tile is never executed.  When every loop's kernel has a C
+    body, the runs execute as generated C (``looptile.codegen``); otherwise
+    each calls the numpy body.  The core phase's time includes the slot
+    check and either backend's set-up, a cold cache's compile among it.
     """
     if schedule.fingerprint != chain.fingerprint:
         raise StaleScheduleError("schedule was inspected for a different chain")
     if schedule.n_loops != len(chain.loops):
         raise StaleScheduleError("schedule loop count differs from chain")
-    bodies = check_bindings(chain, bindings, datasets, registry)
+    bodies, key = check_bindings(chain, bindings, datasets, registry)
     c_bodies = [registry.c_body(loop.kernel) for loop in chain.loops]
     report = ExecutionReport()
 
@@ -283,28 +312,41 @@ def execute_schedule(schedule: Schedule, chain: LoopChain, bindings,
     check_slots(schedule, chain, bindings, datasets)
     if all(c is not None for c in c_bodies):
         report.backend = "c"
-        fn = codegen.runner(chain, bindings, datasets, bodies, c_bodies)
-        run_phase = codegen.bind(fn, schedule, chain, bindings, datasets)
+        shape = codegen.chain_shape(chain, bindings, datasets)
+        if key not in registry._accepted:
+            # C checks no widths: each numpy body first runs on empty arguments
+            for loop, body, args in zip(chain.loops, bodies, shape):
+                _run_step(loop, body, [(a.mode, np.zeros(0), np.zeros(
+                    (0, a.k) if a.arity is None else (0, a.arity, a.k), np.int64))
+                    for a in args], 0, 0)
+            registry._accepted.add(key)
+        run_phase = codegen.bind(codegen.runner(c_bodies, shape), schedule,
+                                 chain, bindings, datasets)
     else:
         bound = [_bind(loop, binding, datasets, tiling.elements, tiling.rows)
                  for loop, binding, tiling in zip(chain.loops, bindings,
                                                   schedule.tilings)]
 
         def run_phase(region):
-            for j, lo, hi in schedule.plan[region].tolist():
-                _run_step(bodies[j], bound[j], lo, hi)
-    run_phase(Region.CORE)
-    report.phase_seconds["core"] = time.perf_counter() - t0
+            cuts = [t.bounds[schedule.runs[region]].tolist() for t in schedule.tilings]
+            for r in range(len(cuts[0]) - 1):
+                for loop, body, b, cut in zip(chain.loops, bodies, bound, cuts):
+                    if cut[r] < cut[r + 1]:
+                        _run_step(loop, body, b, cut[r], cut[r + 1])
+    with nullcontext() if key in registry._accepted else _undoing(chain, bindings, datasets):
+        run_phase(Region.CORE)
+        report.phase_seconds["core"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    if exchange is not None:
-        exchange.end()
-        report.bytes_exchanged = exchange.bytes_exchanged
-    report.phase_seconds["exchange_wait"] = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        if exchange is not None:
+            exchange.end()
+            report.bytes_exchanged = exchange.bytes_exchanged
+        report.phase_seconds["exchange_wait"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    run_phase(Region.BOUNDARY)
-    report.phase_seconds["boundary"] = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        run_phase(Region.BOUNDARY)
+        report.phase_seconds["boundary"] = time.perf_counter() - t0
+    registry._accepted.add(key)
     return report
 
 

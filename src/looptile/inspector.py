@@ -9,7 +9,7 @@ finds each executable element's candidates of its tile's color.  A direct
 access needs neither, and in shared mode the last loop's mapped writes get a
 projection of their own.  The rounds pass plain per-element tile arrays;
 after the last round each array is cut once into a CSR over the tiles in
-execution order, from which the schedule compiles its color-batched plan.
+execution order, whose color runs the executor walks.
 
 Projection, tiling and first-fit coloring run as compiled C, element by
 element (``inspector.c``, compiled once per compiler through
@@ -116,10 +116,8 @@ class LoopTiling:
 
 @dataclass
 class InspectionStats:
-    """Wall seconds per inspection phase; ``seed_s`` chunks the seed space.
-
-    ``local_maps_s`` also covers compiling the schedule's execution plan.
-    """
+    """Wall seconds per inspection phase; ``seed_s`` chunks the seed space
+    and ``local_maps_s`` also covers building the ``Schedule``."""
 
     seed_s: float = 0.0
     coloring_s: float = 0.0
@@ -142,7 +140,7 @@ class InspectionStats:
 
 @dataclass(frozen=True, eq=False)
 class Schedule:
-    """Inspector output: tile regions and colors, loop tilings and the plan.
+    """Inspector output: tile regions and colors, loop tilings and color runs.
 
     Tile t has region ``regions[t]`` (a ``Region`` value) and color
     ``colors[t]``; ``tiles`` holds a read-only ``Tile`` view of each, in id
@@ -150,14 +148,14 @@ class Schedule:
     color, ties in id order.  Core colors lie below boundary colors and the
     non-exec tile comes last, so the tiles of one (region, color) hold one
     run of every loop's tiling.
-    Construction compiles ``plan``: per executable region, a read-only
-    (n, 3) int64 table with one step ``(j, lo, hi)`` per non-empty (color,
-    loop j), color by color and loop by loop within a color; the step's
-    iterations are ``tilings[j].elements[lo:hi]``.
-    Same-colored tiles are independent, so one kernel call may run all of a
-    color's iterations of a loop.  A local map whose length does not match
-    its list raises ``StaleScheduleError`` here, before anything runs.  The
-    region and color arrays are made read-only.
+    ``runs[region]`` (read-only int64), per executable region, holds the
+    execution position where each color run starts, then where the last one
+    ends: loop j runs ``tilings[j].elements[b[e[r]]:b[e[r + 1]]]`` in run r,
+    with ``b = tilings[j].bounds`` and ``e = runs[region]``.  Same-colored
+    tiles are independent, so one kernel call may run all of a color's
+    iterations of a loop.  A local map whose length does not match its list
+    raises ``StaleScheduleError`` here, before anything runs.  The region
+    and color arrays are made read-only.
     """
 
     mode: ExecMode
@@ -170,7 +168,7 @@ class Schedule:
                                    default_factory=InspectionStats)
     execution_order: np.ndarray = field(init=False, repr=False)
     tiles_per_color: dict[int, int] = field(init=False, repr=False)
-    plan: dict[Region, np.ndarray] = field(init=False, repr=False)
+    runs: Mapping[Region, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         n = len(self.colors)
@@ -201,23 +199,14 @@ class Schedule:
             raise InspectionError("tile colors do not separate the regions")
         starts = np.flatnonzero(first)
         n_core, n_exec = np.searchsorted(rank[starts], [1, 2]).tolist()
-        edges = np.append(starts, n)[:n_exec + 1]
-
-        # per executable color g and loop j, the run [lo, hi) of j's tiling;
-        # nonzero walks (g, j) row-major, so steps go color by color
-        cuts = np.array([tiling.bounds[edges] for tiling in self.tilings]
-                        ).reshape(-1, n_exec + 1)
-        lo, hi = cuts[:, :-1].T, cuts[:, 1:].T
-        g, j = np.nonzero(lo < hi)
-        steps = np.stack([j, lo[g, j], hi[g, j]], axis=1).astype(np.int64)
-        steps.flags.writeable = False
-        split = int(np.searchsorted(g, n_core))
-        plan = {Region.CORE: steps[:split], Region.BOUNDARY: steps[split:]}
+        edges = np.append(starts, n)[:n_exec + 1].astype(np.int64)
+        edges.flags.writeable = False
+        runs = {Region.CORE: edges[:n_core + 1], Region.BOUNDARY: edges[n_core:]}
         tiles_per_color = dict(zip(ordered[starts[:n_exec]].tolist(),
                                    np.diff(edges).tolist()))
         object.__setattr__(self, "execution_order", order)
         object.__setattr__(self, "tiles_per_color", tiles_per_color)
-        object.__setattr__(self, "plan", plan)
+        object.__setattr__(self, "runs", MappingProxyType(runs))
 
     @cached_property
     def tiles(self) -> tuple[Tile, ...]:
@@ -641,12 +630,12 @@ def compute_local_maps(elements: list[np.ndarray],
 def build_schedule(chain: LoopChain, mode: ExecMode, regions: np.ndarray,
                    colors: np.ndarray, sigmas: list[np.ndarray], recolor_rounds: int,
                    stats: InspectionStats | None = None) -> Schedule:
-    """Cut one tiling array per loop into the schedule's CSR and compile it.
+    """Cut one tiling array per loop into the schedule's CSR.
 
     Tile t has region ``regions[t]`` and color ``colors[t]``.  Every element
     of every loop's space must sit on a tile, and no executable element on
     the last, non-exec tile; otherwise ``InspectionError``.  Cutting counts
-    toward ``projection_tiling_s``, local maps and the plan toward
+    toward ``projection_tiling_s``, local maps and the ``Schedule`` toward
     ``local_maps_s``.
     """
     stats = stats if stats is not None else InspectionStats()
@@ -696,7 +685,7 @@ def inspect_chain(chain: LoopChain, ts: int, mode: ExecMode) -> Schedule:
     tiles and runs them, growing one tiling array per loop from the seed
     partition, and in shared mode projects the last loop's mapped writes.
     ``build_schedule`` cuts the last round's arrays into the schedule's
-    tilings and compiles its plan.  Pure in (chain, ts, mode):
+    tilings.  Pure in (chain, ts, mode):
     repeated calls produce identical schedules.  Raises ColoringLimitError
     if recoloring fails to converge within 10 * (number of tiles) rounds.
     """

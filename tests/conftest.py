@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from looptile import codegen
 from looptile.chain import Region
@@ -7,6 +8,10 @@ from looptile.distsim import check_exchange_symmetry
 from looptile.executor import KernelRegistry
 from looptile.mesh import generate_rect_mesh, rcm_renumber
 from looptile.problems import FIG2, default_registry, global_setup
+
+# every property test draws the same examples on every run, however slow
+settings.register_profile("looptile", derandomize=True, deadline=None)
+settings.load_profile("looptile")
 
 
 @pytest.fixture(scope="session", autouse=True)

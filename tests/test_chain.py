@@ -33,7 +33,7 @@ def test_invert_identity_map():
 
 
 @given(st.integers(0, 10_000))
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 def test_invert_roundtrips_pair_multiset(seed):
     rng = np.random.default_rng(seed)
     src = IterationSpace("src", 50)

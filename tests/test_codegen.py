@@ -152,7 +152,11 @@ def test_two_processes_compile_one_source_into_an_empty_cache(tmp_path):
     script = ("import ctypes, sys\n"
               "from looptile import codegen\n"
               "lib = codegen.load(open(sys.argv[1]).read())\n"
-              "getattr(lib, codegen.SYMBOL)(None, None, None, ctypes.c_int64(0))\n")
+              "fn = getattr(lib, codegen.SYMBOL)\n"
+              "fn.argtypes, fn.restype = codegen.RUNNER_ARGTYPES, None\n"
+              "# no runs: every pointer NULL, every count 0\n"
+              "fn(*(0 if t is ctypes.c_int64 else None\n"
+              "     for t in codegen.RUNNER_ARGTYPES))\n")
     env = dict(os.environ, PYTHONPATH=SRC, HOME=str(tmp_path))
     procs = [subprocess.Popen([sys.executable, "-c", script, str(source)],
                               env=env, stderr=subprocess.PIPE, text=True)

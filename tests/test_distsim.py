@@ -1,11 +1,15 @@
 import dataclasses
 import gc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from looptile import distsim
 from looptile.chain import AccessMode
+from looptile.cli import build_mesh
+from looptile.config import parse_config
 from looptile.distsim import (POISON, HaloEndpoint, check_exchange_symmetry,
                               exchanged_dataset_names, gather,
                               run_distributed, run_subchain, setup_ranks)
@@ -131,6 +135,23 @@ def test_one_setup_runs_every_subchain_for_several_steps(registry, monkeypatch):
     for name, ds in datasets.items():
         np.testing.assert_array_equal(gathered[name].view(np.int64),
                                       ds.values.view(np.int64), err_msg=name)
+
+
+def test_setup_checks_the_exchange_tables_once(monkeypatch):
+    # every sub-chain's endpoints share one partition's exchange tables
+    cfg = parse_config(str(Path(__file__).resolve().parents[1] / "configs"
+                           / "eight_loop.ini"))
+    calls = []
+
+    def counted(endpoints):
+        calls.append(len(endpoints))
+        check_exchange_symmetry(endpoints)
+
+    monkeypatch.setattr(distsim, "check_exchange_symmetry", counted)
+    by_subchain = setup_ranks(build_mesh(cfg), cfg.problem, cfg.nranks, cfg.fusion,
+                              cfg.depth)
+    assert len(by_subchain) == 3
+    assert calls == [cfg.nranks]
 
 
 def test_reports_carry_exchange_bytes(registry):

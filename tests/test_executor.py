@@ -6,15 +6,15 @@ import pytest
 from looptile.chain import AccessMode
 from looptile.distsim import setup_ranks
 from looptile.errors import ExecutionError, StaleScheduleError
-from looptile.executor import (KernelRegistry, execute_schedule, execute_untiled,
-                               integer_valued)
+from looptile.executor import (Dataset, KernelRegistry, execute_schedule,
+                               execute_untiled, integer_valued)
 from looptile.inspector import (ExecMode, LoopTiling, compute_local_maps,
                                 inspect_chain)
 from looptile.mesh import generate_rect_mesh
 from looptile.problems import (FIG2, AccessSpec, DatasetSpec, LoopSpec, Problem,
                                default_registry, global_setup)
 
-from conftest import assert_values_equal, dataset_values
+from conftest import assert_values_equal, dataset_values, numpy_registry
 
 R, W, I = AccessMode.READ, AccessMode.WRITE, AccessMode.INC
 
@@ -248,7 +248,10 @@ def test_shared_plan_joins_same_colored_tiles(mesh_8x4):
     calls = sum(counts[loop.kernel, "calls"] for loop in chain.loops)
     tile_loops = sum(1 for t in schedule.executable_tiles()
                      for lst in t.iteration_lists.values() if len(lst))
-    assert calls == sum(len(steps) for steps in schedule.plan.values())
+    runs = sum(int(tiling.bounds[edges[r]] < tiling.bounds[edges[r + 1]])
+               for edges in schedule.runs.values() for r in range(len(edges) - 1)
+               for tiling in schedule.tilings)
+    assert calls == runs
     assert calls < tile_loops <= len(schedule.executable_tiles()) * len(chain.loops)
 
 
@@ -295,6 +298,25 @@ def test_unregistered_kernel_leaves_datasets_unchanged(tiled, mesh_8x4):
     assert_values_equal(before, dataset_values(datasets))
 
 
+@pytest.mark.parametrize("path", ["c", "numpy", "untiled"])
+def test_rejected_widths_leave_datasets_unchanged(path):
+    # cell_w widened to 3 values per element: loop 1's cell_inc cannot add
+    # them into 1-wide vertex values, after loop 0 has changed vertex_acc
+    chain, datasets, bindings = global_setup(generate_rect_mesh(4, 2), FIG2, depth=3)
+    space = datasets["cell_w"].space
+    datasets["cell_w"] = Dataset("cell_w", space, 3,
+                                 np.arange(3 * space.total, dtype=np.float64))
+    registry = numpy_registry() if path == "numpy" else default_registry()
+    before = dataset_values(datasets)
+    with pytest.raises(ExecutionError, match="loop 1: kernel 'cell_inc' rejects"):
+        if path == "untiled":
+            execute_untiled(chain, bindings, datasets, registry)
+        else:
+            schedule = inspect_chain(chain, 4, ExecMode.SEQUENTIAL)
+            execute_schedule(schedule, chain, bindings, datasets, registry)
+    assert_values_equal(before, dataset_values(datasets))
+
+
 def test_list_changed_without_local_maps_is_stale(registry, mesh_8x4):
     chain, datasets, bindings = global_setup(mesh_8x4, FIG2, depth=3)
     schedule = inspect_chain(chain, 6, ExecMode.SHARED)
@@ -305,7 +327,7 @@ def test_list_changed_without_local_maps_is_stale(registry, mesh_8x4):
     bounds[p + 1:] -= 1
     elements = np.delete(tiling.elements, tiling.bounds[p])
     with pytest.raises(StaleScheduleError, match="local map"):
-        # the plan is compiled with the schedule, so no kernel can run it
+        # the schedule checks its tilings when built, so no kernel can run it
         dataclasses.replace(schedule, tilings=(
             *schedule.tilings[:2], LoopTiling(elements, bounds, dict(tiling.rows))))
 
@@ -330,7 +352,7 @@ def test_read_views_are_immutable():
     registry.register("edge_read", misbehaving, 2)
     for tiled in (False, True):
         chain, datasets, bindings = global_setup(generate_rect_mesh(1, 1), FIG2, depth=3)
-        with pytest.raises(ValueError, match="read-only"):
+        with pytest.raises(ExecutionError, match="read-only"):
             if tiled:
                 schedule = inspect_chain(chain, 10_000, ExecMode.SEQUENTIAL)
                 execute_schedule(schedule, chain, bindings, datasets, registry)

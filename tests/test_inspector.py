@@ -164,7 +164,7 @@ def test_projection_constant_when_one_tile_touches_everything():
 
 
 @given(st.integers(0, 10_000))
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 def test_projection_matches_bruteforce_max(seed):
     rng = np.random.default_rng(seed)
     edges = IterationSpace("edges", 30)
@@ -275,7 +275,7 @@ def test_assign_splits_space_across_tiles():
 
 
 @given(st.integers(0, 10_000))
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 def test_assign_partitions_whole_space(seed):
     rng = np.random.default_rng(seed)
     n, n_tiles = 40, 6
@@ -487,7 +487,7 @@ def preset_subchains(draw):
 @example(subchain=("fig2", 0, 3), mesh="4x2", ts=4, shared=True)
 # two same-colored cell tiles increment one vertex in the last loop
 @example(subchain=("fig2", 0, 2), mesh="8x4-rcm", ts=4, shared=True)
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 def test_inspection_legality_property(subchain, mesh, ts, shared):
     name, start, stop = subchain
     problem = PRESETS[name]
@@ -592,7 +592,7 @@ def pair_set(keys: ConflictKeys, n_tiles: int) -> set[tuple[int, int]]:
 
 
 @given(projection_inputs())
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 def test_vectorized_passes_match_per_element_reference(inputs):
     loop, sigma, phi, colors = inputs
 

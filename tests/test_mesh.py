@@ -36,7 +36,7 @@ def test_cell_with_one_vertex_three_times_rejected():
 
 
 @given(nx=st.integers(1, 8), ny=st.integers(1, 8))
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 def test_euler_formula_for_planar_disc(nx, ny):
     mesh = generate_rect_mesh(nx, ny)
     faces = 2 * nx * ny
@@ -71,7 +71,7 @@ def test_rcm_reduces_bandwidth_on_4x4():
 
 
 @given(nx=st.integers(1, 6), ny=st.integers(1, 6))
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20)
 def test_renumbering_roundtrip_recovers_connectivity(nx, ny):
     mesh = generate_rect_mesh(nx, ny)
     new = rcm_renumber(mesh)
@@ -120,7 +120,7 @@ def relabeled_rect_meshes(draw):
 
 
 @given(mesh=relabeled_rect_meshes())
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 def test_rcm_ordering_matches_sequential_reference_on_rect_meshes(mesh):
     pairs = mesh.edges_to_vertices.reshape(-1, 2).tolist()
     lists = lists_from_pairs(mesh.num_vertices, pairs)
@@ -144,7 +144,7 @@ def connected_graphs(draw):
 
 
 @given(graph=connected_graphs())
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100)
 def test_rcm_ordering_matches_sequential_reference_on_random_graphs(graph):
     n, pairs = graph
     lists = lists_from_pairs(n, pairs)

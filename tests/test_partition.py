@@ -75,7 +75,7 @@ def test_exchange_tables_pair_identical_global_ids_in_order():
 
 @given(nx=st.integers(2, 6), ny=st.integers(1, 4), nranks=st.integers(1, 4),
        depth=st.integers(1, 4))
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 def test_ownership_partitions_every_space(nx, ny, nranks, depth):
     mesh = generate_rect_mesh(nx, ny)
     if nranks > mesh.num_cells:
@@ -90,7 +90,7 @@ def test_ownership_partitions_every_space(nx, ny, nranks, depth):
 
 
 @given(nx=st.integers(2, 5), ny=st.integers(1, 3), depth=st.integers(1, 3))
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15)
 def test_depth_strips_cover_vertex_adjacency_hops(nx, ny, depth):
     # every element within `depth` shared-vertex hops of an owned element is local
     mesh = generate_rect_mesh(nx, ny)
@@ -180,7 +180,7 @@ def partition_cases(draw):
 
 
 @given(case=partition_cases())
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 def test_partition_matches_per_element_reference(case):
     nx, ny, rcm, nranks, depth = case
     mesh = generate_rect_mesh(nx, ny)
