@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DepthExceededError, InvalidChainError
+from .errors import InvalidChainError
 
 
 class AccessMode(enum.Enum):
@@ -172,7 +172,13 @@ class LoopChain:
         return self._fingerprint
 
     def subchain(self, start: int, stop: int) -> "LoopChain":
-        """A chain over loops [start, stop), re-indexed from zero."""
+        """A chain over loops [start, stop), re-indexed from zero; it needs
+        ``0 <= start < stop <= len(loops)``, else ``InvalidChainError``."""
+        if not 0 <= start < stop <= len(self.loops):
+            raise InvalidChainError(f"sub-chain [{start}, {stop}) is not a "
+                                    f"range of {len(self.loops)} loops")
+        if stop - start == len(self.loops):
+            return self  # an immutable chain, already indexed from zero
         loops = tuple(
             Loop(index=i, space=lp.space, descriptors=lp.descriptors, kernel=lp.kernel)
             for i, lp in enumerate(self.loops[start:stop])
@@ -182,7 +188,10 @@ class LoopChain:
 
 
 def build_chain(spaces, maps, loops, depth: int, distributed: bool = False) -> LoopChain:
-    """Validate and freeze a loop chain, failing fast on any invariant breach."""
+    """Validate and freeze a loop chain, failing fast on any invariant breach.
+
+    ``depth`` and ``distributed`` feed the fingerprint; ``inspect_chain``
+    checks the halo-depth rule on them."""
     spaces = tuple(spaces)
     maps = tuple(maps)
     loops = tuple(loops)
@@ -218,9 +227,6 @@ def build_chain(spaces, maps, loops, depth: int, distributed: bool = False) -> L
                 raise InvalidChainError(
                     f"loop {position} over {loop.space.name!r} cannot use map "
                     f"{d.map.name!r} sourced on {d.map.source.name!r}")
-    if distributed and len(loops) > depth:
-        raise DepthExceededError(
-            f"{len(loops)} loops exceed halo depth {depth}; split the chain")
     chain = LoopChain(loops=loops, spaces=spaces, maps=maps, depth=depth,
                       distributed=distributed)
     object.__setattr__(chain, "_fingerprint", chain_fingerprint(chain))

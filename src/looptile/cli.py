@@ -213,8 +213,7 @@ def sweep_config(cfg: RunConfig, tile_sizes, modes, schemes=None):
         text = scheme or ",".join(f"{sc.start}-{sc.stop - 1}" for sc in cfg.fusion)
         for ts in tile_sizes:
             for mode in modes:
-                fusion = parse_fusion(text, len(cfg.problem.loops), ts,
-                                      cfg.depth, mode)
+                fusion = parse_fusion(text, len(cfg.problem.loops), ts)
                 variant = dataclasses.replace(cfg, mode=mode, fusion=fusion)
                 result = run_config(variant)
                 if reference is None:

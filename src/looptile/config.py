@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .chain import AccessMode
-from .errors import DepthExceededError
 from .inspector import ExecMode
 from .mesh import CELLS, MAPS, SPACES
 from .problems import (INITIALIZERS, PRESETS, AccessSpec, DatasetSpec, LoopSpec,
@@ -46,10 +45,6 @@ class SubChain(NamedTuple):
     start: int
     stop: int  # exclusive
     tile_size: int
-
-    @property
-    def n_loops(self) -> int:
-        return self.stop - self.start
 
 
 @dataclass
@@ -70,9 +65,10 @@ class RunConfig:
         return self.fusion[-1].stop if self.fusion else 0
 
 
-def parse_fusion(text: str, n_loops: int, tile_size: int, depth: int,
-                  mode: ExecMode) -> tuple[SubChain, ...]:
-    """Parse "a-b:ts,c-d:ts" (inclusive ranges); must cover a prefix of the loops."""
+def parse_fusion(text: str, n_loops: int, tile_size: int) -> tuple[SubChain, ...]:
+    """Parse "a-b:ts,c-d:ts" (inclusive ranges); must cover a prefix of the loops.
+
+    The halo depth is not checked here but by ``inspect_chain``."""
     subchains = []
     for part in text.split(","):
         part = part.strip()
@@ -96,9 +92,6 @@ def parse_fusion(text: str, n_loops: int, tile_size: int, depth: int,
             raise ConfigError(f"fusion range {sc.start}-{sc.stop - 1} out of bounds")
         if sc.tile_size < 1:
             raise ConfigError("fusion tile size must be >= 1")
-        if mode is ExecMode.DISTRIBUTED and sc.n_loops > depth:
-            raise DepthExceededError(
-                f"sub-chain of {sc.n_loops} loops exceeds depth {depth}")
         expected = sc.stop
     if not subchains:
         raise ConfigError("empty fusion scheme")
@@ -193,10 +186,9 @@ def parse_config(path: str) -> RunConfig:
                               f"cells of the mesh, got {nranks}")
         fusion_text = parser.get(
             "run", "fusion", fallback=f"0-{len(problem.loops) - 1}:{tile_size}")
-        fusion = parse_fusion(fusion_text, len(problem.loops), tile_size,
-                               depth, mode)
+        fusion = parse_fusion(fusion_text, len(problem.loops), tile_size)
     except (configparser.Error, ValueError) as exc:
-        if isinstance(exc, (ConfigError, DepthExceededError)):
+        if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"{path}: {exc}") from exc
 

@@ -1,31 +1,31 @@
 """Simulated distributed-memory execution: N virtual ranks in one process.
 
-A run partitions the mesh once and sets up every rank once: its local mesh
-and datasets, and per fused sub-chain a local chain, schedule and halo
-endpoint.  The rank's sub-chains share its datasets, so values pass from one
-sub-chain to the next on the rank itself.  All halo traffic for one
-sub-chain execution happens in a single exchange: staging snapshots every
-owner's values before any rank computes, and each rank commits its incoming
-buffers between its core and boundary phases.  Staging also fills every halo
-slot with ``POISON``, so a core tile that read one before the commit would
-spread it into the gathered values and fail verification.
+A run partitions the mesh once and sets up every rank once: its local mesh,
+whole chain and datasets, and per fused sub-chain a slice of that chain, its
+schedule and a halo endpoint.  The rank's sub-chains share its datasets, so
+values pass from one sub-chain to the next on the rank itself.  All halo
+traffic for one sub-chain execution happens in a single exchange: staging
+snapshots every owner's values before any rank computes, and each rank
+commits its incoming buffers between its core and boundary phases.  Staging
+also fills every halo slot with ``POISON``, so a core tile that read one
+before the commit would spread it into the gathered values and fail
+verification.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
 from .chain import AccessMode, LoopChain
-from .errors import PartitionBugError
+from .errors import InvalidChainError, PartitionBugError
 from .executor import (Dataset, ExecutionReport, KernelRegistry,
                        execute_schedule, flat_slots)
 from .inspector import ExecMode, Schedule, inspect_chain
 from .mesh import Mesh
 from .partition import LocalMesh, partition_for_ranks
-from .problems import Problem, instantiate_chain, local_setup
+from .problems import LoopSpec, Problem, local_setup
 
 POISON = 1e30  # every halo slot's value until the exchange commits
 
@@ -132,10 +132,10 @@ class DistributedResult:
         return [r.endpoint.exchange_count for r in self.ranks]
 
 
-def exchanged_dataset_names(problem: Problem) -> tuple[str, ...]:
+def exchanged_dataset_names(loops: tuple[LoopSpec, ...]) -> tuple[str, ...]:
     """Datasets any fused loop reads or increments travel in the exchange."""
     names = []
-    for spec in problem.loops:
+    for spec in loops:
         for access in spec.accesses:
             if access.mode in (AccessMode.READ, AccessMode.INC):
                 if access.dataset not in names:
@@ -178,30 +178,29 @@ def setup_ranks(mesh: Mesh, problem: Problem, nranks: int, fusion, depth: int,
     """Partition once, then set up and inspect every rank's sub-chains; run nothing.
 
     ``fusion`` holds one ``(start, stop, ts)`` per fused sub-chain; the
-    result holds one list of ranks per sub-chain.  A rank's sub-chains share
-    its datasets, which ``initial`` fills from given global arrays in place
-    of the problem's initializers.  Each sub-chain's endpoints are linked to
-    each other, with no exchange begun; their shared tables are checked once.
+    result holds one list of ranks per sub-chain.  Each rank builds its whole
+    chain once and slices the sub-chains from it, so ``inspect_chain`` raises
+    ``DepthExceededError`` for one longer than ``depth``; no sub-chain, or a
+    range outside the chain, is an ``InvalidChainError``.  A rank's
+    sub-chains share its datasets, which ``initial`` fills from given global
+    arrays in place of the problem's initializers.  Each sub-chain's endpoints
+    are linked to each other, with no exchange begun; their shared tables are
+    checked once.
     """
+    fusion = list(fusion)
+    if not fusion:
+        raise InvalidChainError("setup_ranks needs at least one sub-chain")
     local_meshes = partition_for_ranks(mesh, nranks, depth)
-    subs = [(dataclasses.replace(problem, loops=problem.loops[start:stop]), ts)
-            for start, stop, ts in fusion]
-    by_subchain: list[list[VirtualRank]] = [[] for _ in subs]
+    by_subchain: list[list[VirtualRank]] = [[] for _ in fusion]
     for lm in local_meshes:
-        # one set-up per rank: later sub-chains reuse the first one's
-        # spaces, maps and datasets
-        chain, datasets, bindings = local_setup(lm, subs[0][0], depth)
-        spaces = {s.name: s for s in chain.spaces}
-        maps = {m.name: m for m in chain.maps}
-        for i, (ranks, (sub, ts)) in enumerate(zip(by_subchain, subs)):
-            if i:
-                chain, bindings = instantiate_chain(sub, spaces, maps, depth,
-                                                    distributed=True)
-            schedule = inspect_chain(chain, ts, ExecMode.DISTRIBUTED)
-            endpoint = HaloEndpoint(lm, datasets, exchanged_dataset_names(sub))
-            ranks.append(VirtualRank(rank=lm.rank, local_mesh=lm, chain=chain,
-                                     datasets=datasets, bindings=bindings,
-                                     schedule=schedule, endpoint=endpoint))
+        chain, datasets, bindings = local_setup(lm, problem, depth)
+        for ranks, (start, stop, ts) in zip(by_subchain, fusion):
+            sub = chain.subchain(start, stop)
+            endpoint = HaloEndpoint(
+                lm, datasets, exchanged_dataset_names(problem.loops[start:stop]))
+            ranks.append(VirtualRank(lm.rank, lm, sub, datasets, bindings[start:stop],
+                                     inspect_chain(sub, ts, ExecMode.DISTRIBUTED),
+                                     endpoint))
         if initial is not None:
             for name, ds in datasets.items():
                 k = ds.values_per_element

@@ -41,7 +41,7 @@ A kernel may also carry a per-element C body.  When every loop's kernel has
 one, ``execute_schedule`` runs the color runs through C generated for the
 chain's shape (``looptile.codegen``), with the same contract element by
 element, so the results are equal bit for bit; C checks no widths, so for a
-new key each numpy body first runs on empty arguments of its bound shapes.
+new key each numpy body first runs on one scratch element of its bound shapes.
 Otherwise it takes the numpy steps above.  ``execute_untiled`` always runs
 the numpy bodies, the oracle that ``verify`` compares tiled runs against.
 """
@@ -314,11 +314,11 @@ def execute_schedule(schedule: Schedule, chain: LoopChain, bindings,
         report.backend = "c"
         shape = codegen.chain_shape(chain, bindings, datasets)
         if key not in registry._accepted:
-            # C checks no widths: each numpy body first runs on empty arguments
+            # C checks no widths: each numpy body first runs on one element
             for loop, body, args in zip(chain.loops, bodies, shape):
-                _run_step(loop, body, [(a.mode, np.zeros(0), np.zeros(
-                    (0, a.k) if a.arity is None else (0, a.arity, a.k), np.int64))
-                    for a in args], 0, 0)
+                _run_step(loop, body, [(a.mode, np.zeros(a.k), flat_slots(np.zeros(
+                    1 if a.arity is None else (1, a.arity), np.int64), a.k))
+                    for a in args], 0, 1)
             registry._accepted.add(key)
         run_phase = codegen.bind(codegen.runner(c_bodies, shape), schedule,
                                  chain, bindings, datasets)

@@ -39,7 +39,8 @@ import numpy as np
 from . import codegen
 from .chain import (InverseMap, IterationSpace, Loop, LoopChain, MeshMap,
                     Region, invert_map)
-from .errors import ColoringLimitError, InspectionError, StaleScheduleError
+from .errors import (ColoringLimitError, DepthExceededError, InspectionError,
+                     StaleScheduleError)
 from .mesh import sorted_distinct
 
 NO_TILE = -1
@@ -688,7 +689,13 @@ def inspect_chain(chain: LoopChain, ts: int, mode: ExecMode) -> Schedule:
     tilings.  Pure in (chain, ts, mode):
     repeated calls produce identical schedules.  Raises ColoringLimitError
     if recoloring fails to converge within 10 * (number of tiles) rounds.
+    The one check of the halo-depth rule: a distributed chain of more loops
+    than its depth raises DepthExceededError (each loop uses one halo strip).
     """
+    if chain.distributed and len(chain.loops) > chain.depth:
+        raise DepthExceededError(
+            f"{len(chain.loops)} loops exceed halo depth {chain.depth}; "
+            "split the chain")
     t_start = time.perf_counter()
     stats = InspectionStats()
     loops = chain.loops

@@ -185,10 +185,10 @@ EIGHT_LOOP = Problem(
 PRESETS: dict[str, Problem] = {FIG2.name: FIG2, EIGHT_LOOP.name: EIGHT_LOOP}
 
 
-def instantiate_chain(problem: Problem, spaces: dict[str, IterationSpace],
-                      maps: dict[str, MeshMap], depth: int,
-                      distributed: bool = False):
-    """Materialize (chain, bindings) over concrete spaces and maps."""
+def instantiate(problem: Problem, spaces: dict[str, IterationSpace],
+                maps: dict[str, MeshMap], global_ids: dict[str, np.ndarray],
+                depth: int, distributed: bool = False):
+    """Materialize (chain, datasets, bindings) over concrete spaces and maps."""
     loops = []
     for index, spec in enumerate(problem.loops):
         descriptors = tuple(
@@ -198,22 +198,14 @@ def instantiate_chain(problem: Problem, spaces: dict[str, IterationSpace],
                           descriptors=descriptors, kernel=spec.kernel))
     chain = build_chain(tuple(spaces.values()), tuple(maps.values()),
                         loops, depth, distributed=distributed)
-    bindings = tuple(
-        KernelBinding(spec.kernel, tuple(a.dataset for a in spec.accesses))
-        for spec in problem.loops)
-    return chain, bindings
-
-
-def instantiate(problem: Problem, spaces: dict[str, IterationSpace],
-                maps: dict[str, MeshMap], global_ids: dict[str, np.ndarray],
-                depth: int, distributed: bool = False):
-    """Materialize (chain, datasets, bindings) over concrete spaces and maps."""
-    chain, bindings = instantiate_chain(problem, spaces, maps, depth, distributed)
     datasets = {
         d.name: Dataset(d.name, spaces[d.space], d.values_per_element,
                         init_values(d, global_ids[d.space]))
         for d in problem.datasets
     }
+    bindings = tuple(
+        KernelBinding(spec.kernel, tuple(a.dataset for a in spec.accesses))
+        for spec in problem.loops)
     return chain, datasets, bindings
 
 
@@ -227,7 +219,7 @@ def global_setup(mesh: Mesh, problem: Problem, depth: int):
 
 
 def local_setup(local_mesh, problem: Problem, depth: int):
-    """Rank-local instantiation with halo regions and true global ids."""
+    """Rank-local instantiation of the whole chain, halo regions and true global ids."""
     spaces = local_mesh.spaces()
     maps = local_mesh.maps(spaces)
     return instantiate(problem, spaces, maps, local_mesh.global_ids, depth,

@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 from looptile.chain import (AccessMode, Descriptor, IterationSpace, Loop,
                             MeshMap, build_chain, invert_map)
 from looptile.errors import DepthExceededError, InvalidChainError
-from looptile.mesh import generate_rect_mesh, mesh_maps, mesh_spaces
-from looptile.problems import FIG2, global_setup
+from looptile.inspector import ExecMode, inspect_chain
+from looptile.mesh import generate_rect_mesh, mesh_maps, mesh_spaces, rcm_renumber
+from looptile.partition import partition_for_ranks
+from looptile.problems import EIGHT_LOOP, FIG2, global_setup, local_setup
 
 from conftest import map_row, region_of, sources_of
 
@@ -97,12 +99,16 @@ def test_undeclared_map_rejected():
 
 
 def test_depth_exceeded_in_distributed_mode():
-    spaces, maps, loops = fig2_parts()
-    with pytest.raises(DepthExceededError):
-        build_chain(spaces.values(), maps.values(), loops, depth=2,
-                    distributed=True)
+    # a rank builds its whole chain at any length; inspecting a distributed
+    # chain of more loops than its depth is what the halo rule rejects
+    mesh = rcm_renumber(generate_rect_mesh(8, 4))
+    chain, _, _ = local_setup(partition_for_ranks(mesh, 2, 4)[0], EIGHT_LOOP, 4)
+    assert len(chain.loops) == 8 and chain.distributed
+    with pytest.raises(DepthExceededError, match="8 loops exceed halo depth 4"):
+        inspect_chain(chain, 16, ExecMode.DISTRIBUTED)
+    inspect_chain(chain.subchain(0, 4), 16, ExecMode.DISTRIBUTED)
     # fine without the distributed flag
-    build_chain(spaces.values(), maps.values(), loops, depth=2)
+    inspect_chain(global_setup(mesh, EIGHT_LOOP, 4)[0], 16, ExecMode.SEQUENTIAL)
 
 
 def test_fingerprint_deterministic():

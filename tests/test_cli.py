@@ -12,7 +12,7 @@ from looptile.cli import (Inspected, build_mesh, compare_values,
                           main, reference_values, run_config, schedule_record,
                           verify_config, inspect_only, sweep_config)
 from looptile.config import ConfigError, SubChain, parse_config
-from looptile.errors import DepthExceededError, VerificationError
+from looptile.errors import VerificationError
 from looptile.executor import execute_schedule
 from looptile.inspector import ExecMode, build_schedule, inspect_chain
 from looptile.mesh import generate_rect_mesh, rcm_renumber
@@ -68,12 +68,18 @@ def test_missing_file_and_bad_values_are_config_errors(tmp_path):
         parse_config(path)
 
 
-def test_distributed_fusion_deeper_than_halo_is_depth_error(tmp_path):
+def test_distributed_fusion_deeper_than_halo_is_depth_error(tmp_path, capsys):
+    # the config parses; every command stops at the first inspection
     path = write_config(tmp_path, FIG2_INI.format(
         mode="distributed", ts=8, extra="fusion = 0-2:8\nnranks = 2").replace(
             "depth = 3", "depth = 2"))
-    with pytest.raises(DepthExceededError):
-        parse_config(path)
+    parse_config(path)
+    for argv in (["run", path], ["verify", path], ["inspect-only", path],
+                 ["sweep", path, "--modes", "distributed"]):
+        assert main(argv) == 4, argv
+        out, err = capsys.readouterr()
+        assert out == "", argv
+        assert err.startswith("depth violation: 3 loops exceed halo depth 2"), argv
 
 
 def test_explicit_chain_config(tmp_path):

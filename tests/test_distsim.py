@@ -13,7 +13,7 @@ from looptile.config import parse_config
 from looptile.distsim import (POISON, HaloEndpoint, check_exchange_symmetry,
                               exchanged_dataset_names, gather,
                               run_distributed, run_subchain, setup_ranks)
-from looptile.errors import DepthExceededError, PartitionBugError
+from looptile.errors import DepthExceededError, InvalidChainError, PartitionBugError
 from looptile.executor import execute_schedule, execute_untiled
 from looptile.inspector import ExecMode, Region, inspect_chain
 from looptile.mesh import generate_rect_mesh, rcm_renumber
@@ -32,7 +32,7 @@ def serial_reference(mesh, registry, depth=3):
 
 def build_endpoints(mesh, nranks, depth, registry):
     local_meshes = partition_for_ranks(mesh, nranks, depth)
-    exchanged = exchanged_dataset_names(FIG2)
+    exchanged = exchanged_dataset_names(FIG2.loops)
     endpoints = []
     setups = []
     for lm in local_meshes:
@@ -166,6 +166,22 @@ def test_depth_shorter_than_chain_rejected(registry):
     mesh = generate_rect_mesh(4, 2)
     with pytest.raises(DepthExceededError):
         run_distributed(mesh, FIG2, 2, 4, depth=2, registry=registry)
+
+
+def test_setup_without_subchains_rejected():
+    with pytest.raises(InvalidChainError, match="at least one sub-chain"):
+        setup_ranks(generate_rect_mesh(4, 2), FIG2, 2, [], 3)
+
+
+def test_setup_range_past_the_chain_rejected():
+    # (0, 9) on three loops must not run loops 0-2 as if it were (0, 3)
+    mesh = generate_rect_mesh(4, 2)
+    with pytest.raises(InvalidChainError, match=r"\[0, 9\) is not a range of 3 loops"):
+        setup_ranks(mesh, FIG2, 2, [(0, 9, 4)], 3)
+    chain, _, _ = global_setup(mesh, FIG2, 3)
+    for start, stop in ((-1, 2), (2, 2), (2, 1)):
+        with pytest.raises(InvalidChainError, match="not a range of 3 loops"):
+            chain.subchain(start, stop)
 
 
 def test_no_neighbors_means_noop_exchange(registry):

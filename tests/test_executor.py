@@ -317,6 +317,27 @@ def test_rejected_widths_leave_datasets_unchanged(path):
     assert_values_equal(before, dataset_values(datasets))
 
 
+def test_width_probe_accepts_a_body_that_reads_a_fixed_row():
+    # a new key's probe runs each numpy body on one element, so a body that
+    # reads row 0, as it may on every real list, is not refused
+    def edge_read(out, verts):
+        out[:] = verts[:, 0] + verts[:, 1] + 0.0 * verts[0, 0, 0]
+
+    c_registry = default_registry()
+    registry = KernelRegistry()
+    for kernel_id in ("edge_inc", "cell_inc", "edge_read", "cell_read"):
+        body, nargs = c_registry.get(kernel_id)
+        registry.register(kernel_id, edge_read if kernel_id == "edge_read" else body,
+                          nargs, c=c_registry.c_body(kernel_id))
+    runs = []
+    for reg in (registry, c_registry):
+        chain, datasets, bindings = global_setup(generate_rect_mesh(4, 2), FIG2, depth=3)
+        schedule = inspect_chain(chain, 4, ExecMode.SEQUENTIAL)
+        assert execute_schedule(schedule, chain, bindings, datasets, reg).backend == "c"
+        runs.append(dataset_values(datasets))
+    assert_values_equal(*runs)
+
+
 def test_list_changed_without_local_maps_is_stale(registry, mesh_8x4):
     chain, datasets, bindings = global_setup(mesh_8x4, FIG2, depth=3)
     schedule = inspect_chain(chain, 6, ExecMode.SHARED)

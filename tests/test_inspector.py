@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import hashlib
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,9 @@ from hypothesis import strategies as st
 from looptile import inspector
 from looptile.chain import (AccessMode, Descriptor, IterationSpace, Loop,
                             MeshMap, Region, build_chain)
+from looptile.cli import build_mesh
+from looptile.config import parse_config
+from looptile.distsim import setup_ranks
 from looptile.errors import InspectionError
 from looptile.executor import (Dataset, KernelBinding, KernelRegistry,
                                execute_schedule, execute_untiled)
@@ -806,6 +810,18 @@ def test_schedules_match_golden_digests():
     digests = tuple(hashlib.sha256(inspect_chain(chain, ts, mode).serialize()).hexdigest()
                     for chain, ts, mode in golden_ladder())
     assert digests == GOLDEN_DIGESTS
+
+
+def test_setup_ranks_schedules_match_golden_digests():
+    # each rank slices configs/eight_loop.ini's sub-chains from its whole
+    # chain; the schedules equal those of chains built per sub-chain
+    cfg = parse_config(str(Path(__file__).resolve().parents[1] / "configs"
+                           / "eight_loop.ini"))
+    by_subchain = setup_ranks(build_mesh(cfg), cfg.problem, cfg.nranks, cfg.fusion,
+                              cfg.depth)
+    digests = tuple(hashlib.sha256(vr.schedule.serialize()).hexdigest()
+                    for ranks in by_subchain for vr in ranks)
+    assert digests == GOLDEN_DIGESTS[-12:]
 
 
 def test_executable_iteration_on_the_nonexec_tile_is_rejected():

@@ -4,7 +4,11 @@ import ast
 import re
 from pathlib import Path
 
+import numpy as np
+
 from looptile import inspector
+from looptile.executor import execute_untiled
+from looptile.problems import EIGHT_LOOP, FIG2, default_registry, global_setup
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "looptile"
 
@@ -25,3 +29,23 @@ def test_every_c_entry_point_is_bound():
     source = (PACKAGE / "inspector.c").read_text()
     defined = set(re.findall(r"^\w+ (looptile_\w+)\(", source, re.MULTILINE))
     assert defined == set(inspector._C_SIGNATURES)
+
+
+def test_readme_library_use_runs_as_its_comments_say():
+    # the README's library-use block: run_distributed gathers the serial
+    # values, and the setup_ranks loop equals three serial steps
+    readme = (PACKAGE.parents[1] / "README.md").read_text()
+    section = readme[readme.index("## Library use"):]
+    block = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    ns = {}
+    exec(compile(block, "README.md", "exec"), ns)
+
+    registry = default_registry()
+    for problem, depth, steps, got in ((FIG2, 3, 1, ns["result"].datasets),
+                                       (EIGHT_LOOP, 4, 3, ns["values"])):
+        chain, datasets, bindings = global_setup(ns["mesh"], problem, depth)
+        for _ in range(steps):
+            execute_untiled(chain, bindings, datasets, registry)
+        assert set(got) == set(datasets)
+        for name, ds in datasets.items():
+            np.testing.assert_array_equal(got[name], ds.values, err_msg=name)
