@@ -2,10 +2,11 @@
 
 A kernel registered with a per-element C body (``KernelRegistry.register(...,
 c=...)``) can run as C.  For each chain shape, that is each loop's bodies
-and, per argument, its access mode, map arity and values per element, this
-module writes one C function.  The function runs a schedule's color runs,
-each loop in chain order over its part of a run, element by element, with
-the same contract as the numpy step (see ``looptile.executor``):
+and, per argument, its access mode, map arity and values per element, as
+``executor.check_bindings`` returns it, this module writes one C function.
+The function runs a schedule's color runs, each loop in chain order over its
+part of a run, element by element, with the same contract as the numpy step
+(see ``looptile.executor``):
 
 - read and write arguments of a direct access point at the element's own
   values; a mapped read gathers the targets' values into a buffer;
@@ -41,7 +42,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .chain import AccessMode, LoopChain, Region
+from .chain import AccessMode, Region
 from .errors import CompileError, ExecutionError, StaleScheduleError
 
 if TYPE_CHECKING:
@@ -78,15 +79,6 @@ class Arg(NamedTuple):
     mode: AccessMode
     arity: int | None  # None for a direct access
     k: int  # values per element
-
-
-def chain_shape(chain: LoopChain, bindings, datasets) -> tuple[tuple[Arg, ...], ...]:
-    """Each loop's arguments, from its descriptors and bound datasets."""
-    return tuple(
-        tuple(Arg(d.mode, None if d.is_direct else d.map.arity,
-                  datasets[name].values_per_element)
-              for d, name in zip(loop.descriptors, binding.args))
-        for loop, binding in zip(chain.loops, bindings))
 
 
 def generate(c_bodies, shape) -> str:
@@ -231,16 +223,16 @@ def runner(c_bodies, shape):
 _POINTERS: "weakref.WeakKeyDictionary[Schedule, tuple]" = weakref.WeakKeyDictionary()
 
 
-def _pointers(schedule: Schedule, chain: LoopChain) -> tuple:
+def _pointers(schedule: Schedule, args) -> tuple:
     pointers = _POINTERS.get(schedule)
     if pointers is None:
         keep = []
-        for loop, tiling in zip(chain.loops, schedule.tilings):
-            for d in loop.descriptors:
+        for j, (loop_args, tiling) in enumerate(zip(args, schedule.tilings)):
+            for d, _ in loop_args:
                 index = tiling.elements if d.is_direct else tiling.rows[d.map.name]
                 if not d.is_direct and index.shape[1:] != (d.map.arity,):
                     raise StaleScheduleError(
-                        f"loop {loop.index}: local map {d.map.name!r} rows are "
+                        f"loop {j}: local map {d.map.name!r} rows are "
                         f"not of arity {d.map.arity}")
                 keep.append(np.ascontiguousarray(index, dtype=np.int64))
         g = len(keep)
@@ -251,21 +243,22 @@ def _pointers(schedule: Schedule, chain: LoopChain) -> tuple:
     return pointers
 
 
-def bind(fn, schedule: Schedule, chain: LoopChain, bindings, datasets):
+def bind(fn, schedule: Schedule, args):
     """A callable that runs one region's color runs of the schedule through ``fn``.
 
-    The caller has checked that every slot lies inside its dataset; here
-    each dataset must be a C-contiguous float64 array, writable if written.
+    ``args`` holds each loop's (descriptor, dataset) pairs; the caller has
+    checked that every slot lies inside its dataset.  Each dataset must be
+    a C-contiguous float64 array, writable if written.
     """
-    x, b, _ = _pointers(schedule, chain)
+    x, b, _ = _pointers(schedule, args)
     addresses = []
-    for loop, binding in zip(chain.loops, bindings):
-        for d, name in zip(loop.descriptors, binding.args):
-            values = datasets[name].values
+    for j, loop_args in enumerate(args):
+        for d, ds in loop_args:
+            values = ds.values
             if (values.dtype != np.float64 or not values.flags.c_contiguous
                     or (d.mode.writes and not values.flags.writeable)):
                 raise ExecutionError(
-                    f"loop {loop.index}: dataset {name!r} is not a contiguous"
+                    f"loop {j}: dataset {ds.name!r} is not a contiguous"
                     f"{' writable' if d.mode.writes else ''} float64 array")
             addresses.append(values.ctypes.data)
     values = np.array(addresses, dtype=np.uintp)

@@ -9,12 +9,13 @@ non-empty (tile, loop).  A kernel gets one array per descriptor: for n
 iterations and k values per element, a direct access arrives as an (n, k)
 array and a mapped one as (n, arity, k).
 
-Each execution first binds every argument of every loop to its dataset's
-flat value array and to flat slot indices of the argument's shape: slot
-``e * k + c`` holds value c of element e, for the elements the tiling lists
-(direct) or their local-map targets (mapped).  For k = 1 the slots are a
-view of those ids.  A step then slices the slots of its positions, and the
-access mode alone defines each argument:
+A binding holds dataset names only; ``check_bindings`` alone resolves them.
+Each execution then binds every argument to its dataset's flat value array
+and to flat slot indices of the argument's shape: slot ``e * k + c`` holds
+value c of element e, for the elements the tiling lists (direct) or their
+local-map targets (mapped).  For k = 1 the slots are a view of those ids.
+A step then slices the slots of its positions, and the access mode alone
+defines each argument:
 
 - read: ``values.take(slots)``, read-only, so a kernel writing to it raises
   ``ExecutionError``;
@@ -34,8 +35,8 @@ a second argument, whose gathered copy would miss the loop's own updates.
 Colors run in ascending order on the calling thread, and a step reads its
 mapped accesses through the slices of the local maps that match its lists.
 A body's ``ValueError``, ``IndexError`` or ``TypeError`` raises
-``ExecutionError``; until the registry has accepted the key ``check_bindings``
-returns, a run that raises puts back the datasets it wrote first.
+``ExecutionError``; until the registry has accepted the chain's fingerprint
+and shape, a run that raises puts back the datasets it wrote first.
 
 A kernel may also carry a per-element C body.  When every loop's kernel has
 one, ``execute_schedule`` runs the color runs through C generated for the
@@ -96,7 +97,7 @@ class KernelRegistry:
     def __init__(self):
         self._kernels: dict[str, tuple] = {}
         self._c: dict[str, str] = {}
-        self._accepted: set[tuple] = set()  # check_bindings keys run without error
+        self._accepted: set[tuple] = set()  # (fingerprint, shape) run without error
 
     def register(self, kernel_id: str, body, nargs: int, c: str | None = None) -> None:
         if kernel_id in self._kernels:
@@ -117,9 +118,9 @@ class KernelRegistry:
 
 @dataclass(frozen=True)
 class KernelBinding:
-    """Dataset names paired positionally with a loop's descriptors."""
+    """A loop's dataset names, paired positionally with its descriptors; the
+    kernel is the loop's own.  Only ``check_bindings`` looks the names up."""
 
-    kernel: str
     args: tuple[str, ...]
 
 
@@ -136,37 +137,38 @@ class ExecutionReport:
 
 
 def check_bindings(chain: LoopChain, bindings, datasets: dict[str, Dataset],
-                   registry: KernelRegistry) -> tuple[list, tuple]:
-    """Validate bindings against the chain; return each loop's kernel body and
-    the key of their widths: chain fingerprint, values per element per argument.
+                   registry: KernelRegistry) -> tuple[list, list, tuple]:
+    """Validate bindings against the chain; return each loop's kernel body,
+    each loop's arguments as (descriptor, dataset) pairs, and the chain's
+    shape, per loop one ``codegen.Arg`` per argument.
 
     Runs before anything executes, so a bad binding, an unregistered kernel,
-    a mapped write or an aliased written dataset (see the module docstring)
-    leaves every dataset untouched.
+    a dataset of the wrong space or size, a mapped write or an aliased
+    written dataset (see the module docstring) leaves every dataset untouched.
     """
     if len(bindings) != len(chain.loops):
         raise ExecutionError(
             f"{len(bindings)} bindings for {len(chain.loops)} loops")
-    bodies, widths = [], []
+    bodies, args, shape = [], [], []
     for loop, binding in zip(chain.loops, bindings):
-        if binding.kernel != loop.kernel:
-            raise ExecutionError(
-                f"loop {loop.index} expects kernel {loop.kernel!r}, "
-                f"bound {binding.kernel!r}")
         if len(binding.args) != len(loop.descriptors):
             raise ExecutionError(
                 f"loop {loop.index}: {len(binding.args)} args for "
                 f"{len(loop.descriptors)} descriptors")
-        for d, name in zip(loop.descriptors, binding.args):
+        pairs = []
+        for i, (d, name) in enumerate(zip(loop.descriptors, binding.args)):
             if name not in datasets:
                 raise ExecutionError(f"loop {loop.index}: dataset {name!r} missing")
             ds = datasets[name]
-            widths.append(ds.values_per_element)
             wanted = loop.space if d.is_direct else d.map.target
             if ds.space is not wanted and ds.space.name != wanted.name:
                 raise ExecutionError(
                     f"loop {loop.index}: dataset {name!r} lives on "
                     f"{ds.space.name!r}, descriptor needs {wanted.name!r}")
+            if len(ds.values) != wanted.total * ds.values_per_element:
+                raise ExecutionError(
+                    f"loop {loop.index}: argument {i} binds dataset {name!r}, which holds "
+                    f"{len(ds.values)} values, not {wanted.total} x {ds.values_per_element}")
             if d.mode is AccessMode.WRITE and not d.is_direct:
                 raise ExecutionError(
                     f"loop {loop.index}: dataset {name!r} is written through "
@@ -175,31 +177,33 @@ def check_bindings(chain: LoopChain, bindings, datasets: dict[str, Dataset],
                 raise ExecutionError(
                     f"loop {loop.index}: dataset {name!r} is written and bound "
                     "to a second argument")
+            pairs.append((d, ds))
         body, nargs = registry.get(loop.kernel)
         if nargs != len(loop.descriptors):
             raise ExecutionError(
                 f"kernel {loop.kernel!r} takes {nargs} args, loop {loop.index} "
                 f"has {len(loop.descriptors)} descriptors")
         bodies.append(body)
-    return bodies, (chain.fingerprint, tuple(widths))
+        args.append(pairs)
+        shape.append(tuple(codegen.Arg(d.mode, None if d.is_direct else d.map.arity,
+                                       ds.values_per_element) for d, ds in pairs))
+    return bodies, args, tuple(shape)
 
 
-def check_slots(schedule: Schedule, chain: LoopChain, bindings,
-                datasets: dict[str, Dataset]) -> None:
+def check_slots(schedule: Schedule, args) -> None:
     """Every argument's slots must lie in ``[0, len(values))`` of its dataset.
 
     Runs before anything executes: the C backend indexes without bounds
     checks, and numpy's ``take`` would fail only after earlier steps ran.
     """
-    for loop, binding, tiling in zip(chain.loops, bindings, schedule.tilings):
-        for i, (d, name) in enumerate(zip(loop.descriptors, binding.args)):
+    for j, (loop_args, tiling) in enumerate(zip(args, schedule.tilings)):
+        for i, (d, ds) in enumerate(loop_args):
             span = tiling.index_ranges[None if d.is_direct else d.map.name]
-            ds = datasets[name]
             if span is not None and (span[0] < 0 or (span[1] + 1)
                                      * ds.values_per_element > len(ds.values)):
                 raise ExecutionError(
-                    f"loop {loop.index}: argument {i} indexes elements "
-                    f"{span[0]}..{span[1]} of dataset {name!r}, which holds "
+                    f"loop {j}: argument {i} indexes elements "
+                    f"{span[0]}..{span[1]} of dataset {ds.name!r}, which holds "
                     f"{len(ds.values) // ds.values_per_element}")
 
 
@@ -215,33 +219,28 @@ def flat_slots(idx: np.ndarray, k: int) -> np.ndarray:
     return idx[..., None] * k + np.arange(k)
 
 
-def _bind(loop: Loop, binding: KernelBinding, datasets: dict[str, Dataset],
-          elements: np.ndarray, rows: dict[str, np.ndarray]) -> list:
-    """Each argument of ``loop`` as (mode, flat values, flat slot indices).
+def _bind(loop_args, elements: np.ndarray, rows: dict[str, np.ndarray]) -> list:
+    """A loop's (descriptor, dataset) pairs as (mode, flat values, flat slots).
 
     A mapped access takes the targets of the element at position i of
     ``elements`` from row i of ``rows[map name]``, an (n, arity) array, so
     the slots have the kernel's argument shape, (n, k) or (n, arity, k).
     """
-    bound = []
-    for d, name in zip(loop.descriptors, binding.args):
-        ds = datasets[name]
-        idx = elements if d.is_direct else rows[d.map.name]
-        bound.append((d.mode, ds.values, flat_slots(idx, ds.values_per_element)))
-    return bound
+    return [(d.mode, ds.values, flat_slots(elements if d.is_direct else rows[d.map.name],
+                                           ds.values_per_element))
+            for d, ds in loop_args]
 
 
 @contextmanager
-def _undoing(chain: LoopChain, bindings, datasets: dict[str, Dataset]):
+def _undoing(args):
     """Put back every dataset the chain writes if a numpy body raises."""
-    saved = {name: datasets[name].values.copy() for name in {
-        name for loop, binding in zip(chain.loops, bindings)
-        for d, name in zip(loop.descriptors, binding.args) if d.mode.writes}}
+    written = {id(ds): ds for loop_args in args for d, ds in loop_args if d.mode.writes}
+    saved = [(ds, ds.values.copy()) for ds in written.values()]
     try:
         yield
     except ExecutionError:
-        for name, values in saved.items():
-            datasets[name].values[:] = values
+        for ds, values in saved:
+            ds.values[:] = values
         raise
 
 
@@ -276,12 +275,13 @@ def _run_step(loop: Loop, body, bound: list, lo: int, hi: int) -> None:
 def execute_untiled(chain: LoopChain, bindings, datasets: dict[str, Dataset],
                     registry: KernelRegistry) -> None:
     """The unfused baseline: one kernel call per loop, in chain order."""
-    bodies, key = check_bindings(chain, bindings, datasets, registry)
-    with nullcontext() if key in registry._accepted else _undoing(chain, bindings, datasets):
-        for loop, binding, body in zip(chain.loops, bindings, bodies):
+    bodies, args, shape = check_bindings(chain, bindings, datasets, registry)
+    key = (chain.fingerprint, shape)
+    with nullcontext() if key in registry._accepted else _undoing(args):
+        for loop, body, loop_args in zip(chain.loops, bodies, args):
             rows = {d.map.name: d.map.values.reshape(-1, d.map.arity)
                     for d in loop.descriptors if not d.is_direct}
-            bound = _bind(loop, binding, datasets, np.arange(loop.space.total), rows)
+            bound = _bind(loop_args, np.arange(loop.space.total), rows)
             _run_step(loop, body, bound, 0, loop.space.executable_size)
     registry._accepted.add(key)
 
@@ -292,40 +292,39 @@ def execute_schedule(schedule: Schedule, chain: LoopChain, bindings,
     """Run the schedule's color runs: core colors, halo wait, boundary colors.
 
     ``exchange`` is an optional endpoint whose exchange the caller has
-    already begun; it must offer end() and a bytes_exchanged attribute, and
-    end() runs between the core and boundary phases.  Each non-empty (color
-    run, loop), one per non-empty (region, color, loop), is one kernel call;
-    the non-exec tile is never executed.  When every loop's kernel has a C
-    body, the runs execute as generated C (``looptile.codegen``); otherwise
-    each calls the numpy body.  The core phase's time includes the slot
-    check and either backend's set-up, a cold cache's compile among it.
+    already begun; it must offer end() and a bytes_exchanged running total.
+    end() runs between the core and boundary phases, and the report's
+    bytes_exchanged is what it added.  Each non-empty (color run, loop) is
+    one kernel call; the non-exec tile is never executed.  When every loop's
+    kernel has a C body, the runs execute as generated C
+    (``looptile.codegen``); otherwise each calls the numpy body.  The core
+    phase's time includes the slot check and either backend's set-up, a cold
+    cache's compile among it.
     """
     if schedule.fingerprint != chain.fingerprint:
         raise StaleScheduleError("schedule was inspected for a different chain")
     if schedule.n_loops != len(chain.loops):
         raise StaleScheduleError("schedule loop count differs from chain")
-    bodies, key = check_bindings(chain, bindings, datasets, registry)
+    bodies, args, shape = check_bindings(chain, bindings, datasets, registry)
+    key = (chain.fingerprint, shape)
     c_bodies = [registry.c_body(loop.kernel) for loop in chain.loops]
     report = ExecutionReport()
 
     t0 = time.perf_counter()
-    check_slots(schedule, chain, bindings, datasets)
+    check_slots(schedule, args)
     if all(c is not None for c in c_bodies):
         report.backend = "c"
-        shape = codegen.chain_shape(chain, bindings, datasets)
         if key not in registry._accepted:
             # C checks no widths: each numpy body first runs on one element
-            for loop, body, args in zip(chain.loops, bodies, shape):
+            for loop, body, loop_shape in zip(chain.loops, bodies, shape):
                 _run_step(loop, body, [(a.mode, np.zeros(a.k), flat_slots(np.zeros(
                     1 if a.arity is None else (1, a.arity), np.int64), a.k))
-                    for a in args], 0, 1)
+                    for a in loop_shape], 0, 1)
             registry._accepted.add(key)
-        run_phase = codegen.bind(codegen.runner(c_bodies, shape), schedule,
-                                 chain, bindings, datasets)
+        run_phase = codegen.bind(codegen.runner(c_bodies, shape), schedule, args)
     else:
-        bound = [_bind(loop, binding, datasets, tiling.elements, tiling.rows)
-                 for loop, binding, tiling in zip(chain.loops, bindings,
-                                                  schedule.tilings)]
+        bound = [_bind(loop_args, tiling.elements, tiling.rows)
+                 for loop_args, tiling in zip(args, schedule.tilings)]
 
         def run_phase(region):
             cuts = [t.bounds[schedule.runs[region]].tolist() for t in schedule.tilings]
@@ -333,14 +332,15 @@ def execute_schedule(schedule: Schedule, chain: LoopChain, bindings,
                 for loop, body, b, cut in zip(chain.loops, bodies, bound, cuts):
                     if cut[r] < cut[r + 1]:
                         _run_step(loop, body, b, cut[r], cut[r + 1])
-    with nullcontext() if key in registry._accepted else _undoing(chain, bindings, datasets):
+    with nullcontext() if key in registry._accepted else _undoing(args):
         run_phase(Region.CORE)
         report.phase_seconds["core"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
         if exchange is not None:
+            before = exchange.bytes_exchanged
             exchange.end()
-            report.bytes_exchanged = exchange.bytes_exchanged
+            report.bytes_exchanged = exchange.bytes_exchanged - before
         report.phase_seconds["exchange_wait"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()

@@ -203,9 +203,8 @@ def instantiate(problem: Problem, spaces: dict[str, IterationSpace],
                         init_values(d, global_ids[d.space]))
         for d in problem.datasets
     }
-    bindings = tuple(
-        KernelBinding(spec.kernel, tuple(a.dataset for a in spec.accesses))
-        for spec in problem.loops)
+    bindings = tuple(KernelBinding(tuple(a.dataset for a in spec.accesses))
+                     for spec in problem.loops)
     return chain, datasets, bindings
 
 

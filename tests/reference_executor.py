@@ -47,7 +47,7 @@ def _run_loop(loop: Loop, binding, datasets, elements, rows_of) -> None:
     A mapped access finds its target ids in ``rows_of[map name]`` at the
     element's position in ``elements``.
     """
-    body = BODIES[binding.kernel]
+    body = BODIES[loop.kernel]
     plan = []
     for d, name in zip(loop.descriptors, binding.args):
         ds = datasets[name]

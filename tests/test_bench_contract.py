@@ -1,8 +1,14 @@
 """The benchmark's traced rounds run the code its untraced rounds time."""
 
 import importlib.util
+import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import looptile.distsim as distsim
 import looptile.executor as executor
@@ -15,7 +21,8 @@ from looptile.problems import FIG2, default_registry, global_setup
 
 from conftest import assert_values_equal, dataset_values
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "bench" / "tracing.py"
 
 
 def load_tracing():
@@ -60,3 +67,18 @@ def test_traced_round_reports_every_metric():
     assert all(math.isfinite(value) for value in metrics.values())
     assert metrics["inspector.tiles"] > 0 and metrics["executor.iterations"] > 0
     assert metrics["distsim.exchanges"] > 0
+
+
+@pytest.mark.parametrize("workload", ["eight-shared-inspect", "fig2-seq-steps",
+                                      "eight-dist4"])
+def test_bench_run_smoke(workload, tmp_path):
+    # one untraced round from the repo root; HOME keeps the C cache out of
+    # the user's own
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1",
+         "--seconds", "0", "--trace", "0"],
+        cwd=ROOT, env={**os.environ, "HOME": str(tmp_path)},
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    last = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert last["correct"] is True and last["failed"] == 0

@@ -12,7 +12,7 @@ import pytest
 from looptile import codegen, inspector
 from looptile.cli import main
 from looptile.errors import CompileError, ExecutionError, StaleScheduleError
-from looptile.executor import KernelRegistry, execute_schedule
+from looptile.executor import KernelRegistry, check_bindings, execute_schedule
 from looptile.inspector import ExecMode, LoopTiling, inspect_chain
 from looptile.mesh import generate_rect_mesh
 from looptile.problems import EIGHT_LOOP, FIG2, default_registry, global_setup
@@ -35,7 +35,7 @@ def preset_sources():
                 sub = chain.subchain(start, stop)
                 sources.add(codegen.generate(
                     [registry.c_body(loop.kernel) for loop in sub.loops],
-                    codegen.chain_shape(sub, bindings[start:stop], datasets)))
+                    check_bindings(sub, bindings[start:stop], datasets, registry)[2]))
     return sorted(sources)
 
 

@@ -162,6 +162,20 @@ def test_reports_carry_exchange_bytes(registry):
         assert set(vr.report.phase_seconds) == {"core", "exchange_wait", "boundary"}
 
 
+def test_each_step_reports_its_own_exchange_bytes(registry):
+    # every step moves the same halo bytes, so every step reports the same
+    # number, not the endpoint's running total
+    mesh = rcm_renumber(generate_rect_mesh(16, 8))
+    by_subchain = setup_ranks(mesh, EIGHT_LOOP, 4, [(0, 4, 16), (4, 8, 16)], 4)
+    steps = []
+    for _ in range(3):
+        for ranks in by_subchain:
+            run_subchain(ranks, registry)
+        steps.append([vr.report.bytes_exchanged for ranks in by_subchain for vr in ranks])
+    assert all(b > 0 for b in steps[0])
+    assert steps[0] == steps[1] == steps[2]
+
+
 def test_depth_shorter_than_chain_rejected(registry):
     mesh = generate_rect_mesh(4, 2)
     with pytest.raises(DepthExceededError):

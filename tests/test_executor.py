@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from looptile.chain import AccessMode
+from looptile.chain import AccessMode, IterationSpace
 from looptile.distsim import setup_ranks
 from looptile.errors import ExecutionError, StaleScheduleError
 from looptile.executor import (Dataset, KernelRegistry, execute_schedule,
@@ -298,18 +298,26 @@ def test_unregistered_kernel_leaves_datasets_unchanged(tiled, mesh_8x4):
     assert_values_equal(before, dataset_values(datasets))
 
 
-@pytest.mark.parametrize("path", ["c", "numpy", "untiled"])
+@pytest.mark.parametrize("path", ["c", "numpy", "untiled", "untiled-wrong-size"])
 def test_rejected_widths_leave_datasets_unchanged(path):
-    # cell_w widened to 3 values per element: loop 1's cell_inc cannot add
-    # them into 1-wide vertex values, after loop 0 has changed vertex_acc
     chain, datasets, bindings = global_setup(generate_rect_mesh(4, 2), FIG2, depth=3)
-    space = datasets["cell_w"].space
-    datasets["cell_w"] = Dataset("cell_w", space, 3,
-                                 np.arange(3 * space.total, dtype=np.float64))
+    if path == "untiled-wrong-size":
+        # edge_out on a 5-edge space of the right name: loop 2 would index
+        # past it, after loops 0-1 have changed vertex_acc
+        datasets["edge_out"] = Dataset("edge_out", IterationSpace("edges", 5), 1,
+                                       np.zeros(5))
+        match = "loop 2: argument 0 binds dataset 'edge_out'"
+    else:
+        # cell_w widened to 3 values per element: loop 1's cell_inc cannot add
+        # them into 1-wide vertex values, after loop 0 has changed vertex_acc
+        space = datasets["cell_w"].space
+        datasets["cell_w"] = Dataset("cell_w", space, 3,
+                                     np.arange(3 * space.total, dtype=np.float64))
+        match = "loop 1: kernel 'cell_inc' rejects"
     registry = numpy_registry() if path == "numpy" else default_registry()
     before = dataset_values(datasets)
-    with pytest.raises(ExecutionError, match="loop 1: kernel 'cell_inc' rejects"):
-        if path == "untiled":
+    with pytest.raises(ExecutionError, match=match):
+        if path.startswith("untiled"):
             execute_untiled(chain, bindings, datasets, registry)
         else:
             schedule = inspect_chain(chain, 4, ExecMode.SEQUENTIAL)

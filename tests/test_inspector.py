@@ -514,7 +514,7 @@ def self_map_chain():
              Loop(1, space, (Descriptor(None, AccessMode.WRITE),
                              Descriptor(None, AccessMode.READ)), "copy"))
     chain = build_chain((space,), (nbr,), loops, depth=2)
-    bindings = (KernelBinding("scatter", ("A", "B")), KernelBinding("copy", ("C", "A")))
+    bindings = (KernelBinding(("A", "B")), KernelBinding(("C", "A")))
 
     def scatter(a, b):
         a[:, 0] += b
