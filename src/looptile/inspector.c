@@ -1,11 +1,13 @@
 /* The per-element passes of looptile.inspector: projection through a map,
- * tiling and first-fit coloring.  One fixed source, compiled once per
+ * tiling and first-fit coloring; and the Cuthill-McKee walk that
+ * looptile.mesh renumbers vertices with.  One fixed source, compiled once per
  * compiler through looptile.codegen.load.  A direct access needs no pass:
  * its loop's tiling met, at each element, the held projection it replaces.
  *
  * Every array is C-contiguous int64.  The Python callers check each length
- * and each tile id once, when they bind a pass to its arrays, so nothing
- * here checks a bound.  A tile id is -1 (no tile) or lies in [0, n_tiles).
+ * and each tile id once, when they bind a pass to its arrays, and
+ * mesh.rcm_ordering checks its CSR, so nothing here checks a bound.  A tile
+ * id is -1 (no tile) or lies in [0, n_tiles).
  * A pair of tiles low < high is written as the key low * n_tiles + high;
  * each function that writes keys returns how many it wrote, at most one per
  * candidate it visits, and writes none when keys is NULL.
@@ -190,4 +192,50 @@ int looptile_color(const int64_t *regions, const int64_t n,
     free(neighbours);
     free(mark);
     return 0;
+}
+
+/* Cuthill-McKee over a graph's CSR: vertex v's neighbours are
+ * rows[offsets[v]:offsets[v + 1]], in any order.  The walk starts at the
+ * lowest-id vertex of least degree.  Each vertex it dequeues has its row
+ * sorted in place by (degree, id), by insertion, since mesh rows are short;
+ * its neighbours not yet seen join the queue in that order.  order (room
+ * for n) receives the vertices in queue order.  Returns how many were
+ * placed, fewer than n if the graph is disconnected, or -1 if no scratch
+ * memory could be had. */
+int64_t looptile_cuthill_mckee(const int64_t n, const int64_t *offsets,
+                               int64_t *rows, int64_t *order)
+{
+    if (n == 0)
+        return 0;
+    char *seen = calloc(n, 1);
+    if (seen == NULL)
+        return -1;
+    int64_t start = 0;
+    for (int64_t v = 1; v < n; v++)
+        if (offsets[v + 1] - offsets[v] < offsets[start + 1] - offsets[start])
+            start = v;
+    seen[start] = 1;
+    order[0] = start;
+    int64_t tail = 1;
+    for (int64_t head = 0; head < tail; head++) {
+        const int64_t v = order[head], lo = offsets[v], hi = offsets[v + 1];
+        for (int64_t i = lo + 1; i < hi; i++) {
+            const int64_t w = rows[i], dw = offsets[w + 1] - offsets[w];
+            int64_t j = i;
+            for (; j > lo; j--) {
+                const int64_t u = rows[j - 1], du = offsets[u + 1] - offsets[u];
+                if (du < dw || (du == dw && u <= w))
+                    break;
+                rows[j] = u;
+            }
+            rows[j] = w;
+        }
+        for (int64_t i = lo; i < hi; i++)
+            if (!seen[rows[i]]) {
+                seen[rows[i]] = 1;
+                order[tail++] = rows[i];
+            }
+    }
+    free(seen);
+    return tail;
 }

@@ -260,14 +260,16 @@ class Schedule:
 
 # -- the compiled passes -------------------------------------------------------
 # Projection, tiling and coloring run as C (inspector.c beside this module),
-# compiled once per compiler through codegen's cache and loaded on first use.
-# The C indexes without bounds checks, so every array reaches it checked.
+# compiled once per compiler through codegen's cache and loaded on first use;
+# so does mesh.rcm_ordering's Cuthill-McKee walk.  The C indexes without
+# bounds checks, so every array reaches it checked.
 
 _P, _L = ctypes.c_void_p, ctypes.c_int64
 _C_SIGNATURES = {  # name: (argument types, result type)
     "looptile_project": ((_P, _P, _P, _P, _L, _P, _L, _P, _P), _L),
     "looptile_tile": ((_L, _L, _L, _P, _P, _P, _P, _L, _P, _P, _P), _L),
     "looptile_color": ((_P, _L, _P, _L, _P), ctypes.c_int),
+    "looptile_cuthill_mckee": ((_L, _P, _P, _P), _L),
 }
 _LIB: ctypes.CDLL | None = None
 

@@ -157,8 +157,8 @@ def partition_for_ranks(mesh: Mesh, nranks: int, depth: int) -> list[LocalMesh]:
     # entity's own cells lie in every vertex's ring, so it suffices that each
     # vertex sees a single owner: its lowest and highest cell owners agree.
     single = owners[VERTS] == incidence.reduce(cell_owner, np.maximum)[VERTS]
-    core = {CELLS: single[tri].all(axis=1), EDGES: single[pairs].all(axis=1),
-            VERTS: single}
+    core = {CELLS: single[tri[:, 0]] & single[tri[:, 1]] & single[tri[:, 2]],
+            EDGES: single[pairs[:, 0]] & single[pairs[:, 1]], VERTS: single}
 
     ranks = [_build_rank(mesh, r, depth, tri, pairs, incidence, owners, core)
              for r in range(nranks)]
@@ -177,7 +177,8 @@ def _build_rank(mesh, r, depth, tri, pairs, incidence, owners, core) -> dict:
     for k in range(1, depth + 1):
         touched = np.zeros(mesh.num_vertices, dtype=bool)
         touched[tri[frontier]] = True
-        frontier = touched[tri].any(axis=1) & (cell_strip > depth)
+        frontier = ((touched[tri[:, 0]] | touched[tri[:, 1]] | touched[tri[:, 2]])
+                    & (cell_strip > depth))
         if not frontier.any():
             break
         cell_strip[frontier] = k

@@ -1,9 +1,9 @@
 """Sequential reverse Cuthill-McKee over neighbor lists.
 
-It is the queue-based breadth-first search that ``looptile.mesh`` once ran,
-one vertex at a time.  It is slow but easy to read, and serves as the oracle
-that the level-at-a-time ``mesh.rcm_ordering`` is checked against, element
-for element.
+It is the queue-based breadth-first search that ``mesh.rcm_ordering`` runs
+in C, written one vertex at a time over Python lists.  It is slow but easy
+to read, and serves as the oracle that ``mesh.rcm_ordering`` is checked
+against, element for element.
 """
 
 from __future__ import annotations

@@ -35,6 +35,15 @@ def test_cell_with_one_vertex_three_times_rejected():
         bad.validate()
 
 
+def test_mesh_without_edges_names_the_edge_set_invariant():
+    # one cell and no edges: the edge id check has nothing to reduce over
+    mesh = generate_rect_mesh(1, 1)
+    bad = Mesh(3, 1, 0, np.array([0, 1, 2], dtype=np.int64),
+               np.empty(0, dtype=np.int64), mesh.vertex_coords[:3])
+    with pytest.raises(ValueError, match="expected edge set equals the cell sides"):
+        bad.validate()
+
+
 @given(nx=st.integers(1, 8), ny=st.integers(1, 8))
 @settings(max_examples=30)
 def test_euler_formula_for_planar_disc(nx, ny):
@@ -99,6 +108,18 @@ def test_disconnected_graph_rejected():
         rcm_ordering(csr_from_lists([[1], [0], [3], [2]]))
 
 
+@pytest.mark.parametrize("offsets,neighbors,match", [
+    ([0, 1, 3, 4], [1, 0, 99, 1], r"neighbor ids must lie in \[0, 3\)"),
+    ([0, 3, 1, 4], [1, 0, 2, 1], "offsets decrease"),
+    ([0, 1, 3], [1, 0, 2, 1], "offsets must run from 0 to len"),
+], ids=["neighbor-out-of-range", "decreasing-offsets", "offsets-one-short"])
+def test_malformed_csr_rejected_before_the_walk(offsets, neighbors, match):
+    # the path 0-1-2 with one fault each; the C walk indexes without checks
+    adjacency = (np.array(offsets, dtype=np.int64), np.array(neighbors, dtype=np.int64))
+    with pytest.raises(ValueError, match=match):
+        rcm_ordering(adjacency)
+
+
 def test_mesh_with_an_unused_vertex_rejected_as_disconnected():
     # the extra vertex has degree 0, so the search starts and ends there
     mesh = generate_rect_mesh(3, 2)
@@ -149,7 +170,11 @@ def test_rcm_ordering_matches_sequential_reference_on_random_graphs(graph):
     n, pairs = graph
     lists = lists_from_pairs(n, pairs)
     adjacency = csr_from_lists(lists)
-    assert np.array_equal(rcm_ordering(adjacency), rcm_ordering_reference(lists))
+    want = rcm_ordering_reference(lists)
+    assert np.array_equal(rcm_ordering(adjacency), want)
+    # the walk sorts each row by (degree, id) itself, so row order is free
+    reversed_rows = csr_from_lists([nbrs[::-1] for nbrs in lists])
+    assert np.array_equal(rcm_ordering(reversed_rows), want)
     assert adjacency_bandwidth(adjacency) == max(
         (abs(v - w) for v, nbrs in enumerate(lists) for w in nbrs), default=0)
 
