@@ -15,7 +15,8 @@ and every line of the ``[output] report`` file, is one JSON record with a
 
 ``run`` prints its run record, ``verify`` the run record with ``pass``,
 ``inspect-only`` the schedule records, ``sweep`` one run record per variant,
-each compared with one untiled reference that the sweep runs once;
+each compared with one untiled reference that the sweep runs once, and
+exits 3 after the last if any variant failed;
 ``run`` writes the ``[output] report`` file: the schedule records, then
 the run record, and the ``[output] vtk`` tile map of the first sub-chain.
 
@@ -25,8 +26,8 @@ ranks' halo slots until it commits, so a core tile that read one would make
 ``verify`` fail.
 
 Exit codes: 0 ok, 1 other error (I/O, failed inspection), 2 config error
-(including a binding or kernel the executor rejects, and a bad sweep flag
-value), 3 verification failure,
+(including an INI file that does not parse, a binding or kernel the executor
+rejects, and a bad sweep flag value), 3 verification failure,
 4 depth violation, 5 C compile error (no C compiler, which inspection needs
 too, a C body that does not compile, or an unusable C cache directory).
 """
@@ -339,7 +340,13 @@ def main(argv=None) -> int:
             tile_sizes = _flag_list("--tile-sizes", int, args.tile_sizes)
             modes = _flag_list("--modes", ExecMode.parse, args.modes)
             schemes = args.schemes.split(";") if args.schemes else None
-            write_records(sweep_config(cfg, tile_sizes, modes, schemes), sys.stdout)
+            verdicts = []
+            for record in sweep_config(cfg, tile_sizes, modes, schemes):
+                write_records([record], sys.stdout)
+                verdicts.append(record["verify"])
+            if "FAIL" in verdicts:
+                raise VerificationError(f"{verdicts.count('FAIL')} of {len(verdicts)} "
+                                        f"sweep variants diverge from untiled")
     except DepthExceededError as exc:
         print(f"depth violation: {exc}", file=sys.stderr)
         return 4

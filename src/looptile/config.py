@@ -107,6 +107,8 @@ def _check_known(name: str, known, where: str, what: str) -> None:
 def _parse_explicit_problem(parser: configparser.ConfigParser) -> Problem:
     if not parser.has_section("loops"):
         raise ConfigError("[chain] needs preset=... or a [loops] section")
+    if not parser["loops"]:
+        raise ConfigError("[loops] lists no loop")
     loops = []
     for key in sorted(parser["loops"], key=int):
         tokens = parser["loops"][key].split(None, 2)
@@ -154,10 +156,9 @@ def _parse_explicit_problem(parser: configparser.ConfigParser) -> Problem:
 
 def parse_config(path: str) -> RunConfig:
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"config file {path!r} not found")
     try:
+        if not parser.read(path):
+            raise ConfigError(f"config file {path!r} not found")
         nx = parser.getint("mesh", "nx")
         ny = parser.getint("mesh", "ny")
         for key, value in (("nx", nx), ("ny", ny)):
@@ -190,7 +191,8 @@ def parse_config(path: str) -> RunConfig:
     except (configparser.Error, ValueError) as exc:
         if isinstance(exc, ConfigError):
             raise
-        raise ConfigError(f"{path}: {exc}") from exc
+        # configparser's messages span lines; the CLI prints one
+        raise ConfigError(f"{path}: {' '.join(str(exc).split())}") from exc
 
     vtk_path = parser.get("output", "vtk", fallback=None)
     if vtk_path and mode is ExecMode.DISTRIBUTED:

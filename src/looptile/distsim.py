@@ -3,13 +3,14 @@
 A run partitions the mesh once and sets up every rank once: its local mesh,
 whole chain and datasets, and per fused sub-chain a slice of that chain, its
 schedule and a halo endpoint.  The rank's sub-chains share its datasets, so
-values pass from one sub-chain to the next on the rank itself.  All halo
-traffic for one sub-chain execution happens in a single exchange: staging
-snapshots every owner's values before any rank computes, and each rank
-commits its incoming buffers between its core and boundary phases.  Staging
-also fills every halo slot with ``POISON``, so a core tile that read one
-before the commit would spread it into the gathered values and fail
-verification.
+values pass from one sub-chain to the next on the rank itself.  Linking a
+sub-chain's endpoints fixes their routes: which owner slots fill which halo
+slots.  All halo traffic for one sub-chain execution happens in a single
+exchange: staging snapshots every owner's values before any rank computes,
+and each rank commits its incoming buffers between its core and boundary
+phases.  Staging also fills every halo slot with ``POISON``, so a core tile
+that read one before the commit would spread it into the gathered values
+and fail verification.
 """
 
 from __future__ import annotations
@@ -31,12 +32,13 @@ POISON = 1e30  # every halo slot's value until the exchange commits
 
 
 class HaloEndpoint:
-    """One rank's side of the halo exchange.
+    """One rank's side of the halo exchange, its routes fixed at ``link()``.
 
-    begin() pulls every neighbor-owned value this rank holds a copy of into
-    staging buffers and poisons every halo slot of the rank's datasets;
-    end() commits the buffers into the local exec/non-exec slots.  The two
-    calls strictly alternate.
+    link() resolves every route once: per exchange-table entry and exchanged
+    dataset of its space, the flat slots this rank receives into, the
+    owner's dataset and the owner's flat slots.  begin() poisons every halo
+    slot of the rank's datasets and stages each route's owner values; end()
+    commits the staged values.  The two calls strictly alternate.
     """
 
     def __init__(self, local_mesh: LocalMesh, datasets: dict[str, Dataset],
@@ -45,69 +47,70 @@ class HaloEndpoint:
         self.rank = local_mesh.rank
         self.datasets = datasets
         self.exchanged = exchanged
-        self.peer_datasets: dict[int, dict[str, Dataset]] = {}
         self.exchange_count = 0
         self.bytes_exchanged = 0
-        self._staged: list[tuple[str, np.ndarray, np.ndarray]] | None = None
+        # peers stage owned slots only; everything past them is halo
+        self._halo_starts = [
+            (ds, local_mesh.sizes[ds.space.name].owned_total * ds.values_per_element)
+            for ds in datasets.values()]
+        self._routes: list[tuple[Dataset, np.ndarray, Dataset, np.ndarray]] = []
+        self._staged: list[tuple[Dataset, np.ndarray, np.ndarray]] | None = None
 
     def link(self, endpoints: list["HaloEndpoint"]) -> None:
-        # the peers' datasets, not the peers: endpoints holding each other
+        # the owners' datasets, not the owners: endpoints holding each other
         # form cycles that keep every rank's arrays alive until a gc pass
-        self.peer_datasets = {e.rank: e.datasets for e in endpoints
-                              if e.rank != self.rank}
+        owner_datasets = {e.rank: e.datasets for e in endpoints}
+        self._routes = []
+        for (space, owner), table in self.local_mesh.exchange_table.items():
+            for name in self.exchanged:
+                ds = self.datasets[name]
+                if ds.space.name == space:
+                    k = ds.values_per_element
+                    self._routes.append((ds, flat_slots(table[:, 0], k).ravel(),
+                                         owner_datasets[owner][name],
+                                         flat_slots(table[:, 1], k).ravel()))
 
     def begin(self) -> None:
         if self._staged is not None:
             raise PartitionBugError("begin() called twice without end()")
-        for ds in self.datasets.values():  # peers stage owned slots only
-            owned = self.local_mesh.sizes[ds.space.name].owned_total
-            ds.values[owned * ds.values_per_element:] = POISON
-        staged = []
-        for (space, nbr), table in sorted(self.local_mesh.exchange_table.items()):
-            peer = self.peer_datasets[nbr]
-            owned_here = self.local_mesh.sizes[space].owned_total
-            incoming = table[table[:, 0] >= owned_here]  # rows the neighbor owns
-            if not len(incoming):
-                continue
-            for name in self.exchanged:
-                ds = self.datasets[name]
-                if ds.space.name != space:
-                    continue
-                k = ds.values_per_element
-                payload = peer[name].values.take(flat_slots(incoming[:, 1], k))
-                staged.append((name, flat_slots(incoming[:, 0], k).ravel(),
-                               payload.ravel()))
-        self._staged = staged
+        for ds, start in self._halo_starts:
+            ds.values[start:] = POISON
+        self._staged = [(ds, slots, source.values.take(source_slots))
+                        for ds, slots, source, source_slots in self._routes]
 
     def end(self) -> None:
         if self._staged is None:
             raise PartitionBugError("end() called without begin()")
         moved = 0
-        for name, slots, payload in self._staged:
-            self.datasets[name].values[slots] = payload
+        for ds, slots, payload in self._staged:
+            ds.values[slots] = payload
             moved += payload.nbytes
         self._staged = None
         self.exchange_count += 1
         self.bytes_exchanged += moved
 
 
-def check_exchange_symmetry(endpoints: list[HaloEndpoint]) -> None:
-    """Tables of each rank pair must list identical global ids in identical order."""
-    by_rank = {e.rank: e for e in endpoints}
-    for e in endpoints:
-        for (space, nbr), table in e.local_mesh.exchange_table.items():
-            peer = by_rank[nbr]
-            mirror = peer.local_mesh.exchange_table.get((space, e.rank))
-            if mirror is None or len(mirror) != len(table):
+def check_exchange_tables(endpoints: list[HaloEndpoint]) -> None:
+    """Each rank's tables list every halo element once, paired with its owner's."""
+    meshes = {e.rank: e.local_mesh for e in endpoints}
+    for lm in meshes.values():
+        for space, sizes in lm.sizes.items():
+            tables = [(owner, table) for (s, owner), table in lm.exchange_table.items()
+                      if s == space]
+            rows = np.concatenate([np.empty(0, np.int64),
+                                   *(table[:, 0] for _, table in tables)])
+            # as many rows as halo elements, each listed: each listed once
+            listed = np.bincount(rows, minlength=sizes.total)[sizes.owned_total:]
+            if len(listed) != len(rows) or not listed.all():
                 raise PartitionBugError(
-                    f"asymmetric exchange table for {space} between ranks "
-                    f"{e.rank} and {nbr}")
-            here = e.local_mesh.global_ids[space][table[:, 0]]
-            there = peer.local_mesh.global_ids[space][mirror[:, 0]]
-            if not np.array_equal(here, there):
-                raise PartitionBugError(
-                    f"exchange tables for {space} pair different global ids "
-                    f"between ranks {e.rank} and {nbr}")
+                    f"rank {lm.rank}'s exchange tables do not list each {space} "
+                    f"halo element exactly once")
+            for owner, table in tables:
+                if (lm.global_ids[space][table[:, 0]]
+                        != meshes[owner].global_ids[space][table[:, 1]]).any():
+                    raise PartitionBugError(
+                        f"rank {lm.rank}'s exchange table for {space} owned by "
+                        f"rank {owner} pairs different global ids")
 
 
 @dataclass
@@ -184,8 +187,8 @@ def setup_ranks(mesh: Mesh, problem: Problem, nranks: int, fusion, depth: int,
     range outside the chain, is an ``InvalidChainError``.  A rank's
     sub-chains share its datasets, which ``initial`` fills from given global
     arrays in place of the problem's initializers.  Each sub-chain's endpoints
-    are linked to each other, with no exchange begun; their shared tables are
-    checked once.
+    are linked to each other, which fixes their routes, with no exchange
+    begun; the partition's tables are checked once.
     """
     fusion = list(fusion)
     if not fusion:
@@ -211,7 +214,7 @@ def setup_ranks(mesh: Mesh, problem: Problem, nranks: int, fusion, depth: int,
         endpoints = [vr.endpoint for vr in ranks]
         for e in endpoints:
             e.link(endpoints)
-    check_exchange_symmetry(endpoints)  # every sub-chain's tables are the partition's
+    check_exchange_tables(endpoints)  # every sub-chain's tables are the partition's
     return by_subchain
 
 

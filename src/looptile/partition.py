@@ -20,8 +20,8 @@ Every step is a whole-array numpy pass:
   rank, and a vertex or edge takes the lowest strip of its local cells;
 - each space is ordered by (region, global id) with one stable sort, and its
   local numbering is a full-size inverse array holding -1 for absent ids;
-- the exchange table of a (space, neighbor) pair is the sorted union of the
-  ids held here and owned there and the ids held there and owned here.
+- a rank's exchange table groups its halo elements by owner, each sorted by
+  global id; the owner's local ids come from its inverse array.
 
 A vertex in no cell, or an edge that is no cell's side, has no owner and
 raises ``ValueError``.
@@ -34,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import IterationSpace, MeshMap
-from .errors import PartitionBugError
 from .mesh import (CELLS, EDGES, SPACES, VERTS, Mesh, cell_sides, mesh_maps,
                    pair_keys)
 
@@ -63,9 +62,9 @@ class LocalMesh:
 
     Within every space, elements are stored core, owned, exec, non-exec;
     ``global_ids`` maps local back to global numbering.  ``exchange_table``
-    holds, per (space, neighbor), the (local-here, local-there) index pairs of
-    entities one side owns and the other holds as halo, ordered by global id
-    on both sides.
+    holds, per (space, owner), the (local id here, local id on the owner)
+    pairs of the halo elements this rank holds and that rank owns, ascending
+    by global id; together the entries list every halo element once.
     """
 
     rank: int
@@ -162,7 +161,7 @@ def partition_for_ranks(mesh: Mesh, nranks: int, depth: int) -> list[LocalMesh]:
 
     ranks = [_build_rank(mesh, r, depth, tri, pairs, incidence, owners, core)
              for r in range(nranks)]
-    exchange = _exchange_tables(ranks, owners, nranks)
+    exchange = _exchange_tables(ranks, owners)
 
     return [LocalMesh(rank=r, sizes=info["sizes"], cells_to_vertices=info["c2v"],
                       edges_to_vertices=info["e2v"], vertex_coords=info["coords"],
@@ -212,39 +211,20 @@ def _build_rank(mesh, r, depth, tri, pairs, incidence, owners, core) -> dict:
     }
 
 
-def _exchange_tables(ranks: list[dict], owners: dict[str, np.ndarray],
-                     nranks: int) -> list[dict[tuple[str, int], np.ndarray]]:
-    """Pair every halo copy with its owner, ordered by global id on both sides."""
-    # held[r][space][s]: ids rank r holds as halo that rank s owns, ascending
-    held = []
-    for info in ranks:
-        per_space = {}
-        for space in SPACES:
-            halo = info["global_ids"][space][info["sizes"][space].owned_total:]
-            owner = owners[space][halo]
-            order = np.lexsort((halo, owner))
-            bounds = np.searchsorted(owner[order], np.arange(nranks + 1))
-            per_space[space] = np.split(halo[order], bounds[1:-1])
-        held.append(per_space)
-
+def _exchange_tables(ranks: list[dict], owners: dict[str, np.ndarray]
+                     ) -> list[dict[tuple[str, int], np.ndarray]]:
+    """Pair every halo element with its owner's copy, grouped by owner."""
     tables = []
-    for r in range(nranks):
+    for info in ranks:
         table = {}
         for space in SPACES:
-            here = ranks[r]["local_of"][space]
-            for s in range(nranks):
-                if s == r:
-                    continue
-                gids = np.sort(np.concatenate([held[r][space][s], held[s][space][r]]))
-                if not len(gids):
-                    continue
-                there = ranks[s]["local_of"][space]
-                for holder, peer, local in ((s, r, there), (r, s, here)):
-                    missing = local[gids] < 0
-                    if missing.any():
-                        raise PartitionBugError(
-                            f"{space} {int(gids[np.argmax(missing)])} missing on rank "
-                            f"{holder} but shared with {peer}")
-                table[(space, s)] = np.column_stack([here[gids], there[gids]])
+            owned = info["sizes"][space].owned_total
+            halo = info["global_ids"][space][owned:]
+            owner = owners[space][halo]
+            order = np.lexsort((halo, owner))
+            peers, starts = np.unique(owner[order], return_index=True)
+            for s, rows in zip(peers.tolist(), np.split(order, starts[1:])):
+                there = ranks[s]["local_of"][space][halo[rows]]
+                table[(space, s)] = np.column_stack([owned + rows, there])
         tables.append(table)
     return tables

@@ -4,7 +4,7 @@ from hypothesis import settings
 
 from looptile import codegen
 from looptile.chain import Region
-from looptile.distsim import check_exchange_symmetry
+from looptile.distsim import check_exchange_tables
 from looptile.executor import KernelRegistry
 from looptile.mesh import generate_rect_mesh, rcm_renumber
 from looptile.problems import FIG2, default_registry, global_setup
@@ -78,7 +78,7 @@ def sources_of(inverse, element):
 
 def halo_exchange(endpoints):
     """One synchronous exchange: every owner's values land in all halo copies."""
-    check_exchange_symmetry(endpoints)
+    check_exchange_tables(endpoints)
     for e in endpoints:
         e.begin()
     for e in endpoints:

@@ -155,32 +155,23 @@ def _build_rank(mesh, r, depth, tri, pairs, vertex_cells, cell_owner,
 
 
 def _fill_exchange_tables(locals_: list[dict], nranks: int) -> None:
-    """Pair every halo copy with its owner, ordered by global id on both sides."""
+    """Pair every halo element with its owner's copy, grouped by owner."""
     for r in range(nranks):
         info_r = locals_[r]
         for space in (CELLS, EDGES, VERTS):
             owners = info_r["owners"][space]
-            shared: dict[int, list[int]] = {}
+            held: dict[int, list[int]] = {}
             for g in info_r["global_ids"][space].tolist():
                 o = int(owners[g])
                 if o != r:
-                    shared.setdefault(o, []).append(g)  # r holds a copy of o's element
-            for s in range(nranks):
-                if s == r:
-                    continue
+                    held.setdefault(o, []).append(g)  # r holds a copy of o's element
+            for s in sorted(held):
                 info_s = locals_[s]
-                gids = set(shared.get(s, ()))
-                # elements r owns that s copies
-                for g in info_s["global_ids"][space].tolist():
-                    if int(owners[g]) == r:
-                        gids.add(g)
-                if not gids:
-                    continue
                 table = []
-                for g in sorted(gids):
+                for g in sorted(held[s]):
                     if g not in info_s["local_of"][space]:
                         raise PartitionBugError(
-                            f"{space} {g} missing on rank {s} but shared with {r}")
+                            f"{space} {g} missing on its owner, rank {s}")
                     table.append((info_r["local_of"][space][g],
                                   info_s["local_of"][space][g]))
                 info_r["exchange"][(space, s)] = np.array(table, dtype=np.int64)

@@ -69,16 +69,24 @@ def test_traced_round_reports_every_metric():
     assert metrics["distsim.exchanges"] > 0
 
 
-@pytest.mark.parametrize("workload", ["eight-shared-inspect", "fig2-seq-steps",
-                                      "eight-dist4"])
-def test_bench_run_smoke(workload, tmp_path):
-    # one untraced round from the repo root; HOME keeps the C cache out of
-    # the user's own
+WORKLOADS = ["eight-shared-inspect", "fig2-seq-steps", "eight-dist4"]
+
+
+@pytest.mark.parametrize("workload,trace", [
+    *(pytest.param(w, 0, id=w) for w in WORKLOADS),
+    *(pytest.param(w, 1, id=f"{w}-traced") for w in WORKLOADS)])
+def test_bench_run_smoke(workload, trace, tmp_path):
+    # one round from the repo root; HOME keeps the C cache out of the user's
+    # own.  A traced round calls through the wrappers the tracer installs
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1",
-         "--seconds", "0", "--trace", "0"],
+         "--seconds", "0", "--trace", str(trace)],
         cwd=ROOT, env={**os.environ, "HOME": str(tmp_path)},
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     last = json.loads(proc.stdout.strip().splitlines()[-1])
     assert last["correct"] is True and last["failed"] == 0
+    if trace and workload == "eight-dist4":
+        metrics = last["metrics"]
+        assert metrics["distsim.exchanges"]["value"] > 0
+        assert metrics["executor.kernel_calls"]["value"] > 0

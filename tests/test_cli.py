@@ -503,8 +503,9 @@ GOOD_LOOPS = "0 = edges edge_inc r@-:edge_w, i@e2v:vertex_acc"
      "[datasets] cell_w: unknown initializer 'rampz'"),
     ("cell_w = cells 1 ramp", "cell_w = cells 0 ramp",
      "[datasets] cell_w: values per element must be >= 1"),
+    (GOOD_LOOPS, "", "[loops] lists no loop"),
 ], ids=["map", "loop-space", "map-source", "dataset-space", "initializer",
-        "zero-width"])
+        "zero-width", "no-loop"])
 def test_bad_names_in_explicit_chain_are_config_errors(tmp_path, capsys,
                                                              old, new, where):
     body = EXPLICIT_INI.format(loops=GOOD_LOOPS)
@@ -533,6 +534,44 @@ def test_out_of_range_values_are_config_errors(tmp_path, capsys, mode, old,
     assert err.startswith(f"config error: {where} ")
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "verify", "inspect-only", "sweep"])
+@pytest.mark.parametrize("old,new,reason", [
+    ("cell_w = cells 1 ramp", "cell_w = cells 1 ramp\nCELL_W = cells 1 ramp",
+     "option 'cell_w' in section 'datasets' already exists"),
+    ("[mesh]", "[mesh", "File contains no section headers."),
+    ("[run]", "[run", "Source contains parsing errors:"),
+    ("[mesh]", "nx = 3\n[mesh]", "File contains no section headers."),
+], ids=["repeated-key", "unclosed-first-header", "unclosed-header",
+        "key-before-section"])
+def test_malformed_ini_files_are_config_errors(tmp_path, capsys, command, old,
+                                               new, reason):
+    body = EXPLICIT_INI.format(loops=GOOD_LOOPS)
+    assert old in body
+    path = write_config(tmp_path, body.replace(old, new))
+    assert main([command, path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"config error: {path}: ")
+    assert reason in err
+    assert len(err.splitlines()) == 1
+
+
+def test_sweep_with_a_failed_variant_exits_3(tmp_path, capsys):
+    # depth 1 admits one fused loop, but it leaves every halo edge non-exec,
+    # so vertices at the cut miss the increments of the other rank's edges
+    path = write_config(tmp_path, FIG2_INI.format(
+        mode="distributed", ts=8, extra="nranks = 2").replace(
+            "nx = 8\nny = 4", "nx = 16\nny = 8").replace("depth = 3", "depth = 1"))
+    assert main(["sweep", path, "--modes", "distributed,sequential",
+                 "--tile-sizes", "8", "--schemes", "0-0"]) == 3
+    out, err = capsys.readouterr()
+    rows = _records(out)
+    assert [(r["mode"], r["verify"]) for r in rows] == [
+        ("distributed", "FAIL"), ("sequential", "pass")]
+    assert err == ("verification failure: 1 of 2 sweep variants diverge "
+                   "from untiled\n")
 
 
 def test_dataset_names_are_case_insensitive(tmp_path, capsys):

@@ -10,11 +10,11 @@ from looptile import distsim
 from looptile.chain import AccessMode
 from looptile.cli import build_mesh
 from looptile.config import parse_config
-from looptile.distsim import (POISON, HaloEndpoint, check_exchange_symmetry,
+from looptile.distsim import (POISON, HaloEndpoint, check_exchange_tables,
                               exchanged_dataset_names, gather,
                               run_distributed, run_subchain, setup_ranks)
 from looptile.errors import DepthExceededError, InvalidChainError, PartitionBugError
-from looptile.executor import execute_schedule, execute_untiled
+from looptile.executor import execute_schedule, execute_untiled, flat_slots
 from looptile.inspector import ExecMode, Region, inspect_chain
 from looptile.mesh import generate_rect_mesh, rcm_renumber
 from looptile.partition import partition_for_ranks
@@ -145,9 +145,9 @@ def test_setup_checks_the_exchange_tables_once(monkeypatch):
 
     def counted(endpoints):
         calls.append(len(endpoints))
-        check_exchange_symmetry(endpoints)
+        check_exchange_tables(endpoints)
 
-    monkeypatch.setattr(distsim, "check_exchange_symmetry", counted)
+    monkeypatch.setattr(distsim, "check_exchange_tables", counted)
     by_subchain = setup_ranks(build_mesh(cfg), cfg.problem, cfg.nranks, cfg.fusion,
                               cfg.depth)
     assert len(by_subchain) == 3
@@ -250,15 +250,76 @@ def test_begin_end_must_alternate(registry):
     e.end()
 
 
+def broken_tables(endpoints, edit):
+    """Give rank 0 a copy of its exchange tables with ``edit`` applied."""
+    broken = {key: table.copy() for key, table in
+              endpoints[0].local_mesh.exchange_table.items()}
+    edit(broken)
+    object.__setattr__(endpoints[0].local_mesh, "exchange_table", broken)
+
+
 def test_asymmetric_tables_detected(registry):
+    # one halo element listed twice and another not at all: the row count
+    # still matches the halo
     mesh = generate_rect_mesh(4, 2)
     endpoints, _ = build_endpoints(mesh, 2, 3, registry)
-    broken = dict(endpoints[0].local_mesh.exchange_table)
-    key = next(iter(broken))
-    broken[key] = broken[key][:-1]  # drop one pair on one side only
-    object.__setattr__(endpoints[0].local_mesh, "exchange_table", broken)
-    with pytest.raises(PartitionBugError, match="asymmetric"):
-        check_exchange_symmetry(endpoints)
+
+    def repeat_first_row(tables):
+        table = next(iter(tables.values()))
+        table[-1] = table[0]
+
+    broken_tables(endpoints, repeat_first_row)
+    with pytest.raises(PartitionBugError, match="exactly once"):
+        check_exchange_tables(endpoints)
+
+
+def test_dropped_table_row_detected(registry):
+    mesh = generate_rect_mesh(4, 2)
+    endpoints, _ = build_endpoints(mesh, 2, 3, registry)
+
+    def drop_last_row(tables):
+        key = next(iter(tables))
+        tables[key] = tables[key][:-1]
+
+    broken_tables(endpoints, drop_last_row)
+    with pytest.raises(PartitionBugError,
+                       match=r"rank 0's exchange tables do not list each cells "
+                             r"halo element exactly once"):
+        check_exchange_tables(endpoints)
+
+
+def test_row_pairing_different_global_ids_detected(registry):
+    # the owner-side id of one row names another of the owner's elements
+    mesh = generate_rect_mesh(4, 2)
+    endpoints, _ = build_endpoints(mesh, 2, 3, registry)
+
+    def shift_owner_id(tables):
+        table = tables[("edges", 1)]
+        table[0, 1] = table[1, 1]
+
+    broken_tables(endpoints, shift_owner_id)
+    with pytest.raises(PartitionBugError,
+                       match="rank 0's exchange table for edges owned by rank 1 "
+                             "pairs different global ids"):
+        check_exchange_tables(endpoints)
+
+
+def test_exchange_rounds_resolve_no_slots(registry, monkeypatch):
+    # link() fixes every route; begin() and end() only poison, stage, commit
+    mesh = rcm_renumber(generate_rect_mesh(8, 4))
+    ranks, = setup_ranks(mesh, EIGHT_LOOP, 4, [(0, 4, 8)], 4)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return flat_slots(*args)
+
+    monkeypatch.setattr(distsim, "flat_slots", counted)
+    for _ in range(2):
+        halo_exchange([vr.endpoint for vr in ranks])
+    assert calls == []
+    assert [vr.endpoint.exchange_count for vr in ranks] == [2] * 4
+    assert all(vr.endpoint.bytes_exchanged > 0 for vr in ranks)
 
 
 def test_gather_detects_overlapping_ownership(registry):
@@ -309,7 +370,7 @@ def test_exchange_through_executor_phases(registry):
     # the core and boundary phases
     mesh = rcm_renumber(generate_rect_mesh(4, 2))
     endpoints, setups = build_endpoints(mesh, 2, 3, registry)
-    check_exchange_symmetry(endpoints)
+    check_exchange_tables(endpoints)
     order = []
     lm, chain, datasets, bindings = setups[0]
 

@@ -59,18 +59,24 @@ def test_exec_ids_are_owned_by_the_other_rank():
 
 
 def test_exchange_tables_pair_identical_global_ids_in_order():
+    # each (space, owner) entry lists the halo elements this rank holds and
+    # the owner owns, ascending by global id, next to the owner's local ids
     mesh = rcm_renumber(generate_rect_mesh(6, 3))
     locals_ = partition_for_ranks(mesh, 3, 2)
     by_rank = {lm.rank: lm for lm in locals_}
     for lm in locals_:
-        for (space, nbr), table in lm.exchange_table.items():
-            mirror = by_rank[nbr].exchange_table[(space, lm.rank)]
+        listed = {space: [] for space in SPACES}
+        for (space, owner), table in lm.exchange_table.items():
+            assert owner != lm.rank and len(table)
+            peer = by_rank[owner]
             here = lm.global_ids[space][table[:, 0]]
-            there = by_rank[nbr].global_ids[space][mirror[:, 0]]
-            assert np.array_equal(here, there)
-            # the local-there column matches the neighbor's local-here column
-            assert np.array_equal(table[:, 1], mirror[:, 0])
-            assert np.array_equal(table[:, 0], mirror[:, 1])
+            assert np.array_equal(here, peer.global_ids[space][table[:, 1]])
+            assert np.all(np.diff(here) > 0)
+            assert np.all(table[:, 1] < peer.sizes[space].owned_total)
+            listed[space] += table[:, 0].tolist()
+        for space, rows in listed.items():
+            sizes = lm.sizes[space]
+            assert sorted(rows) == list(range(sizes.owned_total, sizes.total))
 
 
 @given(nx=st.integers(2, 6), ny=st.integers(1, 4), nranks=st.integers(1, 4),
