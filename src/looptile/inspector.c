@@ -1,13 +1,16 @@
 /* The per-element passes of looptile.inspector: projection through a map,
- * tiling and first-fit coloring; and the Cuthill-McKee walk that
- * looptile.mesh renumbers vertices with.  One fixed source, compiled once per
- * compiler through looptile.codegen.load.  A direct access needs no pass:
- * its loop's tiling met, at each element, the held projection it replaces.
+ * tiling and first-fit coloring; the Cuthill-McKee walk that looptile.mesh
+ * renumbers vertices with; and looptile.partition's passes, one over the
+ * whole mesh and two per rank that touch only the rank's local elements.
+ * One fixed source, compiled once per compiler through looptile.codegen.load.
+ * A direct access needs no pass: its loop's tiling met, at each element,
+ * the held projection it replaces.
  *
- * Every array is C-contiguous int64.  The Python callers check each length
- * and each tile id once, when they bind a pass to its arrays, and
- * mesh.rcm_ordering checks its CSR, so nothing here checks a bound.  A tile
- * id is -1 (no tile) or lies in [0, n_tiles).
+ * Every array is C-contiguous int64 unless its type says otherwise.  The
+ * Python callers check each length and each tile id once, when they bind a
+ * pass to its arrays, mesh.rcm_ordering checks its CSR and
+ * partition.partition_for_ranks the mesh connectivity, so nothing here
+ * checks a bound.  A tile id is -1 (no tile) or lies in [0, n_tiles).
  * A pair of tiles low < high is written as the key low * n_tiles + high;
  * each function that writes keys returns how many it wrote, at most one per
  * candidate it visits, and writes none when keys is NULL.
@@ -238,4 +241,253 @@ int64_t looptile_cuthill_mckee(const int64_t n, const int64_t *offsets,
     }
     free(seen);
     return tail;
+}
+
+/* The partition of looptile.partition, over nc cells, ne edges and nv
+ * vertices.  One numbering holds the elements of all three spaces: cells
+ * at [0, nc), edges at nc + [0, ne), vertices at nc + ne + [0, nv); owner,
+ * core, at_owner and strip are indexed by it.  A rank stores each space
+ * ordered by (region, id). */
+
+enum { CORE, OWNED, EXEC, NONEXEC };  /* regions, in storage order */
+
+static inline int region(const int64_t rank, const int64_t depth,
+                         const int64_t owner, const char core,
+                         const int64_t strip)
+{
+    return owner == rank ? (core ? CORE : OWNED)
+                         : (strip < depth ? EXEC : NONEXEC);
+}
+
+/* The global pass, once per partition, in time linear in the mesh.  Rank
+ * r owns the cells [starts[r], starts[r + 1]).  Writes the cells around
+ * each vertex as a CSR ascending by cell (vertex_offsets, room for nv + 1;
+ * vertex_cells, for 3 nc); each cell's three sides as edge ids (cell_edges,
+ * 3 nc; -1 for a side that is no edge); and per element its owner, the
+ * lowest owner among its cells, its core flag, set when the cells around
+ * each of its vertices have one owner, and at_owner, its local id on its
+ * owner; next has room for 6 n_ranks counts.  Cell owners ascend with the
+ * cell, so a vertex's lowest and highest cell owners are those of the
+ * first and last cell of its row.  Returns 0; or, with the element's id in
+ * fault[0], 1 for the first vertex in no cell, 2 for the first edge that is
+ * no cell's side, 3 for the first edge whose vertex pair an earlier edge
+ * holds. */
+int64_t looptile_partition_mesh(const int64_t nc, const int64_t ne,
+                                const int64_t nv, const int64_t *c2v,
+                                const int64_t *e2v, const int64_t n_ranks,
+                                const int64_t *starts, int64_t *vertex_offsets,
+                                int64_t *vertex_cells, int64_t *cell_edges,
+                                int64_t *owner, char *core, int64_t *at_owner,
+                                int64_t *next, int64_t *fault)
+{
+    int64_t *cell_owner = owner, *edge_owner = owner + nc,
+            *vertex_owner = owner + nc + ne;
+    char *cell_core = core, *edge_core = core + nc, *vertex_core = core + nc + ne;
+    /* per space and rank, where its next core and its next other owned
+     * element go: an owner stores the core elements of a space first, then
+     * the others it owns, each ascending */
+    int64_t *cell_next = next, *edge_next = next + 2 * n_ranks,
+            *vertex_next = next + 4 * n_ranks;
+    for (int64_t r = 0; r < 6 * n_ranks; r++)
+        next[r] = 0;
+
+    /* a counting sort filled backwards: rows keep their cells ascending and
+     * each offset ends at its row's start */
+    for (int64_t v = 0; v <= nv; v++)
+        vertex_offsets[v] = 0;
+    for (int64_t i = 0; i < 3 * nc; i++)
+        vertex_offsets[c2v[i]]++;
+    for (int64_t v = 0; v < nv; v++)
+        vertex_offsets[v + 1] += vertex_offsets[v];
+    for (int64_t i = 3 * nc - 1; i >= 0; i--)
+        vertex_cells[--vertex_offsets[c2v[i]]] = i / 3;
+    for (int64_t v = 0; v < nv; v++)
+        if (vertex_offsets[v] == vertex_offsets[v + 1]) {
+            fault[0] = v;
+            return 1;
+        }
+
+    for (int64_t r = 0; r < n_ranks; r++)
+        for (int64_t c = starts[r]; c < starts[r + 1]; c++)
+            cell_owner[c] = r;
+    for (int64_t v = 0; v < nv; v++) {
+        const int64_t o = cell_owner[vertex_cells[vertex_offsets[v]]];
+        vertex_owner[v] = o;
+        vertex_core[v] = o == cell_owner[vertex_cells[vertex_offsets[v + 1] - 1]];
+        vertex_next[2 * o + 1] += vertex_core[v];
+    }
+    for (int64_t c = 0; c < nc; c++) {
+        cell_core[c] = vertex_core[c2v[3 * c]] && vertex_core[c2v[3 * c + 1]]
+                       && vertex_core[c2v[3 * c + 2]];
+        cell_next[2 * cell_owner[c] + 1] += cell_core[c];
+    }
+
+    /* edge (a, b) is the side of each cell around a that holds b: the
+     * cell's side i + j - 1 for a at position i and b at position j != i.
+     * The first such cell is the lowest, so its owner is the edge's */
+    for (int64_t i = 0; i < 3 * nc; i++)
+        cell_edges[i] = -1;
+    for (int64_t e = 0; e < ne; e++) {
+        const int64_t a = e2v[2 * e], b = e2v[2 * e + 1];
+        edge_owner[e] = -1;
+        for (int64_t q = vertex_offsets[a]; q < vertex_offsets[a + 1]; q++) {
+            const int64_t c = vertex_cells[q], *tri = c2v + 3 * c;
+            const int i = tri[0] == a ? 0 : tri[1] == a ? 1 : 2;
+            const int j = i != 0 && tri[0] == b ? 0 : i != 1 && tri[1] == b ? 1
+                          : i != 2 && tri[2] == b ? 2 : -1;
+            if (j < 0)
+                continue;
+            if (cell_edges[3 * c + i + j - 1] >= 0) {
+                fault[0] = e;
+                return 3;
+            }
+            cell_edges[3 * c + i + j - 1] = e;
+            if (edge_owner[e] < 0)
+                edge_owner[e] = cell_owner[c];
+        }
+        if (edge_owner[e] < 0) {
+            fault[0] = e;
+            return 2;
+        }
+        edge_core[e] = vertex_core[a] && vertex_core[b];
+        edge_next[2 * edge_owner[e] + 1] += edge_core[e];
+    }
+
+    const int64_t ends[3] = {nc, nc + ne, nc + ne + nv};
+    for (int64_t s = 0, g = 0; s < 3; s++)
+        for (int64_t *space_next = next + 2 * n_ranks * s; g < ends[s]; g++)
+            at_owner[g] = space_next[2 * owner[g] + !core[g]]++;
+    return 0;
+}
+
+/* Give element g of a space the strip k unless it has one; then count it
+ * in its region of listed, and a halo element also in peers at its owner,
+ * and widen listed's id range.  Returns whether g was new. */
+static inline int list_element(const int64_t g, const int64_t k,
+                               const int64_t rank, const int64_t depth,
+                               const int64_t *owner, const char *core,
+                               int64_t *strip, int64_t *listed, int64_t *peers)
+{
+    if (strip[g] >= 0)
+        return 0;
+    strip[g] = k;
+    const int r = region(rank, depth, owner[g], core[g], k);
+    listed[r]++;
+    if (r >= EXEC)
+        peers[owner[g]]++;
+    if (g < listed[4])
+        listed[4] = g;
+    if (g > listed[5])
+        listed[5] = g;
+    return 1;
+}
+
+/* The first pass of one rank, in time linear in its local elements.  strip
+ * is -1 for every element on entry.  A breadth-first search from the
+ * rank's cells [lo, hi), strip 0, gives each cell that shares a vertex
+ * with a cell of strip k < depth strip k + 1; queue has room for every
+ * cell.  A vertex or edge lies on the local cells around it and takes the
+ * lowest strip of those.  Per space s, listed[6 s + k] receives the size
+ * of region k, listed[6 s + 4] and listed[6 s + 5] the lowest and highest
+ * id with a strip, and listed[18 + s n_ranks + o] how many of its halo
+ * elements rank o owns. */
+void looptile_partition_grow(const int64_t nc, const int64_t ne,
+                             const int64_t nv, const int64_t *c2v,
+                             const int64_t *vertex_offsets,
+                             const int64_t *vertex_cells,
+                             const int64_t *cell_edges, const int64_t *owner,
+                             const char *core, const int64_t rank,
+                             const int64_t depth, const int64_t n_ranks,
+                             const int64_t lo, const int64_t hi,
+                             int64_t *strip, int64_t *queue, int64_t *listed)
+{
+    const int64_t base[3] = {0, nc, nc + ne}, size[3] = {nc, ne, nv};
+    for (int s = 0; s < 3; s++) {
+        int64_t *l = listed + 6 * s;
+        l[0] = l[1] = l[2] = l[3] = 0;
+        l[4] = size[s];
+        l[5] = -1;
+    }
+    for (int64_t i = 18; i < 18 + 3 * n_ranks; i++)
+        listed[i] = 0;
+#define LIST(s, g, k)                                                        \
+    list_element(g, k, rank, depth, owner + base[s], core + base[s],        \
+                 strip + base[s], listed + 6 * (s), listed + 18 + (s) * n_ranks)
+
+    int64_t tail = 0;
+    for (int64_t c = lo; c < hi; c++)
+        if (LIST(0, c, 0))
+            queue[tail++] = c;
+    /* cells queue by strip, so an element's first strip is its lowest, and
+     * a vertex already listed has had its cells queued */
+    for (int64_t head = 0; head < tail; head++) {
+        const int64_t c = queue[head], k = strip[c];
+        for (int j = 0; j < 3; j++) {
+            const int64_t v = c2v[3 * c + j];
+            if (!LIST(2, v, k) || k == depth)
+                continue;
+            for (int64_t q = vertex_offsets[v]; q < vertex_offsets[v + 1]; q++)
+                if (LIST(0, vertex_cells[q], k + 1))
+                    queue[tail++] = vertex_cells[q];
+        }
+    }
+    for (int64_t head = 0; head < tail; head++) {
+        const int64_t c = queue[head];
+        for (int j = 0; j < 3; j++)
+            if (cell_edges[3 * c + j] >= 0)
+                LIST(1, cell_edges[3 * c + j], strip[c]);
+    }
+#undef LIST
+}
+
+/* The second pass of one rank, from the strips and listed its first pass
+ * left.  One counting pass over each space's id range writes its local
+ * elements ordered by (region, id) to ids[s], and each halo element, at
+ * local id i and owned by rank o, as the pair (i, at_owner) to the table
+ * at tables[s n_ranks + o], which it leaves pointing past its pairs.  Then
+ * the local cells' and edges' vertices go to local_c2v and local_e2v in
+ * local ids, and every strip back to -1.  Each output has room for exactly
+ * what it receives. */
+void looptile_partition_write(const int64_t nc, const int64_t ne,
+                              const int64_t *c2v, const int64_t *e2v,
+                              const int64_t *owner, const char *core,
+                              const int64_t *at_owner, const int64_t rank,
+                              const int64_t depth, const int64_t n_ranks,
+                              const int64_t *listed, int64_t *strip,
+                              int64_t *const *ids, int64_t **tables,
+                              int64_t *local_c2v, int64_t *local_e2v)
+{
+    const int64_t base[3] = {0, nc, nc + ne};
+    int64_t n[3];
+    for (int s = 0; s < 3; s++) {
+        const int64_t *l = listed + 6 * s;
+        int64_t next[4] = {0, l[0], l[0] + l[1], l[0] + l[1] + l[2]};
+        for (int64_t g = base[s] + l[4]; g <= base[s] + l[5]; g++) {
+            if (strip[g] < 0)
+                continue;
+            const int r = region(rank, depth, owner[g], core[g], strip[g]);
+            const int64_t i = next[r]++;
+            ids[s][i] = g - base[s];
+            if (r >= EXEC) {
+                int64_t **table = tables + s * n_ranks + owner[g];
+                (*table)[0] = i;
+                (*table)[1] = at_owner[g];
+                *table += 2;
+            }
+        }
+        n[s] = next[3];
+    }
+
+    /* the vertices' strips give way to their local ids */
+    int64_t *vertex_strip = strip + nc + ne;
+    for (int64_t i = 0; i < n[2]; i++)
+        vertex_strip[ids[2][i]] = i;
+    for (int64_t i = 0; i < 3 * n[0]; i++)
+        local_c2v[i] = vertex_strip[c2v[3 * ids[0][i / 3] + i % 3]];
+    for (int64_t i = 0; i < 2 * n[1]; i++)
+        local_e2v[i] = vertex_strip[e2v[2 * ids[1][i / 2] + i % 2]];
+
+    for (int s = 0; s < 3; s++)
+        for (int64_t i = 0; i < n[s]; i++)
+            strip[base[s] + ids[s][i]] = -1;
 }

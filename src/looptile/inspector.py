@@ -261,8 +261,8 @@ class Schedule:
 # -- the compiled passes -------------------------------------------------------
 # Projection, tiling and coloring run as C (inspector.c beside this module),
 # compiled once per compiler through codegen's cache and loaded on first use;
-# so does mesh.rcm_ordering's Cuthill-McKee walk.  The C indexes without
-# bounds checks, so every array reaches it checked.
+# so do mesh.rcm_ordering's Cuthill-McKee walk and partition's passes.  The C
+# indexes without bounds checks, so every array reaches it checked.
 
 _P, _L = ctypes.c_void_p, ctypes.c_int64
 _C_SIGNATURES = {  # name: (argument types, result type)
@@ -270,6 +270,11 @@ _C_SIGNATURES = {  # name: (argument types, result type)
     "looptile_tile": ((_L, _L, _L, _P, _P, _P, _P, _L, _P, _P, _P), _L),
     "looptile_color": ((_P, _L, _P, _L, _P), ctypes.c_int),
     "looptile_cuthill_mckee": ((_L, _P, _P, _P), _L),
+    "looptile_partition_mesh": ((_L, _L, _L, _P, _P, _L) + (_P,) * 9, _L),
+    "looptile_partition_grow": ((_L, _L, _L) + (_P,) * 6 + (_L,) * 5 + (_P,) * 3,
+                                None),
+    "looptile_partition_write": ((_L, _L) + (_P,) * 5 + (_L,) * 3 + (_P,) * 6,
+                                 None),
 }
 _LIB: ctypes.CDLL | None = None
 

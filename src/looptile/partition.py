@@ -7,24 +7,26 @@ executable (exec), the outermost strip is data-only (non-exec).  Vertex and
 edge regions derive from the cells they touch, which keeps every local
 connectivity row resolvable locally.
 
-Every step is a whole-array numpy pass:
+The per-element work is compiled C (``inspector.c``), after the
+connectivity is checked, since the C indexes without bounds checks:
 
-- the cells around each vertex are a CSR from one stable argsort of the cell
-  connectivity; the cells around each edge are the runs of equal pair keys
-  among all cell sides, matched to edges by one ``searchsorted``.  Segment
-  minima (``np.minimum.reduceat``) of cell values over these give the owners
-  of vertices and edges, and later their strips;
-- an owned entity is core when each of its vertices has a segment minimum
-  of cell owners equal to its segment maximum, so no foreign cell touches it;
-- the halo strips are a boolean breadth-first search of ``depth`` steps per
-  rank, and a vertex or edge takes the lowest strip of its local cells;
-- each space is ordered by (region, global id) with one stable sort, and its
-  local numbering is a full-size inverse array holding -1 for absent ids;
-- a rank's exchange table groups its halo elements by owner, each sorted by
-  global id; the owner's local ids come from its inverse array.
+- one pass over the whole mesh, in time linear in it: the cells around each
+  vertex as a CSR by a counting sort; each cell's sides as edge ids, found
+  among the cells around an endpoint of each edge; and per element its
+  owner (that of its lowest cell), its core flag (the cells around each of
+  its vertices have one owner) and its local id on its owner;
+- two passes per rank, in time linear in the rank's local elements and
+  their id ranges.  The first grows the strips by a breadth-first search
+  from the rank's cells, gives a vertex or edge the lowest strip of its
+  local cells, and counts each region and each owner's halo elements.  The
+  second, once the rank's arrays are allocated at those sizes, orders each
+  space by (region, global id) in one counting pass over its id range,
+  writes the exchange tables and the local connectivity, and resets the
+  strips, so no rank pays for the whole mesh.
 
-A vertex in no cell, or an edge that is no cell's side, has no owner and
-raises ``ValueError``.
+A vertex in no cell, an edge that is no cell's side and an edge stored
+twice raise ``ValueError``, as does connectivity of the wrong length or
+with a vertex id outside the mesh.
 """
 
 from __future__ import annotations
@@ -34,10 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import IterationSpace, MeshMap
-from .mesh import (CELLS, EDGES, SPACES, VERTS, Mesh, cell_sides, mesh_maps,
-                   pair_keys)
-
-CORE, OWNED, EXEC, NONEXEC = range(4)  # region codes, in storage order
+from .inspector import _lib
+from .mesh import CELLS, EDGES, SPACES, VERTS, Mesh, mesh_maps
 
 
 @dataclass(frozen=True)
@@ -85,54 +85,21 @@ class LocalMesh:
         return mesh_maps(self, spaces or self.spaces())
 
 
-@dataclass(frozen=True)
-class _Incidence:
-    """The cells around every vertex and every edge, as sorted segments.
-
-    A vertex's segment holds the cells containing it; an edge's holds the
-    cells having it as a side, i.e. the cells containing both its endpoints.
-    """
-
-    vertex_cells: np.ndarray
-    vertex_starts: np.ndarray
-    side_cells: np.ndarray
-    side_starts: np.ndarray
-    edge_side_run: np.ndarray  # edge -> index of its run of sides
-
-    def reduce(self, cell_values: np.ndarray, ufunc=np.minimum) -> dict[str, np.ndarray]:
-        """Per space, ``ufunc`` over the values of the cells around each entity."""
-        sides = ufunc.reduceat(cell_values[self.side_cells], self.side_starts)
-        return {
-            CELLS: cell_values,
-            EDGES: sides[self.edge_side_run],
-            VERTS: ufunc.reduceat(cell_values[self.vertex_cells], self.vertex_starts),
-        }
-
-
-def _incidence(tri: np.ndarray, pairs: np.ndarray, num_vertices: int) -> _Incidence:
-    # vertex -> cells: one stable argsort of the connectivity, cells ascending
-    flat = tri.ravel()
-    counts = np.bincount(flat, minlength=num_vertices)
-    if not counts.all():
-        raise ValueError(f"vertex {int(np.argmin(counts))} lies in no cell")
-    vertex_cells = np.argsort(flat, kind="stable") // 3
-    vertex_starts = np.concatenate(([0], np.cumsum(counts[:-1])))
-
-    # edge -> cells: the runs of equal pair keys among all cell sides
-    keys = pair_keys(cell_sides(tri), num_vertices)
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    side_starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    run_keys = keys[side_starts]
-    edge_keys = pair_keys(pairs, num_vertices)
-    run = np.minimum(np.searchsorted(run_keys, edge_keys), len(run_keys) - 1)
-    unmatched = run_keys[run] != edge_keys
-    if unmatched.any():
-        e = int(np.argmax(unmatched))
-        raise ValueError(f"edge {e} {tuple(pairs[e].tolist())} is a side of no cell")
-    return _Incidence(vertex_cells=vertex_cells,
-                      vertex_starts=vertex_starts, side_cells=order // 3,
-                      side_starts=side_starts, edge_side_run=run)
+def _connectivity(values, name: str, arity: int, count: int,
+                  num_vertices: int) -> np.ndarray:
+    """``values`` as contiguous int64, or ValueError naming its fault."""
+    if (not isinstance(values, np.ndarray) or values.ndim != 1
+            or values.dtype.kind not in "iu"):
+        raise ValueError(f"{name} is not a 1-D integer array")
+    if len(values) != arity * count:
+        raise ValueError(f"{name} has {len(values)} entries, not "
+                         f"{arity} * {count}")
+    values = np.ascontiguousarray(values, dtype=np.int64)
+    if len(values) and (values.min() < 0 or values.max() >= num_vertices):
+        bad = values[(values < 0) | (values >= num_vertices)][0]
+        raise ValueError(f"{name} holds vertex id {bad}, outside "
+                         f"[0, {num_vertices})")
+    return values
 
 
 def partition_for_ranks(mesh: Mesh, nranks: int, depth: int) -> list[LocalMesh]:
@@ -142,89 +109,73 @@ def partition_for_ranks(mesh: Mesh, nranks: int, depth: int) -> list[LocalMesh]:
         raise ValueError(f"depth must be >= 1, got {depth}")
     if nranks > mesh.num_cells:
         raise ValueError(f"{nranks} ranks for {mesh.num_cells} cells")
+    nc, ne, nv = mesh.num_cells, mesh.num_edges, mesh.num_vertices
+    c2v = _connectivity(mesh.cells_to_vertices, "cells_to_vertices", 3, nc, nv)
+    e2v = _connectivity(mesh.edges_to_vertices, "edges_to_vertices", 2, ne, nv)
+    lib = _lib()
 
-    tri = mesh.cells_to_vertices.reshape(-1, 3)
-    pairs = mesh.edges_to_vertices.reshape(-1, 2)
-    incidence = _incidence(tri, pairs, mesh.num_vertices)
+    # contiguous cell blocks, as np.array_split cuts them
+    q, extra = divmod(nc, nranks)
+    starts = [r * q + min(r, extra) for r in range(nranks + 1)]
+    vertex_offsets = np.empty(nv + 1, dtype=np.int64)
+    vertex_cells = np.empty(3 * nc, dtype=np.int64)
+    cell_edges = np.empty(3 * nc, dtype=np.int64)
+    owner = np.empty(nc + ne + nv, dtype=np.int64)
+    core = np.empty(nc + ne + nv, dtype=np.int8)
+    at_owner = np.empty(nc + ne + nv, dtype=np.int64)
+    block_starts = np.array(starts, dtype=np.int64)
+    next_owned = np.empty(6 * nranks, dtype=np.int64)
+    fault = np.zeros(1, dtype=np.int64)
+    status = lib.looptile_partition_mesh(
+        nc, ne, nv, c2v.ctypes.data, e2v.ctypes.data, nranks,
+        block_starts.ctypes.data, vertex_offsets.ctypes.data,
+        vertex_cells.ctypes.data, cell_edges.ctypes.data, owner.ctypes.data,
+        core.ctypes.data, at_owner.ctypes.data, next_owned.ctypes.data,
+        fault.ctypes.data)
+    f = int(fault[0])
+    if status == 1:
+        raise ValueError(f"vertex {f} lies in no cell")
+    if status:
+        pair = tuple(e2v[2 * f:2 * f + 2].tolist())
+        raise ValueError(f"edge {f} {pair} is a side of no cell" if status == 2
+                         else f"edge {f} {pair} is stored twice")
 
-    # contiguous block ownership of cells; entities follow their lowest-rank cell
-    blocks = [len(b) for b in np.array_split(np.arange(mesh.num_cells), nranks)]
-    cell_owner = np.repeat(np.arange(nranks, dtype=np.int64), blocks)
-    owners = incidence.reduce(cell_owner)
-
-    # core <=> the ring of cells around the entity's vertices is {owner}.  The
-    # entity's own cells lie in every vertex's ring, so it suffices that each
-    # vertex sees a single owner: its lowest and highest cell owners agree.
-    single = owners[VERTS] == incidence.reduce(cell_owner, np.maximum)[VERTS]
-    core = {CELLS: single[tri[:, 0]] & single[tri[:, 1]] & single[tri[:, 2]],
-            EDGES: single[pairs[:, 0]] & single[pairs[:, 1]], VERTS: single}
-
-    ranks = [_build_rank(mesh, r, depth, tri, pairs, incidence, owners, core)
-             for r in range(nranks)]
-    exchange = _exchange_tables(ranks, owners)
-
-    return [LocalMesh(rank=r, sizes=info["sizes"], cells_to_vertices=info["c2v"],
-                      edges_to_vertices=info["e2v"], vertex_coords=info["coords"],
-                      global_ids=info["global_ids"], exchange_table=table)
-            for r, (info, table) in enumerate(zip(ranks, exchange))]
-
-
-def _build_rank(mesh, r, depth, tri, pairs, incidence, owners, core) -> dict:
-    # grow `depth` strips of cells through shared vertices; depth + 1 = absent
-    cell_strip = np.where(owners[CELLS] == r, 0, depth + 1)
-    frontier = cell_strip == 0
-    for k in range(1, depth + 1):
-        touched = np.zeros(mesh.num_vertices, dtype=bool)
-        touched[tri[frontier]] = True
-        frontier = ((touched[tri[:, 0]] | touched[tri[:, 1]] | touched[tri[:, 2]])
-                    & (cell_strip > depth))
-        if not frontier.any():
-            break
-        cell_strip[frontier] = k
-
-    # entities are local iff incident to a local cell; strip = min over those cells
-    strips = incidence.reduce(cell_strip)
-
-    sizes, global_ids, local_of = {}, {}, {}
-    for space in SPACES:
-        strip = strips[space]
-        gids = np.flatnonzero(strip <= depth)
-        region = np.where(owners[space][gids] == r,
-                          np.where(core[space][gids], CORE, OWNED),
-                          np.where(strip[gids] <= depth - 1, EXEC, NONEXEC))
-        # gids ascend, so a stable sort by region orders by (region, gid)
-        gids = gids[np.argsort(region, kind="stable")].astype(np.int64, copy=False)
-        sizes[space] = RegionSizes(*np.bincount(region, minlength=4).tolist())
-        global_ids[space] = gids
-        local = np.full(len(strip), -1, dtype=np.int64)
-        local[gids] = np.arange(len(gids))
-        local_of[space] = local
-
-    vlocal = local_of[VERTS]
-    return {
-        "sizes": sizes,
-        "c2v": vlocal[tri[global_ids[CELLS]]].ravel(),
-        "e2v": vlocal[pairs[global_ids[EDGES]]].ravel(),
-        "coords": mesh.vertex_coords[global_ids[VERTS]],
-        "global_ids": global_ids,
-        "local_of": local_of,
-    }
-
-
-def _exchange_tables(ranks: list[dict], owners: dict[str, np.ndarray]
-                     ) -> list[dict[tuple[str, int], np.ndarray]]:
-    """Pair every halo element with its owner's copy, grouped by owner."""
-    tables = []
-    for info in ranks:
-        table = {}
-        for space in SPACES:
-            owned = info["sizes"][space].owned_total
-            halo = info["global_ids"][space][owned:]
-            owner = owners[space][halo]
-            order = np.lexsort((halo, owner))
-            peers, starts = np.unique(owner[order], return_index=True)
-            for s, rows in zip(peers.tolist(), np.split(order, starts[1:])):
-                there = ranks[s]["local_of"][space][halo[rows]]
-                table[(space, s)] = np.column_stack([owned + rows, there])
-        tables.append(table)
-    return tables
+    # between a rank's two passes its arrays are allocated at their sizes.
+    # listed holds per space the four region sizes and the id range, then
+    # per (space, owner) the count of halo elements
+    strip = np.full(nc + ne + nv, -1, dtype=np.int64)
+    queue = np.empty(nc, dtype=np.int64)
+    listed = np.empty(18 + 3 * nranks, dtype=np.int64)
+    grow = (nc, ne, nv, c2v.ctypes.data, vertex_offsets.ctypes.data,
+            vertex_cells.ctypes.data, cell_edges.ctypes.data, owner.ctypes.data,
+            core.ctypes.data)
+    write = (nc, ne, c2v.ctypes.data, e2v.ctypes.data, owner.ctypes.data,
+             core.ctypes.data, at_owner.ctypes.data)
+    meshes = []
+    for r in range(nranks):
+        lib.looptile_partition_grow(*grow, r, depth, nranks, starts[r], starts[r + 1],
+                                    strip.ctypes.data, queue.ctypes.data,
+                                    listed.ctypes.data)
+        n = listed.tolist()
+        sizes = {space: RegionSizes(*n[6 * s:6 * s + 4]) for s, space in enumerate(SPACES)}
+        gids = {space: np.empty(sizes[space].total, dtype=np.int64) for space in SPACES}
+        ids = np.array([a.ctypes.data for a in gids.values()], dtype=np.uintp)
+        local_c2v = np.empty(3 * sizes[CELLS].total, dtype=np.int64)
+        local_e2v = np.empty(2 * sizes[EDGES].total, dtype=np.int64)
+        # one table per (space, owner) with halo elements, in that order
+        exchange, tables = {}, np.zeros(3 * nranks, dtype=np.uintp)
+        for k, count in enumerate(n[18:]):
+            if count:
+                table = np.empty((count, 2), dtype=np.int64)
+                exchange[(SPACES[k // nranks], k % nranks)] = table
+                tables[k] = table.ctypes.data
+        lib.looptile_partition_write(*write, r, depth, nranks, listed.ctypes.data,
+                                     strip.ctypes.data, ids.ctypes.data,
+                                     tables.ctypes.data, local_c2v.ctypes.data,
+                                     local_e2v.ctypes.data)
+        meshes.append(LocalMesh(
+            rank=r, sizes=sizes, cells_to_vertices=local_c2v,
+            edges_to_vertices=local_e2v,
+            vertex_coords=mesh.vertex_coords[gids[VERTS]], global_ids=gids,
+            exchange_table=exchange))
+    return meshes

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -76,17 +77,30 @@ WORKLOADS = ["eight-shared-inspect", "fig2-seq-steps", "eight-dist4"]
     *(pytest.param(w, 0, id=w) for w in WORKLOADS),
     *(pytest.param(w, 1, id=f"{w}-traced") for w in WORKLOADS)])
 def test_bench_run_smoke(workload, trace, tmp_path):
-    # one round from the repo root; HOME keeps the C cache out of the user's
-    # own.  A traced round calls through the wrappers the tracer installs
+    # one round from a tree of its own: a copy of bench/ beside a link to the
+    # sources, so traces land under tmp_path.  HOME keeps the C cache out of
+    # the user's own.  A traced round calls through the wrappers the tracer
+    # installs
+    shutil.copytree(ROOT / "bench", tmp_path / "bench",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    (tmp_path / "src").symlink_to(ROOT / "src", target_is_directory=True)
+    before = bench_outputs(ROOT)
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1",
          "--seconds", "0", "--trace", str(trace)],
-        cwd=ROOT, env={**os.environ, "HOME": str(tmp_path)},
+        cwd=tmp_path, env={**os.environ, "HOME": str(tmp_path)},
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     last = json.loads(proc.stdout.strip().splitlines()[-1])
     assert last["correct"] is True and last["failed"] == 0
+    assert bench_outputs(ROOT) == before
+    assert bool(bench_outputs(tmp_path)) == bool(trace)
     if trace and workload == "eight-dist4":
         metrics = last["metrics"]
         assert metrics["distsim.exchanges"]["value"] > 0
         assert metrics["executor.kernel_calls"]["value"] > 0
+
+
+def bench_outputs(root: Path) -> dict[str, int]:
+    """The files under ``root/.bench_out``, with their modification times."""
+    return {p.name: p.stat().st_mtime_ns for p in (root / ".bench_out").glob("*")}

@@ -304,6 +304,37 @@ def test_row_pairing_different_global_ids_detected(registry):
         check_exchange_tables(endpoints)
 
 
+def test_row_outside_the_halo_detected(registry):
+    # a row naming an owned element, with the row count unchanged
+    mesh = generate_rect_mesh(4, 2)
+    endpoints, _ = build_endpoints(mesh, 2, 3, registry)
+
+    def point_at_owned(tables):
+        tables[("verts", 1)][0, 0] = 0
+
+    broken_tables(endpoints, point_at_owned)
+    with pytest.raises(PartitionBugError,
+                       match=r"rank 0's exchange tables do not list each verts "
+                             r"halo element exactly once"):
+        check_exchange_tables(endpoints)
+
+
+def test_owner_row_outside_its_owned_elements_detected(registry):
+    # a missing owner copy (-1) and one past the owner's owned elements
+    mesh = generate_rect_mesh(4, 2)
+    endpoints, _ = build_endpoints(mesh, 2, 3, registry)
+    past = endpoints[1].local_mesh.sizes["cells"].owned_total
+    for there in (-1, past):
+        def point_past_owned(tables):
+            tables[("cells", 1)][-1, 1] = there
+
+        broken_tables(endpoints, point_past_owned)
+        with pytest.raises(PartitionBugError,
+                           match="rank 0's exchange table for cells owned by "
+                                 "rank 1 pairs different global ids"):
+            check_exchange_tables(endpoints)
+
+
 def test_exchange_rounds_resolve_no_slots(registry, monkeypatch):
     # link() fixes every route; begin() and end() only poison, stage, commit
     mesh = rcm_renumber(generate_rect_mesh(8, 4))

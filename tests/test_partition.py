@@ -203,6 +203,30 @@ def test_benchmark_partition_matches_per_element_reference():
                              partition_for_ranks_reference(mesh, 4, 4))
 
 
+def test_sixteen_ranks_match_per_element_reference():
+    # row-major numbering, so each rank's ids span rows of the grid
+    mesh = generate_rect_mesh(32, 16)
+    assert_same_local_meshes(partition_for_ranks(mesh, 16, 4),
+                             partition_for_ranks_reference(mesh, 16, 4))
+
+
+def test_depth_past_the_mesh_matches_per_element_reference():
+    # the strips run out of cells long before depth
+    mesh = rcm_renumber(generate_rect_mesh(6, 3))
+    locals_ = partition_for_ranks(mesh, 3, 40)
+    assert_same_local_meshes(locals_, partition_for_ranks_reference(mesh, 3, 40))
+    assert all(lm.sizes[CELLS].total == mesh.num_cells for lm in locals_)
+
+
+def test_local_mesh_arrays_own_exactly_their_rows():
+    mesh = rcm_renumber(generate_rect_mesh(64, 32))
+    for lm in partition_for_ranks(mesh, 4, 4):
+        arrays = [lm.cells_to_vertices, lm.edges_to_vertices,
+                  *lm.global_ids.values(), *lm.exchange_table.values()]
+        for a in arrays:
+            assert a.base is None or a.base.nbytes == a.nbytes
+
+
 def test_vertex_in_no_cell_rejected():
     # validate accepts an isolated vertex; the partition has no owner for it
     mesh = Mesh(num_vertices=4, num_cells=1, num_edges=3,
@@ -220,4 +244,69 @@ def test_edge_on_no_cell_side_rejected():
                 edges_to_vertices=np.array([0, 1, 0, 2, 0, 3, 1, 2, 1, 3, 2, 3]),
                 vertex_coords=np.zeros((4, 2)))
     with pytest.raises(ValueError, match=r"edge 2 \(0, 3\) is a side of no cell"):
+        partition_for_ranks(mesh, 2, 1)
+
+
+# -- connectivity checked before the compiled passes ---------------------------
+
+def triangle_pair(cells=(0, 1, 2, 1, 3, 2), edges=(0, 1, 0, 2, 1, 2, 1, 3, 2, 3)):
+    """Two triangles sharing edge (1, 2), from the given connectivity."""
+    return Mesh(num_vertices=4, num_cells=2, num_edges=5,
+                cells_to_vertices=np.array(cells), edges_to_vertices=np.array(edges),
+                vertex_coords=np.zeros((4, 2)))
+
+
+def test_negative_vertex_id_rejected():
+    mesh = triangle_pair(cells=(0, 1, 2, 1, -1, 2))
+    with pytest.raises(ValueError, match=r"cells_to_vertices holds vertex id -1, "
+                                         r"outside \[0, 4\)"):
+        partition_for_ranks(mesh, 2, 1)
+
+
+def test_vertex_id_past_the_vertices_rejected():
+    mesh = triangle_pair(edges=(0, 1, 0, 2, 1, 2, 1, 3, 2, 4))
+    with pytest.raises(ValueError, match=r"edges_to_vertices holds vertex id 4, "
+                                         r"outside \[0, 4\)"):
+        partition_for_ranks(mesh, 2, 1)
+
+
+def test_short_cells_to_vertices_rejected():
+    mesh = triangle_pair(cells=(0, 1, 2, 1, 3))
+    with pytest.raises(ValueError,
+                       match=r"cells_to_vertices has 5 entries, not 3 \* 2"):
+        partition_for_ranks(mesh, 2, 1)
+
+
+def test_short_edges_to_vertices_rejected():
+    mesh = triangle_pair(edges=(0, 1, 0, 2, 1, 2, 1, 3, 2))
+    with pytest.raises(ValueError,
+                       match=r"edges_to_vertices has 9 entries, not 2 \* 5"):
+        partition_for_ranks(mesh, 2, 1)
+
+
+def test_non_integer_connectivity_rejected():
+    mesh = triangle_pair(cells=(0.0, 1, 2, 1, 3, 2))
+    with pytest.raises(ValueError, match="cells_to_vertices is not a 1-D integer array"):
+        partition_for_ranks(mesh, 2, 1)
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.uint16])
+def test_other_integer_dtypes_partition_alike(dtype):
+    # converted to contiguous int64, strided views included
+    mesh = generate_rect_mesh(6, 3)
+    narrow = Mesh(num_vertices=mesh.num_vertices, num_cells=mesh.num_cells,
+                  num_edges=mesh.num_edges,
+                  cells_to_vertices=mesh.cells_to_vertices.astype(dtype),
+                  edges_to_vertices=np.repeat(mesh.edges_to_vertices.astype(dtype), 2)[::2],
+                  vertex_coords=mesh.vertex_coords)
+    assert_same_local_meshes(partition_for_ranks(narrow, 3, 2),
+                             partition_for_ranks(mesh, 3, 2))
+
+
+def test_edge_stored_twice_rejected():
+    mesh = Mesh(num_vertices=4, num_cells=2, num_edges=6,
+                cells_to_vertices=np.array([0, 1, 2, 1, 3, 2]),
+                edges_to_vertices=np.array([0, 1, 0, 2, 1, 2, 1, 3, 2, 3, 2, 1]),
+                vertex_coords=np.zeros((4, 2)))
+    with pytest.raises(ValueError, match=r"edge 5 \(2, 1\) is stored twice"):
         partition_for_ranks(mesh, 2, 1)
