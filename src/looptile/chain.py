@@ -125,17 +125,21 @@ def invert_map(mesh_map: MeshMap) -> InverseMap:
     """Build the CSR inverse of ``mesh_map``; each segment is sorted ascending.
 
     Sorted segments make later max-scans deterministic regardless of the
-    original map's row order.
+    original map's row order.  A source appears in a target's segment once
+    per column of its row that names the target.  One compiled counting
+    sort (``looptile_invert`` in ``inspector.c``) buckets the map's values,
+    which ``MeshMap`` checked.
     """
+    from .inspector import _lib  # inspector imports this module
+
     n_target = mesh_map.target.total
-    counts = np.bincount(mesh_map.values, minlength=n_target)
-    offsets = np.zeros(n_target + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    # flat entry i belongs to source i // arity, so a stable sort by target
-    # lists each target's sources in ascending order
-    order = np.argsort(mesh_map.values, kind="stable")
+    offsets = np.empty(n_target + 1, dtype=np.int64)
+    values = np.empty(len(mesh_map.values), dtype=np.int64)
+    _lib().looptile_invert(mesh_map.source.total, mesh_map.arity,
+                           mesh_map.values.ctypes.data, n_target,
+                           offsets.ctypes.data, values.ctypes.data)
     return InverseMap(source=mesh_map.target, target=mesh_map.source,
-                      offsets=offsets, values=order // mesh_map.arity)
+                      offsets=offsets, values=values)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,14 +1,17 @@
 /* The per-element passes of looptile.inspector: projection through a map,
- * tiling and first-fit coloring; the Cuthill-McKee walk that looptile.mesh
- * renumbers vertices with; and looptile.partition's passes, one over the
- * whole mesh and two per rank that touch only the rank's local elements.
- * One fixed source, compiled once per compiler through looptile.codegen.load.
- * A direct access needs no pass: its loop's tiling met, at each element,
- * the held projection it replaces.
+ * tiling and first-fit coloring; the counting sort behind every CSR the
+ * program builds: a map's inverse (chain.invert_map), the edge graph that
+ * looptile.mesh renumbers vertices over, with its Cuthill-McKee walk, and
+ * the cells around each vertex; and looptile.partition's passes, one over
+ * the whole mesh and two per rank that touch only the rank's local
+ * elements.  One fixed source, compiled once per compiler through
+ * looptile.codegen.load.  A direct access needs no pass: its loop's tiling
+ * met, at each element, the held projection it replaces.
  *
  * Every array is C-contiguous int64 unless its type says otherwise.  The
  * Python callers check each length and each tile id once, when they bind a
- * pass to its arrays, mesh.rcm_ordering checks its CSR and
+ * pass to its arrays; chain.MeshMap checks a map's values,
+ * mesh.rcm_ordering its CSR, mesh.vertex_adjacency the edge list and
  * partition.partition_for_ranks the mesh connectivity, so nothing here
  * checks a bound.  A tile id is -1 (no tile) or lies in [0, n_tiles).
  * A pair of tiles low < high is written as the key low * n_tiles + high;
@@ -23,6 +26,94 @@ static inline int64_t pair_key(const int64_t a, const int64_t b,
                                const int64_t n_tiles)
 {
     return a < b ? a * n_tiles + b : b * n_tiles + a;
+}
+
+/* A stable counting sort.  Source i, for i in [0, n), holds the arity keys
+ * keys[i * arity:(i + 1) * arity], each in [0, n_buckets).  Bucket b
+ * receives, ascending, source i once per key of i equal to b:
+ * sources[offsets[b]:offsets[b + 1]].  offsets has room for n_buckets + 1,
+ * sources for n * arity. */
+static void bucket_sources(const int64_t n, const int64_t arity,
+                           const int64_t *restrict keys,
+                           const int64_t n_buckets, int64_t *restrict offsets,
+                           int64_t *restrict sources)
+{
+    for (int64_t b = 0; b <= n_buckets; b++)
+        offsets[b] = 0;
+    for (int64_t q = 0; q < n * arity; q++)
+        offsets[keys[q]]++;
+    for (int64_t b = 0; b < n_buckets; b++)
+        offsets[b + 1] += offsets[b];
+    /* offsets[b] is now where bucket b ends; filling backwards moves it to
+     * where the bucket starts and leaves each bucket ascending */
+    for (int64_t i = n - 1, q = n * arity - 1; i >= 0; i--)
+        for (int64_t k = 0; k < arity; k++, q--)
+            sources[--offsets[keys[q]]] = i;
+}
+
+/* Sort row[0:k] in place by insertion, which is linear on the short,
+ * almost ordered rows of a mesh: by (degree in the CSR offsets, id) if
+ * by_degree, else by id alone, offsets unread.  Each caller passes
+ * by_degree as a constant, so the inlined loop never tests it.  Equal
+ * entries are one vertex, so stability is moot. */
+static inline void sort_row(int64_t *restrict row, const int64_t k,
+                            const int64_t *restrict offsets,
+                            const int by_degree)
+{
+    for (int64_t i = 1; i < k; i++) {
+        const int64_t w = row[i],
+                      dw = by_degree ? offsets[w + 1] - offsets[w] : 0;
+        int64_t j = i;
+        for (; j > 0; j--) {
+            const int64_t u = row[j - 1],
+                          du = by_degree ? offsets[u + 1] - offsets[u] : 0;
+            if (du < dw || (du == dw && u <= w))
+                break;
+            row[j] = u;
+        }
+        row[j] = w;
+    }
+}
+
+/* The inverse of a map from n sources, arity targets each in values, onto
+ * n_targets: target t's sources, ascending and once per column that names
+ * t, are sources[offsets[t]:offsets[t + 1]]. */
+void looptile_invert(const int64_t n, const int64_t arity,
+                     const int64_t *values, const int64_t n_targets,
+                     int64_t *offsets, int64_t *sources)
+{
+    bucket_sources(n, arity, values, n_targets, offsets, sources);
+}
+
+/* The edge graph of ne edges (vertex pairs in e2v) over nv vertices as a
+ * CSR: vertex v's distinct neighbours, ascending, are
+ * neighbors[offsets[v]:offsets[v + 1]]; an edge (v, v) makes v its own.
+ * neighbors has room for 2 ne; returns how many it holds. */
+int64_t looptile_adjacency(const int64_t ne, const int64_t *e2v,
+                           const int64_t nv, int64_t *offsets,
+                           int64_t *neighbors)
+{
+    /* the edges around each vertex, in edge order, then the other end of
+     * each, sorted */
+    bucket_sources(ne, 2, e2v, nv, offsets, neighbors);
+    int64_t count = 0;
+    for (int64_t v = 0, lo = 0; v < nv; v++) {
+        const int64_t k = offsets[v + 1] - lo;
+        int64_t *row = neighbors + lo;
+        for (int64_t q = 0; q < k; q++) {
+            const int64_t *pair = e2v + 2 * row[q];
+            row[q] = pair[0] == v ? pair[1] : pair[0];
+        }
+        sort_row(row, k, NULL, 0);
+        /* rows move down over the repeats dropped before them */
+        lo += k;
+        offsets[v] = count;
+        for (int64_t q = 0; q < k; q++)
+            if (count == offsets[v] || neighbors[count - 1] != row[q])
+                neighbors[count++] = row[q];
+    }
+    offsets[nv] = count;
+    return count;
 }
 
 /* A projection through a map.  Target element e has the sources
@@ -222,17 +313,7 @@ int64_t looptile_cuthill_mckee(const int64_t n, const int64_t *offsets,
     int64_t tail = 1;
     for (int64_t head = 0; head < tail; head++) {
         const int64_t v = order[head], lo = offsets[v], hi = offsets[v + 1];
-        for (int64_t i = lo + 1; i < hi; i++) {
-            const int64_t w = rows[i], dw = offsets[w + 1] - offsets[w];
-            int64_t j = i;
-            for (; j > lo; j--) {
-                const int64_t u = rows[j - 1], du = offsets[u + 1] - offsets[u];
-                if (du < dw || (du == dw && u <= w))
-                    break;
-                rows[j] = u;
-            }
-            rows[j] = w;
-        }
+        sort_row(rows + lo, hi - lo, offsets, 1);
         for (int64_t i = lo; i < hi; i++)
             if (!seen[rows[i]]) {
                 seen[rows[i]] = 1;
@@ -291,16 +372,7 @@ int64_t looptile_partition_mesh(const int64_t nc, const int64_t ne,
     for (int64_t r = 0; r < 6 * n_ranks; r++)
         next[r] = 0;
 
-    /* a counting sort filled backwards: rows keep their cells ascending and
-     * each offset ends at its row's start */
-    for (int64_t v = 0; v <= nv; v++)
-        vertex_offsets[v] = 0;
-    for (int64_t i = 0; i < 3 * nc; i++)
-        vertex_offsets[c2v[i]]++;
-    for (int64_t v = 0; v < nv; v++)
-        vertex_offsets[v + 1] += vertex_offsets[v];
-    for (int64_t i = 3 * nc - 1; i >= 0; i--)
-        vertex_cells[--vertex_offsets[c2v[i]]] = i / 3;
+    bucket_sources(nc, 3, c2v, nv, vertex_offsets, vertex_cells);
     for (int64_t v = 0; v < nv; v++)
         if (vertex_offsets[v] == vertex_offsets[v + 1]) {
             fault[0] = v;

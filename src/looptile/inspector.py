@@ -261,14 +261,17 @@ class Schedule:
 # -- the compiled passes -------------------------------------------------------
 # Projection, tiling and coloring run as C (inspector.c beside this module),
 # compiled once per compiler through codegen's cache and loaded on first use;
-# so do mesh.rcm_ordering's Cuthill-McKee walk and partition's passes.  The C
-# indexes without bounds checks, so every array reaches it checked.
+# so do chain.invert_map, mesh's edge graph and Cuthill-McKee walk and
+# partition's passes.  The C indexes without bounds checks, so every array
+# reaches it checked.
 
 _P, _L = ctypes.c_void_p, ctypes.c_int64
 _C_SIGNATURES = {  # name: (argument types, result type)
     "looptile_project": ((_P, _P, _P, _P, _L, _P, _L, _P, _P), _L),
     "looptile_tile": ((_L, _L, _L, _P, _P, _P, _P, _L, _P, _P, _P), _L),
     "looptile_color": ((_P, _L, _P, _L, _P), ctypes.c_int),
+    "looptile_invert": ((_L, _L, _P, _L, _P, _P), None),
+    "looptile_adjacency": ((_L, _P, _L, _P, _P), _L),
     "looptile_cuthill_mckee": ((_L, _P, _P, _P), _L),
     "looptile_partition_mesh": ((_L, _L, _L, _P, _P, _L) + (_P,) * 9, _L),
     "looptile_partition_grow": ((_L, _L, _L) + (_P,) * 6 + (_L,) * 5 + (_P,) * 3,
@@ -477,15 +480,16 @@ class Passes:
         for d in loop.descriptors:
             if d.is_direct:
                 continue
-            if d.map.name not in self._inverse_maps:
-                self._inverse_maps[d.map.name] = invert_map(d.map)
-            inv, target = self._inverse_maps[d.map.name], d.map.target
-            if inv.source != target or inv.target != space:
-                raise InspectionError(f"the inverse of map {d.map.name!r} does not "
-                                      f"run from {target.name!r} to {space.name!r}")
+            target = d.map.target
             held = self.phi.get(target.name)
             if held is not None:
                 _check_array(held, f"projection of {target.name!r}", target.total)
+            if d.map.name not in self._inverse_maps:
+                self._inverse_maps[d.map.name] = invert_map(d.map)
+            inv = self._inverse_maps[d.map.name]
+            if inv.source != target or inv.target != space:
+                raise InspectionError(f"the inverse of map {d.map.name!r} does not "
+                                      f"run from {target.name!r} to {space.name!r}")
             new = self._buffers.get(target.name)
             if new is None:
                 new = self._buffers[target.name] = np.empty(target.total, dtype=np.int64)

@@ -121,20 +121,44 @@ def generate_rect_mesh(nx: int, ny: int) -> Mesh:
     return mesh
 
 
+def checked_connectivity(values, name: str, arity: int, count: int,
+                         num_vertices: int) -> np.ndarray:
+    """``values``, ``count`` rows of ``arity`` vertex ids, as contiguous
+    int64; or ValueError naming its fault and the first row at fault."""
+    if (not isinstance(values, np.ndarray) or values.ndim != 1
+            or values.dtype.kind not in "iu"):
+        raise ValueError(f"{name} is not a 1-D integer array")
+    if len(values) != arity * count:
+        raise ValueError(f"{name} has {len(values)} entries, not "
+                         f"{arity} * {count}")
+    values = np.ascontiguousarray(values, dtype=np.int64)
+    if len(values) and (values.min() < 0 or values.max() >= num_vertices):
+        i = int(np.flatnonzero((values < 0) | (values >= num_vertices))[0])
+        row = values[i - i % arity:i - i % arity + arity].tolist()
+        raise ValueError(f"{name} holds vertex id {values[i]}, outside "
+                         f"[0, {num_vertices}), in row {i // arity} {tuple(row)}")
+    return values
+
+
 def vertex_adjacency(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
     """The edge graph as an int64 CSR ``(offsets, neighbors)``.
 
     Row ``v`` is ``neighbors[offsets[v]:offsets[v + 1]]``: the distinct
-    neighbors of vertex ``v``, ascending.
+    neighbors of vertex ``v``, ascending, for any edge order and with an
+    edge stored twice or reversed.  One compiled counting sort
+    (``looptile_adjacency`` in ``inspector.c``) buckets the edges by
+    vertex, after ``checked_connectivity`` has checked the edge list.
     """
+    from .inspector import _lib  # inspector imports this module
+
     nv = mesh.num_vertices
-    pairs = mesh.edges_to_vertices.reshape(-1, 2).astype(np.int64, copy=False)
-    src = np.concatenate([pairs[:, 0], pairs[:, 1]])
-    dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
-    # CSR of (src, dst) keys, sorted and without repeats
-    src, dst = np.divmod(sorted_distinct(src * nv + dst), nv)
-    offsets = np.searchsorted(src, np.arange(nv + 1))
-    return offsets, dst
+    e2v = checked_connectivity(mesh.edges_to_vertices, "edges_to_vertices", 2,
+                               mesh.num_edges, nv)
+    offsets = np.empty(nv + 1, dtype=np.int64)
+    neighbors = np.empty(len(e2v), dtype=np.int64)
+    count = _lib().looptile_adjacency(mesh.num_edges, e2v.ctypes.data, nv,
+                                      offsets.ctypes.data, neighbors.ctypes.data)
+    return offsets, neighbors[:count]
 
 
 def adjacency_bandwidth(adjacency: tuple[np.ndarray, np.ndarray]) -> int:

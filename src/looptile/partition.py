@@ -11,7 +11,9 @@ The per-element work is compiled C (``inspector.c``), after the
 connectivity is checked, since the C indexes without bounds checks:
 
 - one pass over the whole mesh, in time linear in it: the cells around each
-  vertex as a CSR by a counting sort; each cell's sides as edge ids, found
+  vertex as a CSR, the inverse of ``cells_to_vertices`` by the counting
+  sort that also inverts maps (``chain.invert_map``) and builds the edge
+  graph (``mesh.vertex_adjacency``); each cell's sides as edge ids, found
   among the cells around an endpoint of each edge; and per element its
   owner (that of its lowest cell), its core flag (the cells around each of
   its vertices have one owner) and its local id on its owner;
@@ -26,7 +28,7 @@ connectivity is checked, since the C indexes without bounds checks:
 
 A vertex in no cell, an edge that is no cell's side and an edge stored
 twice raise ``ValueError``, as does connectivity of the wrong length or
-with a vertex id outside the mesh.
+with a vertex id outside the mesh (``mesh.checked_connectivity``).
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import numpy as np
 
 from .chain import IterationSpace, MeshMap
 from .inspector import _lib
-from .mesh import CELLS, EDGES, SPACES, VERTS, Mesh, mesh_maps
+from .mesh import CELLS, EDGES, SPACES, VERTS, Mesh, checked_connectivity, mesh_maps
 
 
 @dataclass(frozen=True)
@@ -85,23 +87,6 @@ class LocalMesh:
         return mesh_maps(self, spaces or self.spaces())
 
 
-def _connectivity(values, name: str, arity: int, count: int,
-                  num_vertices: int) -> np.ndarray:
-    """``values`` as contiguous int64, or ValueError naming its fault."""
-    if (not isinstance(values, np.ndarray) or values.ndim != 1
-            or values.dtype.kind not in "iu"):
-        raise ValueError(f"{name} is not a 1-D integer array")
-    if len(values) != arity * count:
-        raise ValueError(f"{name} has {len(values)} entries, not "
-                         f"{arity} * {count}")
-    values = np.ascontiguousarray(values, dtype=np.int64)
-    if len(values) and (values.min() < 0 or values.max() >= num_vertices):
-        bad = values[(values < 0) | (values >= num_vertices)][0]
-        raise ValueError(f"{name} holds vertex id {bad}, outside "
-                         f"[0, {num_vertices})")
-    return values
-
-
 def partition_for_ranks(mesh: Mesh, nranks: int, depth: int) -> list[LocalMesh]:
     if nranks < 1:
         raise ValueError(f"nranks must be >= 1, got {nranks}")
@@ -110,8 +95,8 @@ def partition_for_ranks(mesh: Mesh, nranks: int, depth: int) -> list[LocalMesh]:
     if nranks > mesh.num_cells:
         raise ValueError(f"{nranks} ranks for {mesh.num_cells} cells")
     nc, ne, nv = mesh.num_cells, mesh.num_edges, mesh.num_vertices
-    c2v = _connectivity(mesh.cells_to_vertices, "cells_to_vertices", 3, nc, nv)
-    e2v = _connectivity(mesh.edges_to_vertices, "edges_to_vertices", 2, ne, nv)
+    c2v = checked_connectivity(mesh.cells_to_vertices, "cells_to_vertices", 3, nc, nv)
+    e2v = checked_connectivity(mesh.edges_to_vertices, "edges_to_vertices", 2, ne, nv)
     lib = _lib()
 
     # contiguous cell blocks, as np.array_split cuts them

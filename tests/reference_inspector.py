@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from looptile.chain import InverseMap, Loop, invert_map
+from looptile.chain import Loop, MeshMap
 from looptile.errors import InspectionError
 from looptile.inspector import NO_TILE
 
@@ -20,9 +20,18 @@ def _add(conflicts: set[tuple[int, int]], a: int, b: int) -> None:
         conflicts.add((min(a, b), max(a, b)))
 
 
+def _inverse(mesh_map: MeshMap) -> tuple[np.ndarray, np.ndarray]:
+    """(offsets, sources) of ``mesh_map``'s inverse, by the stable-argsort
+    definition, sharing no code with ``chain.invert_map``."""
+    counts = np.bincount(mesh_map.values, minlength=mesh_map.target.total)
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    return offsets, np.argsort(mesh_map.values, kind="stable") // mesh_map.arity
+
+
 def project_reference(loop: Loop, sigma: np.ndarray, phi: dict[str, np.ndarray],
                       colors: np.ndarray, conflicts: set[tuple[int, int]],
-                      inverse_maps: dict[str, InverseMap]) -> None:
+                      inverse_maps: dict[str, tuple[np.ndarray, np.ndarray]]
+                      ) -> None:
     # direct accesses fold first and add no pairs: the loop's own tiling
     # already met the held projection they replace
     if any(d.is_direct for d in loop.descriptors):
@@ -30,11 +39,10 @@ def project_reference(loop: Loop, sigma: np.ndarray, phi: dict[str, np.ndarray],
     for d in loop.descriptors:
         if not d.is_direct:
             if d.map.name not in inverse_maps:
-                inverse_maps[d.map.name] = invert_map(d.map)
-            inv = inverse_maps[d.map.name]
+                inverse_maps[d.map.name] = _inverse(d.map)
+            offsets, sources = inverse_maps[d.map.name]
             space = d.map.target
             old_assign = phi.get(space.name)
-            offsets, sources = inv.offsets, inv.values
             sa = sigma
             new = np.full(space.total, NO_TILE, dtype=np.int64)
             for e in range(space.total):

@@ -51,6 +51,24 @@ def test_invert_roundtrips_pair_multiset(seed):
         assert seg == sorted(seg)
 
 
+@given(arity=st.integers(1, 4), n_target=st.integers(0, 40), data=st.data())
+@settings(max_examples=100)
+def test_invert_map_equals_stable_argsort_definition(arity, n_target, data):
+    # zero sources, and targets that no source reaches, included
+    n_source = data.draw(st.integers(0, 12)) if n_target else 0
+    values = np.array(data.draw(st.lists(
+        st.integers(0, max(n_target - 1, 0)), min_size=n_source * arity,
+        max_size=n_source * arity)), dtype=np.int64)
+    m = MeshMap("m", IterationSpace("src", n_source),
+                IterationSpace("tgt", n_target), arity, values)
+    inv = invert_map(m)
+    offsets = np.zeros(n_target + 1, dtype=np.int64)
+    np.cumsum(np.bincount(values, minlength=n_target), out=offsets[1:])
+    assert np.array_equal(inv.offsets, offsets)
+    assert np.array_equal(inv.values,
+                          np.argsort(values, kind="stable") // arity)
+
+
 def fig2_parts():
     mesh = generate_rect_mesh(2, 2)
     spaces = mesh_spaces(mesh)

@@ -425,7 +425,7 @@ class _KeysRecorder:
         fn = getattr(self.lib, name)
 
         def call(*args):
-            if name != "looptile_color":
+            if name in ("looptile_project", "looptile_tile"):
                 self.keys.append(args[-1])
             return fn(*args)
         return call

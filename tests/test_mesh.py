@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from looptile.mesh import (Mesh, adjacency_bandwidth, generate_rect_mesh,
-                           rcm_ordering, rcm_renumber, vertex_adjacency)
+                           rcm_ordering, rcm_renumber, sorted_distinct,
+                           vertex_adjacency)
 
 from reference_mesh import csr_from_lists, lists_from_pairs, rcm_ordering_reference
 
@@ -179,6 +180,23 @@ def test_rcm_ordering_matches_sequential_reference_on_random_graphs(graph):
         (abs(v - w) for v, nbrs in enumerate(lists) for w in nbrs), default=0)
 
 
+def test_long_descending_star_row_matches_reference():
+    # the hub's row arrives in reverse (degree, id) order, from the CSR and
+    # from an edge list that names its leaves in descending order
+    leaves = 2000
+    lists = [list(range(leaves, 0, -1))] + [[0]] * leaves
+    want = rcm_ordering_reference(lists)
+    assert np.array_equal(rcm_ordering(csr_from_lists(lists)), want)
+    e2v = np.column_stack((np.zeros(leaves, dtype=np.int64),
+                           np.arange(leaves, 0, -1))).ravel()
+    star = Mesh(leaves + 1, 0, leaves, np.empty(0, dtype=np.int64), e2v,
+                np.zeros((leaves + 1, 2)))
+    adjacency = vertex_adjacency(star)
+    for got, want_csr in zip(adjacency, csr_from_lists([sorted(a) for a in lists])):
+        assert np.array_equal(got, want_csr)
+    assert np.array_equal(rcm_ordering(adjacency), want)
+
+
 def test_mesh_writes_as_vtk_unstructured_grid(tmp_path):
     from looptile.vtk import parse_vtk, write_mesh_vtk
     mesh = generate_rect_mesh(3, 2)
@@ -251,3 +269,64 @@ def test_vertex_adjacency_lists_sorted_distinct_neighbors():
         assert offsets.dtype == neighbors.dtype == np.int64
         assert np.array_equal(offsets, expected_offsets)
         assert np.array_equal(neighbors, expected_neighbors)
+
+
+def with_edges(mesh, e2v, num_edges=None):
+    """``mesh`` with its edge list replaced, num_edges unchanged by default."""
+    return Mesh(mesh.num_vertices, mesh.num_cells,
+                mesh.num_edges if num_edges is None else num_edges,
+                mesh.cells_to_vertices, e2v, mesh.vertex_coords)
+
+
+@pytest.mark.parametrize("e2v,match", [
+    (lambda e2v: np.append(e2v[:-1], 6),
+     r"edges_to_vertices holds vertex id 6, outside \[0, 6\), in row 8 \(4, 6\)"),
+    (lambda e2v: np.append(e2v[:-1], -1),
+     r"edges_to_vertices holds vertex id -1, outside \[0, 6\), in row 8 \(4, -1\)"),
+    (lambda e2v: e2v[:-1], r"edges_to_vertices has 17 entries, not 2 \* 9"),
+    (lambda e2v: e2v.astype(float), "edges_to_vertices is not a 1-D integer array"),
+], ids=["vertex-past-the-end", "negative-vertex", "odd-length", "float"])
+def test_malformed_edge_list_rejected_before_the_adjacency(e2v, match):
+    # the compiled counting sort indexes by vertex id without checks
+    mesh = generate_rect_mesh(2, 1)
+    with pytest.raises(ValueError, match=match):
+        vertex_adjacency(with_edges(mesh, e2v(mesh.edges_to_vertices)))
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.uint16])
+def test_other_integer_edge_lists_give_the_same_adjacency(dtype):
+    # converted to contiguous int64, strided views included
+    mesh = generate_rect_mesh(3, 2)
+    narrow = np.repeat(mesh.edges_to_vertices.astype(dtype), 2)[::2]
+    for got, want in zip(vertex_adjacency(with_edges(mesh, narrow)),
+                         vertex_adjacency(mesh)):
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+
+
+@st.composite
+def edge_lists(draw):
+    """(num_vertices, edge pairs): up to 300 random pairs, some (v, v), then
+    a third of them again reversed and a quarter repeated, shuffled, over
+    vertices of which the highest may be in no pair.  Small graphs get long
+    rows."""
+    n = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pairs = rng.integers(0, n, (draw(st.integers(0, 300)), 2))
+    pairs = np.concatenate([pairs, pairs[::3, ::-1], pairs[1::4]])
+    return n + draw(st.integers(0, 3)), rng.permutation(pairs)
+
+
+@given(graph=edge_lists())
+@settings(max_examples=100)
+def test_vertex_adjacency_equals_sorted_distinct_definition(graph):
+    nv, e2v = graph
+    mesh = Mesh(nv, 0, len(e2v), np.empty(0, dtype=np.int64), e2v.ravel(),
+                np.zeros((nv, 2)))
+    # every directed (source, neighbor) key once, ascending
+    src = np.concatenate([e2v[:, 0], e2v[:, 1]])
+    dst = np.concatenate([e2v[:, 1], e2v[:, 0]])
+    src, dst = np.divmod(sorted_distinct(src * nv + dst), nv)
+    offsets, neighbors = vertex_adjacency(mesh)
+    assert np.array_equal(offsets, np.searchsorted(src, np.arange(nv + 1)))
+    assert np.array_equal(neighbors, dst)
