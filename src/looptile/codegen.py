@@ -21,7 +21,8 @@ Row r, value c of a mapped argument is ``a<i>[r * k<i> + c]``.
 
 ``load`` compiles any C source into the cache and returns the loaded
 library; besides the chain-shape sources it compiles the inspector's fixed
-source (``looptile/inspector.c``), whose callers bind their own symbols.
+source (``looptile/inspector.c``).  This module only generates, compiles and
+loads C; callers bind their symbols and arrays, ``looptile.executor`` each run.
 ``FLAGS`` keep the arithmetic IEEE: no contraction into fused multiply-adds,
 no fast math and no ``-march``, so a C run equals the numpy run bit for bit.
 Shared objects are cached under ``CACHE_DIR``, named by the sha256 of
@@ -37,16 +38,10 @@ import os
 import shutil
 import subprocess
 import tempfile
-import weakref
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
-import numpy as np
-
-from .chain import AccessMode, Region
-from .errors import CompileError, ExecutionError, StaleScheduleError
-
-if TYPE_CHECKING:
-    from .inspector import Schedule
+from .chain import AccessMode
+from .errors import CompileError
 
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 CACHE_DIR = os.path.join(os.path.expanduser("~"), ".cache", "looptile")
@@ -199,7 +194,7 @@ def load(source: str) -> ctypes.CDLL:
         raise CompileError(f"cannot load {path!r}: {exc}") from None
 
 
-# -- running a schedule -------------------------------------------------------
+# -- the compiled runners -----------------------------------------------------
 
 RUNNER_ARGTYPES = (ctypes.c_void_p,) * 4 + (ctypes.c_int64,)  # (v, x, b, e, n)
 
@@ -217,54 +212,3 @@ def runner(c_bodies, shape):
         fn.argtypes, fn.restype = RUNNER_ARGTYPES, None
         _RUNNERS[key] = fn
     return fn
-
-
-# per schedule: the addresses of x and b, and the arrays they point into
-_POINTERS: "weakref.WeakKeyDictionary[Schedule, tuple]" = weakref.WeakKeyDictionary()
-
-
-def _pointers(schedule: Schedule, args) -> tuple:
-    pointers = _POINTERS.get(schedule)
-    if pointers is None:
-        keep = []
-        for j, (loop_args, tiling) in enumerate(zip(args, schedule.tilings)):
-            for d, _ in loop_args:
-                index = tiling.elements if d.is_direct else tiling.rows[d.map.name]
-                if not d.is_direct and index.shape[1:] != (d.map.arity,):
-                    raise StaleScheduleError(
-                        f"loop {j}: local map {d.map.name!r} rows are "
-                        f"not of arity {d.map.arity}")
-                keep.append(np.ascontiguousarray(index, dtype=np.int64))
-        g = len(keep)
-        keep += [np.ascontiguousarray(t.bounds, dtype=np.int64) for t in schedule.tilings]
-        table = np.array([a.ctypes.data for a in keep], dtype=np.uintp)
-        x = table.ctypes.data  # x is table[:g] and b is table[g:]
-        pointers = _POINTERS[schedule] = (x, x + g * table.itemsize, keep + [table])
-    return pointers
-
-
-def bind(fn, schedule: Schedule, args):
-    """A callable that runs one region's color runs of the schedule through ``fn``.
-
-    ``args`` holds each loop's (descriptor, dataset) pairs; the caller has
-    checked that every slot lies inside its dataset.  Each dataset must be
-    a C-contiguous float64 array, writable if written.
-    """
-    x, b, _ = _pointers(schedule, args)
-    addresses = []
-    for j, loop_args in enumerate(args):
-        for d, ds in loop_args:
-            values = ds.values
-            if (values.dtype != np.float64 or not values.flags.c_contiguous
-                    or (d.mode.writes and not values.flags.writeable)):
-                raise ExecutionError(
-                    f"loop {j}: dataset {ds.name!r} is not a contiguous"
-                    f"{' writable' if d.mode.writes else ''} float64 array")
-            addresses.append(values.ctypes.data)
-    values = np.array(addresses, dtype=np.uintp)
-
-    def run(region: Region) -> None:
-        edges = schedule.runs[region]
-        fn(values.ctypes.data, x, b, edges.ctypes.data, len(edges) - 1)
-
-    return run

@@ -89,6 +89,10 @@ class HaloEndpoint:
         self.exchange_count += 1
         self.bytes_exchanged += moved
 
+    def drop(self) -> None:
+        """Forget a begun exchange uncounted; halo slots stay ``POISON``."""
+        self._staged = None
+
 
 def check_exchange_tables(endpoints: list[HaloEndpoint]) -> None:
     """Each rank's tables list every halo element once, paired with its owner's."""
@@ -223,13 +227,18 @@ def run_subchain(ranks: list[VirtualRank], registry: KernelRegistry) -> None:
 
     Every endpoint begins, snapshotting owners, before any rank computes;
     each rank commits between its core and boundary phases.
+    A rank that raises makes every endpoint drop its exchange.
     """
     for vr in ranks:
         vr.endpoint.begin()
-    for vr in ranks:
-        vr.report = execute_schedule(vr.schedule, vr.chain, vr.bindings,
-                                     vr.datasets, registry,
-                                     exchange=vr.endpoint)
+    try:
+        for vr in ranks:
+            vr.report = execute_schedule(vr.schedule, vr.chain, vr.bindings, vr.datasets,
+                                         registry, exchange=vr.endpoint)
+    except BaseException:
+        for vr in ranks:
+            vr.endpoint.drop()
+        raise
 
 
 def run_distributed(mesh: Mesh, problem: Problem, nranks: int, ts: int,

@@ -9,13 +9,14 @@ non-empty (tile, loop).  A kernel gets one array per descriptor: for n
 iterations and k values per element, a direct access arrives as an (n, k)
 array and a mapped one as (n, arity, k).
 
-A binding holds dataset names only; ``check_bindings`` alone resolves them.
-Each execution then binds every argument to its dataset's flat value array
-and to flat slot indices of the argument's shape: slot ``e * k + c`` holds
-value c of element e, for the elements the tiling lists (direct) or their
-local-map targets (mapped).  For k = 1 the slots are a view of those ids.
-A step then slices the slots of its positions, and the access mode alone
-defines each argument:
+A binding holds dataset names only; ``check_bindings`` alone resolves them
+and, for every backend, checks that each bound value array is 1-D,
+C-contiguous and float64, writable if written.  Each execution then binds
+every argument to its dataset's flat value array and to flat slot indices of
+the argument's shape: slot ``e * k + c`` holds value c of element e, for the
+elements the tiling lists (direct) or their local-map targets (mapped).  For
+k = 1 the slots are a view of those ids.  A step then slices the slots of
+its positions, and the access mode alone defines each argument:
 
 - read: ``values.take(slots)``, read-only, so a kernel writing to it raises
   ``ExecutionError``;
@@ -143,13 +144,14 @@ def check_bindings(chain: LoopChain, bindings, datasets: dict[str, Dataset],
     shape, per loop one ``codegen.Arg`` per argument.
 
     Runs before anything executes, so a bad binding, an unregistered kernel,
-    a dataset of the wrong space or size, a mapped write or an aliased
+    a dataset of the wrong space, size or layout, a mapped write or an aliased
     written dataset (see the module docstring) leaves every dataset untouched.
     """
     if len(bindings) != len(chain.loops):
         raise ExecutionError(
             f"{len(bindings)} bindings for {len(chain.loops)} loops")
     bodies, args, shape = [], [], []
+    first = {}  # dataset name: (loop, written), its first writer or first loop
     for loop, binding in zip(chain.loops, bindings):
         if len(binding.args) != len(loop.descriptors):
             raise ExecutionError(
@@ -177,6 +179,8 @@ def check_bindings(chain: LoopChain, bindings, datasets: dict[str, Dataset],
                 raise ExecutionError(
                     f"loop {loop.index}: dataset {name!r} is written and bound "
                     "to a second argument")
+            if name not in first or (d.mode.writes and not first[name][1]):
+                first[name] = (loop.index, d.mode.writes)
             pairs.append((d, ds))
         body, nargs = registry.get(loop.kernel)
         if nargs != len(loop.descriptors):
@@ -187,18 +191,28 @@ def check_bindings(chain: LoopChain, bindings, datasets: dict[str, Dataset],
         args.append(pairs)
         shape.append(tuple(codegen.Arg(d.mode, None if d.is_direct else d.map.arity,
                                        ds.values_per_element) for d, ds in pairs))
+    for name, (j, writes) in first.items():
+        values = datasets[name].values
+        if (values.dtype != np.float64 or values.ndim != 1 or not values.flags.c_contiguous
+                or (writes and not values.flags.writeable)):
+            raise ExecutionError(f"loop {j}: dataset {name!r} is not a 1-D contiguous"
+                                 f"{' writable' if writes else ''} float64 array")
     return bodies, args, tuple(shape)
 
 
 def check_slots(schedule: Schedule, args) -> None:
-    """Every argument's slots must lie in ``[0, len(values))`` of its dataset.
+    """Every argument's slots must lie in its dataset and its rows have its map's arity.
 
     Runs before anything executes: the C backend indexes without bounds
     checks, and numpy's ``take`` would fail only after earlier steps ran.
     """
     for j, (loop_args, tiling) in enumerate(zip(args, schedule.tilings)):
         for i, (d, ds) in enumerate(loop_args):
-            span = tiling.index_ranges[None if d.is_direct else d.map.name]
+            key = None if d.is_direct else d.map.name
+            if key is not None and tiling.rows[key].shape[1:] != (d.map.arity,):
+                raise StaleScheduleError(
+                    f"loop {j}: local map {key!r} rows are not of arity {d.map.arity}")
+            span = tiling.index_ranges[key]
             if span is not None and (span[0] < 0 or (span[1] + 1)
                                      * ds.values_per_element > len(ds.values)):
                 raise ExecutionError(
@@ -307,6 +321,7 @@ def execute_schedule(schedule: Schedule, chain: LoopChain, bindings,
         raise StaleScheduleError("schedule loop count differs from chain")
     bodies, args, shape = check_bindings(chain, bindings, datasets, registry)
     key = (chain.fingerprint, shape)
+    accepted = key in registry._accepted  # hashed once: AccessMode hashes in Python
     c_bodies = [registry.c_body(loop.kernel) for loop in chain.loops]
     report = ExecutionReport()
 
@@ -314,14 +329,25 @@ def execute_schedule(schedule: Schedule, chain: LoopChain, bindings,
     check_slots(schedule, args)
     if all(c is not None for c in c_bodies):
         report.backend = "c"
-        if key not in registry._accepted:
+        if not accepted:
             # C checks no widths: each numpy body first runs on one element
             for loop, body, loop_shape in zip(chain.loops, bodies, shape):
                 _run_step(loop, body, [(a.mode, np.zeros(a.k), flat_slots(np.zeros(
                     1 if a.arity is None else (1, a.arity), np.int64), a.k))
                     for a in loop_shape], 0, 1)
-            registry._accepted.add(key)
-        run_phase = codegen.bind(codegen.runner(c_bodies, shape), schedule, args)
+        fn = codegen.runner(c_bodies, shape)
+        # one v | x | b table (codegen.generate); this frame keeps it and values alive
+        values = {ds.name: ds.values for loop_args in args for _, ds in loop_args}
+        address = {name: a.ctypes.data for name, a in values.items()}
+        table = np.array([address[ds.name] for loop_args in args for _, ds in loop_args]
+                         + [t.addresses[None if d.is_direct else d.map.name] for loop_args, t
+                            in zip(args, schedule.tilings) for d, _ in loop_args]
+                         + [t.bounds_address for t in schedule.tilings], dtype=np.uintp)
+        v, part = table.ctypes.data, sum(map(len, args)) * table.itemsize
+
+        def run_phase(region):
+            fn(v, v + part, v + 2 * part, schedule.run_addresses[region],
+               len(schedule.runs[region]) - 1)
     else:
         bound = [_bind(loop_args, tiling.elements, tiling.rows)
                  for loop_args, tiling in zip(args, schedule.tilings)]
@@ -332,7 +358,7 @@ def execute_schedule(schedule: Schedule, chain: LoopChain, bindings,
                 for loop, body, b, cut in zip(chain.loops, bodies, bound, cuts):
                     if cut[r] < cut[r + 1]:
                         _run_step(loop, body, b, cut[r], cut[r + 1])
-    with nullcontext() if key in registry._accepted else _undoing(args):
+    with nullcontext() if accepted or report.backend == "c" else _undoing(args):
         run_phase(Region.CORE)
         report.phase_seconds["core"] = time.perf_counter() - t0
 
@@ -346,7 +372,8 @@ def execute_schedule(schedule: Schedule, chain: LoopChain, bindings,
         t0 = time.perf_counter()
         run_phase(Region.BOUNDARY)
         report.phase_seconds["boundary"] = time.perf_counter() - t0
-    registry._accepted.add(key)
+    if not accepted:
+        registry._accepted.add(key)
     return report
 
 

@@ -95,16 +95,31 @@ class LoopTiling:
     The tile at execution position p holds ``elements[bounds[p]:bounds[p + 1]]``
     in ascending order, and ``rows[name][bounds[p]:bounds[p + 1]]`` holds map
     ``name``'s rows of those elements, one row of arity targets per element.
-    The arrays are made read-only.
+    The arrays are made read-only C-contiguous int64, copied only if needed;
+    C reads them at ``addresses`` (key None: the elements) and ``bounds_address``.
     """
 
     elements: np.ndarray
     bounds: np.ndarray
     rows: dict[str, np.ndarray]
+    addresses: dict[str | None, int] = field(init=False, repr=False)
+    bounds_address: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        for a in (self.elements, self.bounds, *self.rows.values()):
-            a.flags.writeable = False
+        def index(a):
+            a = np.ascontiguousarray(a, dtype=np.int64)
+            a.setflags(write=False)
+            return a
+
+        object.__setattr__(self, "elements", index(self.elements))
+        object.__setattr__(self, "bounds", index(self.bounds))
+        object.__setattr__(self, "rows", {name: index(r) for name, r in self.rows.items()})
+        object.__setattr__(self, "addresses", {key: a.ctypes.data for key, a in
+                                               [(None, self.elements), *self.rows.items()]})
+        object.__setattr__(self, "bounds_address", self.bounds.ctypes.data)
+
+    def __reduce__(self):  # a copy records its own addresses
+        return LoopTiling, (self.elements, self.bounds, self.rows)
 
     @cached_property
     def index_ranges(self) -> dict[str | None, tuple[int, int] | None]:
@@ -149,9 +164,10 @@ class Schedule:
     color, ties in id order.  Core colors lie below boundary colors and the
     non-exec tile comes last, so the tiles of one (region, color) hold one
     run of every loop's tiling.
-    ``runs[region]`` (read-only int64), per executable region, holds the
-    execution position where each color run starts, then where the last one
-    ends: loop j runs ``tilings[j].elements[b[e[r]]:b[e[r + 1]]]`` in run r,
+    ``runs[region]`` (read-only int64, at ``run_addresses[region]``), per
+    executable region, holds the execution position where each color run
+    starts, then where the last one ends: loop j runs
+    ``tilings[j].elements[b[e[r]]:b[e[r + 1]]]`` in run r,
     with ``b = tilings[j].bounds`` and ``e = runs[region]``.  Same-colored
     tiles are independent, so one kernel call may run all of a color's
     iterations of a loop.  A local map whose length does not match its list
@@ -170,6 +186,7 @@ class Schedule:
     execution_order: np.ndarray = field(init=False, repr=False)
     tiles_per_color: dict[int, int] = field(init=False, repr=False)
     runs: Mapping[Region, np.ndarray] = field(init=False, repr=False)
+    run_addresses: dict[Region, int] = field(init=False, repr=False)
 
     def __post_init__(self):
         n = len(self.colors)
@@ -208,6 +225,7 @@ class Schedule:
         object.__setattr__(self, "execution_order", order)
         object.__setattr__(self, "tiles_per_color", tiles_per_color)
         object.__setattr__(self, "runs", MappingProxyType(runs))
+        object.__setattr__(self, "run_addresses", {r: e.ctypes.data for r, e in runs.items()})
 
     @cached_property
     def tiles(self) -> tuple[Tile, ...]:

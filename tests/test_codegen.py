@@ -1,12 +1,14 @@
 """Compiled C (generated plans and the inspector's passes): compiling,
 caching, safety checks and CLI errors."""
 
+import copy
 import dataclasses
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from looptile import codegen, inspector
@@ -200,12 +202,46 @@ def test_malformed_tilings_are_stale_before_any_c_runs(registry):
         dataclasses.replace(schedule, tilings=(
             LoopTiling(tiling.elements, bounds, dict(tiling.rows)),
             *schedule.tilings[1:]))
-    # loop 2's e2v rows read as one column: C would index past each row
+    # loop 2's e2v rows read as one column: C would index past each row, and
+    # numpy steps would run loops 0-1 first
     tiling = schedule.tilings[2]
     rows = {"e2v": tiling.rows["e2v"][:, :1].copy()}
     narrow = dataclasses.replace(schedule, tilings=(
         *schedule.tilings[:2], LoopTiling(tiling.elements, tiling.bounds, rows)))
     before = dataset_values(datasets)
-    with pytest.raises(StaleScheduleError, match="arity 2"):
-        execute_schedule(narrow, chain, bindings, datasets, registry)
+    for reg in (registry, numpy_registry()):
+        with pytest.raises(StaleScheduleError, match="arity 2"):
+            execute_schedule(narrow, chain, bindings, datasets, reg)
     assert_values_equal(before, dataset_values(datasets))
+
+
+@pytest.mark.parametrize("registry", [default_registry(), numpy_registry()],
+                         ids=["c", "numpy"])
+def test_tilings_of_other_index_layouts_run_equal(registry):
+    # int32 strided elements and rows, int32 bounds, and deep copies: each
+    # tiling holds int64 C-contiguous read-only arrays at its recorded addresses
+    schedule, chain, _, _ = _fig2_run()
+
+    def strided(a):
+        wide = np.zeros((2 * len(a), *a.shape[1:]), np.int32)
+        wide[::2] = a
+        return wide[::2]
+
+    rebuilt = [LoopTiling(strided(t.elements), t.bounds.astype(np.int32),
+                          {name: strided(r) for name, r in t.rows.items()})
+               for t in schedule.tilings]
+    runs = []
+    for tilings in (schedule.tilings, rebuilt, copy.deepcopy(schedule.tilings)):
+        for t in tilings:
+            arrays = {None: t.elements, **t.rows}
+            for a in (t.bounds, *arrays.values()):
+                assert a.dtype == np.int64 and a.flags.c_contiguous
+                assert not a.flags.writeable
+            assert t.addresses == {key: a.ctypes.data for key, a in arrays.items()}
+            assert t.bounds_address == t.bounds.ctypes.data
+        chain, datasets, bindings = global_setup(generate_rect_mesh(4, 3), FIG2, depth=3)
+        execute_schedule(dataclasses.replace(schedule, tilings=tuple(tilings)),
+                         chain, bindings, datasets, registry)
+        runs.append(dataset_values(datasets))
+    assert_values_equal(runs[0], runs[1])
+    assert_values_equal(runs[0], runs[2])

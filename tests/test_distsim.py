@@ -13,8 +13,10 @@ from looptile.config import parse_config
 from looptile.distsim import (POISON, HaloEndpoint, check_exchange_tables,
                               exchanged_dataset_names, gather,
                               run_distributed, run_subchain, setup_ranks)
-from looptile.errors import DepthExceededError, InvalidChainError, PartitionBugError
-from looptile.executor import execute_schedule, execute_untiled, flat_slots
+from looptile.errors import (DepthExceededError, ExecutionError, InvalidChainError,
+                             PartitionBugError)
+from looptile.executor import (KernelRegistry, execute_schedule, execute_untiled,
+                               flat_slots)
 from looptile.inspector import ExecMode, Region, inspect_chain
 from looptile.mesh import generate_rect_mesh, rcm_renumber
 from looptile.partition import partition_for_ranks
@@ -174,6 +176,26 @@ def test_each_step_reports_its_own_exchange_bytes(registry):
         steps.append([vr.report.bytes_exchanged for ranks in by_subchain for vr in ranks])
     assert all(b > 0 for b in steps[0])
     assert steps[0] == steps[1] == steps[2]
+
+
+def test_a_rejected_run_leaves_the_ranks_runnable(registry):
+    # an empty registry fails after every endpoint has begun: each drops its
+    # exchange uncounted, halos stay poisoned, and the next run is the oracle's
+    mesh = rcm_renumber(generate_rect_mesh(8, 4))
+    ranks, = setup_ranks(mesh, FIG2, 2, [(0, 3, 8)], 3)
+    with pytest.raises(ExecutionError, match="not registered"):
+        run_subchain(ranks, KernelRegistry())
+    for vr in ranks:
+        assert vr.endpoint.exchange_count == 0
+        for ds in vr.datasets.values():
+            owned = vr.local_mesh.sizes[ds.space.name].owned_total
+            assert np.all(ds.values[owned * ds.values_per_element:] == POISON)
+    run_subchain(ranks, registry)
+    assert [vr.endpoint.exchange_count for vr in ranks] == [1, 1]
+    expected = serial_reference(mesh, registry)
+    got = gather(mesh, FIG2, ranks)
+    for name in expected:
+        np.testing.assert_array_equal(got[name], expected[name])
 
 
 def test_depth_shorter_than_chain_rejected(registry):

@@ -298,10 +298,26 @@ def test_unregistered_kernel_leaves_datasets_unchanged(tiled, mesh_8x4):
     assert_values_equal(before, dataset_values(datasets))
 
 
-@pytest.mark.parametrize("path", ["c", "numpy", "untiled", "untiled-wrong-size"])
+LAYOUTS = {  # edge_out's values, as loop 2 must not write them
+    "read-only": lambda v: np.frombuffer(v.tobytes()),  # a read-only copy
+    "strided": lambda v: np.repeat(v, 2)[::2],
+    "float32": lambda v: v.astype(np.float32),
+    "2d": lambda v: v.reshape(-1, 1),
+}
+
+
+@pytest.mark.parametrize("path", ["c", "numpy", "untiled", "untiled-wrong-size",
+                                  *(f"{p}-{layout}" for p in ("c", "numpy", "untiled")
+                                    for layout in LAYOUTS)])
 def test_rejected_widths_leave_datasets_unchanged(path):
     chain, datasets, bindings = global_setup(generate_rect_mesh(4, 2), FIG2, depth=3)
-    if path == "untiled-wrong-size":
+    path, _, layout = path.partition("-")
+    if layout in LAYOUTS:
+        # every backend checks the bound arrays before loops 0-1 change vertex_acc
+        ds = datasets["edge_out"]
+        ds.values = LAYOUTS[layout](ds.values)
+        match = "loop 2: dataset 'edge_out' is not a 1-D contiguous writable float64"
+    elif layout == "wrong-size":
         # edge_out on a 5-edge space of the right name: loop 2 would index
         # past it, after loops 0-1 have changed vertex_acc
         datasets["edge_out"] = Dataset("edge_out", IterationSpace("edges", 5), 1,
@@ -317,7 +333,7 @@ def test_rejected_widths_leave_datasets_unchanged(path):
     registry = numpy_registry() if path == "numpy" else default_registry()
     before = dataset_values(datasets)
     with pytest.raises(ExecutionError, match=match):
-        if path.startswith("untiled"):
+        if path == "untiled":
             execute_untiled(chain, bindings, datasets, registry)
         else:
             schedule = inspect_chain(chain, 4, ExecMode.SEQUENTIAL)

@@ -23,6 +23,21 @@ def test_no_assert_statements():
     assert not found, f"assert statements in the package: {found}"
 
 
+def test_codegen_imports_no_layer_above_it():
+    # codegen generates, compiles and loads C; inspecting, binding and
+    # running a schedule are the layers above, which import it
+    tree = ast.parse((PACKAGE / "codegen.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(f"{node.module or ''}.{alias.name}" for alias in node.names)
+    found = sorted(n for n in names
+                   if {"inspector", "executor", "distsim"} & set(n.split(".")))
+    assert not found, f"codegen imports {found}"
+
+
 def test_every_c_entry_point_is_bound():
     # a looptile_* function in inspector.c without a signature is dead code,
     # and a signature without a function fails only on first load
