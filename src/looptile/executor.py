@@ -201,7 +201,8 @@ def check_bindings(chain: LoopChain, bindings, datasets: dict[str, Dataset],
 
 
 def check_slots(schedule: Schedule, args) -> None:
-    """Every argument's slots must lie in its dataset and its rows have its map's arity.
+    """Every argument's slots must lie in its dataset, and a mapped one's
+    rows must be in its tiling and have its map's arity.
 
     Runs before anything executes: the C backend indexes without bounds
     checks, and numpy's ``take`` would fail only after earlier steps ran.
@@ -209,6 +210,9 @@ def check_slots(schedule: Schedule, args) -> None:
     for j, (loop_args, tiling) in enumerate(zip(args, schedule.tilings)):
         for i, (d, ds) in enumerate(loop_args):
             key = None if d.is_direct else d.map.name
+            if key is not None and key not in tiling.rows:
+                raise StaleScheduleError(
+                    f"loop {j}: tiling holds no rows of local map {key!r}")
             if key is not None and tiling.rows[key].shape[1:] != (d.map.arity,):
                 raise StaleScheduleError(
                     f"loop {j}: local map {key!r} rows are not of arity {d.map.arity}")

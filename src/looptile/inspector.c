@@ -2,21 +2,24 @@
  * tiling and first-fit coloring; the counting sort behind every CSR the
  * program builds: a map's inverse (chain.invert_map), the edge graph that
  * looptile.mesh renumbers vertices over, with its Cuthill-McKee walk, and
- * the cells around each vertex; and looptile.partition's passes, one over
- * the whole mesh and two per rank that touch only the rank's local
- * elements.  One fixed source, compiled once per compiler through
- * looptile.codegen.load.  A direct access needs no pass: its loop's tiling
- * met, at each element, the held projection it replaces.
+ * the cells around each vertex; the counting passes that reorder a
+ * renumbered mesh's cells and edges, in place of a sort; and
+ * looptile.partition's passes, one over the whole mesh and two per rank
+ * that touch only the rank's local elements.  One fixed source, compiled
+ * once per compiler through looptile.codegen.load.  A direct access needs
+ * no pass: its loop's tiling met, at each element, the held projection it
+ * replaces.
  *
  * Every array is C-contiguous int64 unless its type says otherwise.  The
  * Python callers check each length and each tile id once, when they bind a
  * pass to its arrays; chain.MeshMap checks a map's values,
- * mesh.rcm_ordering its CSR, mesh.vertex_adjacency the edge list and
- * partition.partition_for_ranks the mesh connectivity, so nothing here
- * checks a bound.  A tile id is -1 (no tile) or lies in [0, n_tiles).
- * A pair of tiles low < high is written as the key low * n_tiles + high;
- * each function that writes keys returns how many it wrote, at most one per
- * candidate it visits, and writes none when keys is NULL.
+ * mesh.rcm_ordering its CSR, mesh.vertex_adjacency the edge list,
+ * mesh.rcm_renumber the cell list and partition.partition_for_ranks the
+ * mesh connectivity, so nothing here checks a bound.  A tile id is -1 (no
+ * tile) or lies in [0, n_tiles).  A pair of tiles low < high is written as
+ * the key low * n_tiles + high; each function that writes keys returns how
+ * many it wrote, at most one per candidate it visits, and writes none when
+ * keys is NULL.
  */
 
 #include <stdint.h>
@@ -322,6 +325,83 @@ int64_t looptile_cuthill_mckee(const int64_t n, const int64_t *offsets,
     }
     free(seen);
     return tail;
+}
+
+/* Stable counting passes over the vertex range, last key first, as
+ * np.lexsort orders.  Row i of rows holds arity vertex ids (at most 3),
+ * relabelled by perm; its keys, keys[i * arity:(i + 1) * arity], are its
+ * new ids, ascending.  order (room for n) receives the ids of the n rows
+ * ascending by keys, equal keys in id order.  A pass costs n + nv whatever
+ * the ids, so a vertex in many rows costs nothing extra.  keys has room
+ * for n * arity, scratch for n, count for nv. */
+static void lexsort_rows(const int64_t n, const int64_t arity,
+                         const int64_t *restrict rows,
+                         const int64_t *restrict perm, const int64_t nv,
+                         int64_t *restrict keys, int64_t *restrict order,
+                         int64_t *restrict scratch, int64_t *restrict count)
+{
+    for (int64_t i = 0; i < n * arity; i += arity) {
+        for (int64_t k = 0; k < arity; k++)
+            keys[i + k] = perm[rows[i + k]];
+        sort_row(keys + i, arity, NULL, 0);
+    }
+    for (int64_t c = arity - 1; c >= 0; c--) {
+        /* the passes alternate between the buffers and end in order */
+        const int64_t *from = c == arity - 1 ? NULL : c % 2 ? order : scratch;
+        int64_t *to = c % 2 ? scratch : order;
+        for (int64_t b = 0; b < nv; b++)
+            count[b] = 0;
+        for (int64_t i = 0; i < n; i++)
+            count[keys[i * arity + c]]++;
+        for (int64_t b = 0, start = 0; b < nv; b++) {
+            const int64_t k = count[b];
+            count[b] = start;
+            start += k;
+        }
+        for (int64_t q = 0; q < n; q++) {
+            const int64_t i = from != NULL ? from[q] : q;
+            to[count[keys[i * arity + c]]++] = i;
+        }
+    }
+}
+
+/* A mesh relabelled by perm (old vertex id -> new, over nv vertices): its
+ * nc cells (c2v) and ne edges (e2v) are ordered by the ascending tuple of
+ * their new vertex ids, equal tuples in their old order, and written to
+ * new_c2v, each cell in its own vertex order, and new_e2v, each edge
+ * ascending.  Returns 0, or -1 if no scratch memory could be had. */
+int64_t looptile_renumber(const int64_t nv, const int64_t *perm,
+                          const int64_t nc, const int64_t *c2v,
+                          const int64_t ne, const int64_t *e2v,
+                          int64_t *new_c2v, int64_t *new_e2v)
+{
+    const int64_t n = nc > ne ? nc : ne;
+    int64_t *keys = malloc((3 * n + 1) * sizeof *keys);
+    int64_t *order = malloc((n + 1) * sizeof *order);
+    int64_t *scratch = malloc((n + 1) * sizeof *scratch);
+    int64_t *count = malloc((nv + 1) * sizeof *count);
+    if (keys == NULL || order == NULL || scratch == NULL || count == NULL) {
+        free(keys);
+        free(order);
+        free(scratch);
+        free(count);
+        return -1;
+    }
+    /* an edge's keys are its new row */
+    lexsort_rows(ne, 2, e2v, perm, nv, keys, order, scratch, count);
+    for (int64_t q = 0; q < ne; q++) {
+        new_e2v[2 * q] = keys[2 * order[q]];
+        new_e2v[2 * q + 1] = keys[2 * order[q] + 1];
+    }
+    lexsort_rows(nc, 3, c2v, perm, nv, keys, order, scratch, count);
+    for (int64_t q = 0; q < nc; q++)
+        for (int k = 0; k < 3; k++)
+            new_c2v[3 * q + k] = perm[c2v[3 * order[q] + k]];
+    free(keys);
+    free(order);
+    free(scratch);
+    free(count);
+    return 0;
 }
 
 /* The partition of looptile.partition, over nc cells, ne edges and nv

@@ -291,6 +291,7 @@ _C_SIGNATURES = {  # name: (argument types, result type)
     "looptile_invert": ((_L, _L, _P, _L, _P, _P), None),
     "looptile_adjacency": ((_L, _P, _L, _P, _P), _L),
     "looptile_cuthill_mckee": ((_L, _P, _P, _P), _L),
+    "looptile_renumber": ((_L, _P, _L, _P, _L, _P, _P, _P), _L),
     "looptile_partition_mesh": ((_L, _L, _L, _P, _P, _L) + (_P,) * 9, _L),
     "looptile_partition_grow": ((_L, _L, _L) + (_P,) * 6 + (_L,) * 5 + (_P,) * 3,
                                 None),

@@ -88,7 +88,9 @@ def generate_rect_mesh(nx: int, ny: int) -> Mesh:
     """Triangulate an nx-by-ny quad grid into 2*nx*ny triangles.
 
     Vertex (i, j) gets id j*(nx+1)+i; every quad is split along its
-    bottom-left to top-right diagonal.
+    bottom-left to top-right diagonal, lower triangle first.  The edges are
+    listed in ascending (low, high) order as they are generated, so nothing
+    is sorted.
     """
     if nx < 1 or ny < 1:
         raise ValueError(f"mesh dimensions must be positive, got {nx}x{ny}")
@@ -98,24 +100,32 @@ def generate_rect_mesh(nx: int, ny: int) -> Mesh:
     ii, jj = np.meshgrid(np.arange(nvx), np.arange(nvy))
     coords = np.column_stack([ii.ravel().astype(float), jj.ravel().astype(float)])
 
-    j, i = np.divmod(np.arange(nx * ny, dtype=np.int64), nx)
-    v00 = j * nvx + i
-    v10 = v00 + 1
-    v01 = v00 + nvx
-    v11 = v01 + 1
-    lower = np.column_stack([v00, v10, v11])
-    upper = np.column_stack([v00, v11, v01])
-    tri = np.stack([lower, upper], axis=1).reshape(-1, 3)  # lower, then upper, per quad
+    # the quad with bottom-left corner v holds (v, v+1, v+nvx+1), then
+    # (v, v+nvx+1, v+nvx)
+    corner = np.arange(0, ny * nvx, nvx)[:, None] + np.arange(nx)
+    tri = (corner[:, :, None, None]
+           + np.array([[0, 1, nvx + 1], [0, nvx + 1, nvx]])).reshape(-1, 3)
 
-    edge_keys = sorted_distinct(pair_keys(cell_sides(tri), num_vertices))
-    e2v = np.column_stack(np.divmod(edge_keys, num_vertices)).ravel()
+    # Each vertex of a grid row below the top has its right, upper and
+    # diagonal neighbours, v+1, v+nvx and v+nvx+1, where they exist; the top
+    # row's vertices, their right ones.  Listed vertex by vertex, the edges
+    # are in ascending (low, high) order with no sort.
+    step = np.append(np.tile([1, nvx, nvx + 1], nx), nvx)  # high - low along a row
+    low = np.repeat(np.arange(nvx), np.append(np.full(nx, 3), 1))
+    below = len(step) * ny
+    e2v = np.empty((below + nx, 2), dtype=np.int64)
+    rows = e2v[:below].reshape(ny, len(step), 2)
+    rows[:, :, 0] = np.arange(0, ny * nvx, nvx)[:, None] + low
+    rows[:, :, 1] = rows[:, :, 0] + step
+    e2v[below:, 0] = np.arange(ny * nvx, ny * nvx + nx)
+    e2v[below:, 1] = e2v[below:, 0] + 1
 
     mesh = Mesh(
         num_vertices=num_vertices,
         num_cells=len(tri),
-        num_edges=len(edge_keys),
+        num_edges=len(e2v),
         cells_to_vertices=tri.ravel(),
-        edges_to_vertices=e2v,
+        edges_to_vertices=e2v.ravel(),
         vertex_coords=coords,
     )
     return mesh
@@ -220,29 +230,37 @@ def rcm_renumber(mesh: Mesh) -> Mesh:
 
     Vertices take their RCM positions.  Cells and edges are then ordered by
     the sorted tuple of their new vertex ids, keeping entities with nearby
-    vertices nearby, so chunked seed partitions stay spatially compact; the
-    sort is stable, so equal tuples keep their order.  A cell keeps its
-    vertex order; an edge stores its vertices ascending.
+    vertices nearby, so chunked seed partitions stay spatially compact;
+    equal tuples keep their order.  A cell keeps its vertex order; an edge
+    stores its vertices ascending.  The reordering is one C call
+    (``looptile_renumber`` in ``inspector.c``): stable counting passes over
+    the vertex range, last tuple entry first, which order as ``np.lexsort``
+    would.  ``checked_connectivity`` checks the cell list first and
+    ``vertex_adjacency`` the edge list.
     """
+    from .inspector import _lib  # inspector imports this module
+
+    nv = mesh.num_vertices
+    c2v = checked_connectivity(mesh.cells_to_vertices, "cells_to_vertices", 3,
+                               mesh.num_cells, nv)
     order = rcm_ordering(vertex_adjacency(mesh))
-    vertex_perm = np.empty(mesh.num_vertices, dtype=np.int64)  # old -> new
-    vertex_perm[order] = np.arange(mesh.num_vertices)
-    tri = vertex_perm[mesh.cells_to_vertices.reshape(-1, 3)]
-    ends = vertex_perm[mesh.edges_to_vertices.reshape(-1, 2)]
-    # column-wise keys: reductions along rows 2 or 3 wide cost several times more
-    low = np.minimum(ends[:, 0], ends[:, 1])
-    high = np.maximum(ends[:, 0], ends[:, 1])
-    edge_order = np.lexsort((high, low))  # np.lexsort takes its primary key last
-    a, b, c = tri.T
-    low3 = np.minimum(np.minimum(a, b), c)
-    high3 = np.maximum(np.maximum(a, b), c)
-    cell_order = np.lexsort((high3, a + b + c - low3 - high3, low3))
+    # vertex_adjacency has checked the edge list
+    e2v = np.ascontiguousarray(mesh.edges_to_vertices, dtype=np.int64)
+    vertex_perm = np.empty(nv, dtype=np.int64)  # old -> new
+    vertex_perm[order] = np.arange(nv)
+    new_c2v = np.empty_like(c2v)
+    new_e2v = np.empty_like(e2v)
+    if _lib().looptile_renumber(nv, vertex_perm.ctypes.data,
+                                mesh.num_cells, c2v.ctypes.data,
+                                mesh.num_edges, e2v.ctypes.data,
+                                new_c2v.ctypes.data, new_e2v.ctypes.data) < 0:
+        raise MemoryError("no memory to renumber the cells and edges")
     return Mesh(
-        num_vertices=mesh.num_vertices,
+        num_vertices=nv,
         num_cells=mesh.num_cells,
         num_edges=mesh.num_edges,
-        cells_to_vertices=tri[cell_order].ravel(),
-        edges_to_vertices=np.column_stack((low[edge_order], high[edge_order])).ravel(),
+        cells_to_vertices=new_c2v,
+        edges_to_vertices=new_e2v,
         vertex_coords=mesh.vertex_coords[order],
     )
 

@@ -217,6 +217,20 @@ def test_malformed_tilings_are_stale_before_any_c_runs(registry):
 
 @pytest.mark.parametrize("registry", [default_registry(), numpy_registry()],
                          ids=["c", "numpy"])
+def test_tiling_without_rows_of_a_read_map_is_stale(registry):
+    # loop 2 reads vertex_acc through e2v, but its tiling holds no e2v rows
+    schedule, chain, bindings, datasets = _fig2_run()
+    tiling = schedule.tilings[2]
+    rowless = dataclasses.replace(schedule, tilings=(
+        *schedule.tilings[:2], LoopTiling(tiling.elements, tiling.bounds, {})))
+    before = dataset_values(datasets)
+    with pytest.raises(StaleScheduleError, match="loop 2: .*'e2v'"):
+        execute_schedule(rowless, chain, bindings, datasets, registry)
+    assert_values_equal(before, dataset_values(datasets))
+
+
+@pytest.mark.parametrize("registry", [default_registry(), numpy_registry()],
+                         ids=["c", "numpy"])
 def test_tilings_of_other_index_layouts_run_equal(registry):
     # int32 strided elements and rows, int32 bounds, and deep copies: each
     # tiling holds int64 C-contiguous read-only arrays at its recorded addresses

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from looptile import inspector
 from looptile.mesh import (Mesh, adjacency_bandwidth, generate_rect_mesh,
                            rcm_ordering, rcm_renumber, sorted_distinct,
                            vertex_adjacency)
 
-from reference_mesh import csr_from_lists, lists_from_pairs, rcm_ordering_reference
+from reference_mesh import (csr_from_lists, edges_reference, lists_from_pairs,
+                            rcm_ordering_reference, rcm_renumber_reference)
 
 
 def test_unit_quad_splits_into_two_triangles():
@@ -330,3 +332,103 @@ def test_vertex_adjacency_equals_sorted_distinct_definition(graph):
     offsets, neighbors = vertex_adjacency(mesh)
     assert np.array_equal(offsets, np.searchsorted(src, np.arange(nv + 1)))
     assert np.array_equal(neighbors, dst)
+
+
+# -- generation and renumbering against their sort-based definitions ---------
+
+@given(nx=st.integers(1, 40), ny=st.integers(1, 40))
+@settings(max_examples=60)
+def test_generated_edges_equal_the_sorted_cell_sides(nx, ny):
+    mesh = generate_rect_mesh(nx, ny)
+    want = edges_reference(mesh)
+    assert mesh.edges_to_vertices.dtype == want.dtype
+    assert np.array_equal(mesh.edges_to_vertices, want)
+    assert mesh.num_edges == len(want) // 2
+
+
+@st.composite
+def scrambled_meshes(draw):
+    """A relabelled rect mesh with its cells and edges shuffled, about half
+    its edge pairs reversed and one cell stored again, its vertices rotated:
+    the copy ties with the original, so their order shows stability."""
+    mesh = draw(relabeled_rect_meshes())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tri = rng.permutation(mesh.cells_to_vertices.reshape(-1, 3))
+    copy = np.roll(tri[rng.integers(len(tri))], 1)
+    tri = np.insert(tri, rng.integers(len(tri) + 1), copy, axis=0)
+    pairs = rng.permutation(mesh.edges_to_vertices.reshape(-1, 2))
+    flip = rng.random(len(pairs)) < 0.5
+    pairs[flip] = pairs[flip, ::-1]
+    return Mesh(mesh.num_vertices, len(tri), len(pairs), tri.ravel(),
+                pairs.ravel(), mesh.vertex_coords)
+
+
+@given(mesh=scrambled_meshes())
+@settings(max_examples=60)
+def test_rcm_renumber_equals_lexsort_reference(mesh):
+    assert mesh_digest(rcm_renumber(mesh)) == mesh_digest(rcm_renumber_reference(mesh))
+
+
+def test_fan_around_one_hub_equals_lexsort_reference():
+    # every cell and edge holds the hub, cells listed in reverse: one vertex
+    # in thousands of rows
+    leaves = 3000
+    rim = np.arange(1, leaves + 1)
+    tri = np.column_stack((rim[1:], np.zeros(leaves - 1, np.int64), rim[:-1]))[::-1]
+    pairs = np.concatenate((np.column_stack((rim, np.zeros(leaves, np.int64))),
+                            np.column_stack((rim[:-1], rim[1:]))))
+    fan = Mesh(leaves + 1, len(tri), len(pairs), tri.ravel(), pairs.ravel(),
+               np.zeros((leaves + 1, 2)))
+    fan.validate()
+    assert mesh_digest(rcm_renumber(fan)) == mesh_digest(rcm_renumber_reference(fan))
+
+
+def test_generation_and_renumbering_sort_nothing(monkeypatch):
+    # the edges are generated in key order and cells and edges reordered by
+    # counting passes, so no numpy sort runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("a numpy sort ran")
+
+    for name in ("sort", "argsort", "lexsort"):
+        monkeypatch.setattr(np, name, refuse)
+    mesh = rcm_renumber(generate_rect_mesh(16, 8))
+    assert mesh_digest(mesh) == GOLDEN_MESH_DIGESTS[((16, 8), True)]
+
+
+def with_cells(mesh, c2v):
+    """``mesh`` with its cell list replaced, num_cells unchanged."""
+    return Mesh(mesh.num_vertices, mesh.num_cells, mesh.num_edges, c2v,
+                mesh.edges_to_vertices, mesh.vertex_coords)
+
+
+@pytest.mark.parametrize("c2v,match", [
+    (lambda c2v: np.append(c2v[:-1], -1),
+     r"cells_to_vertices holds vertex id -1, outside \[0, 12\), in row 11 \(6, 11, -1\)"),
+    (lambda c2v: np.append(c2v[:-1], 99),
+     r"cells_to_vertices holds vertex id 99, outside \[0, 12\), in row 11 \(6, 11, 99\)"),
+    (lambda c2v: c2v[:-1], r"cells_to_vertices has 35 entries, not 3 \* 12"),
+    (lambda c2v: c2v.astype(float), "cells_to_vertices is not a 1-D integer array"),
+], ids=["negative-vertex", "vertex-past-the-end", "one-entry-short", "float"])
+def test_malformed_cell_list_rejected_before_any_c_runs(c2v, match, monkeypatch):
+    # the compiled reordering indexes by vertex id without checks
+    mesh = generate_rect_mesh(3, 2)
+
+    def no_c():
+        raise AssertionError("C ran on an unchecked cell list")
+
+    monkeypatch.setattr(inspector, "_lib", no_c)
+    with pytest.raises(ValueError, match=match):
+        rcm_renumber(with_cells(mesh, c2v(mesh.cells_to_vertices)))
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.uint16])
+def test_other_integer_connectivity_gives_the_same_mesh(dtype):
+    # converted to contiguous int64, strided views included
+    mesh = generate_rect_mesh(3, 2)
+
+    def narrow(a):
+        return np.repeat(a.astype(dtype), 2)[::2]
+
+    other = with_edges(with_cells(mesh, narrow(mesh.cells_to_vertices)),
+                       narrow(mesh.edges_to_vertices))
+    assert mesh_digest(rcm_renumber(other)) == mesh_digest(rcm_renumber(mesh))
